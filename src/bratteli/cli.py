@@ -184,11 +184,6 @@ def _decimal(value, digits):
     return "%s%d.%0*d" % (sign, whole, digits, frac)
 
 
-def _approx_map(mapping, bits):
-    digits = _digits(bits)
-    return {k: _decimal(v, digits) for k, v in mapping.items()}
-
-
 def _emit(payload, out, fmt, precision=None, rows=None, header=None,
           approx_fields=()):
     """Serialize ``payload`` deterministically to stdout or ``--out``.
@@ -253,8 +248,7 @@ _DIAGRAM_OPTS = (
 
 _ORDER_OPT = click.option(
     "--order", "order_name", default="left-to-right",
-    help="Edge order: left-to-right, alternating, natural, cyclic, "
-         "or 'slots:...' for none of these.")
+    help="Edge order: left-to-right, alternating, natural or cyclic.")
 
 _OUTPUT_OPTS = (
     click.option("--out", default=None, metavar="FILE",

@@ -199,9 +199,6 @@ class LevelWindow:
         if any(r < 1 for r in self.ranks) or len(set(self.ranks)) != len(self.ranks):
             raise DiagramError("ranks must be distinct positive integers")
 
-    def rank_of(self, v) -> int:
-        return self.ranks[self.vertices.index(v)]
-
     def __iter__(self):
         return iter(self.vertices)
 
@@ -210,7 +207,12 @@ class LevelWindow:
 
 
 class Diagram:
-    """Base class for diagram families.  Instances are immutable."""
+    """Base class for diagram families.  Instances are immutable.
+
+    ``_height_memo`` maps level -> {vertex: H}: heights are a pure function
+    of the diagram, so ``linalg.heights`` fills it once per vertex and every
+    later query on the same instance reuses it.
+    """
 
     family: str = "abstract"
     base_level: int = 0
@@ -218,6 +220,7 @@ class Diagram:
 
     def __init__(self, params: Mapping | None = None):
         self.params = dict(params or {})
+        self._height_memo: dict[int, dict] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -256,16 +259,6 @@ class Diagram:
         self.check_level(level)
         if not self.level_contains(level, v):
             raise DiagramError("%r is not a vertex of level %d of %s" % (v, level, self.family))
-
-    def cone_levels(self, level: int, vertices: Iterable) -> dict[int, set]:
-        """All vertices at each level reachable downward from ``vertices``."""
-        need = {level: set(vertices)}
-        for lvl in range(level, self.base_level, -1):
-            below: set = set()
-            for v in need[lvl]:
-                below.update(self.predecessors(lvl, v).keys())
-            need[lvl - 1] = below
-        return need
 
     def closed_form_height(self, level: int, v):
         """Exact closed-form height, or None when the family has none."""
@@ -606,7 +599,7 @@ class CustomDiagram(Diagram):
         return out
 
     def level_contains(self, level: int, v) -> bool:
-        return v in self._levels.get(level, ())
+        return v in self.level_vertices(level)
 
     def level_vertices(self, level: int, bound: int | None = None) -> tuple:
         self.check_level(level)
@@ -757,10 +750,7 @@ class Subdiagram(Diagram):
         return out
 
     def level_contains(self, level: int, v) -> bool:
-        try:
-            return v in self._level_set(level)
-        except TruncationIncompleteError:
-            raise
+        return v in self._level_set(level)
 
     def level_vertices(self, level: int, bound: int | None = None) -> tuple:
         self.check_level(level)

@@ -21,6 +21,7 @@ from .core import (
     DiagramError,
     PascalDiagram,
     key_level,
+    key_mult,
     step_polynomial_coefficients,
     support_key,
 )
@@ -60,7 +61,7 @@ def closed_form_product_row(diagram: Diagram, n: int, m: int, v) -> dict:
         for s in _subkeys_at_level(v, n):
             count = factorial(m)
             for c, t_mult in v:
-                count //= factorial(t_mult - key_mult_of(s, c))
+                count //= factorial(t_mult - key_mult(s, c))
             out[s] = count
         return out
     if isinstance(diagram, BoundedDiagram):
@@ -74,20 +75,12 @@ def closed_form_product_row(diagram: Diagram, n: int, m: int, v) -> dict:
     raise DiagramError("%s has no closed-form transition counts" % diagram.family)
 
 
-def key_mult_of(key, coord: int) -> int:
-    for c, mult in key:
-        if c == coord:
-            return mult
-    return 0
-
-
 def _subkeys_at_level(key, level: int):
     """All support keys s <= key (coordinatewise) with total ``level``."""
     items = list(key)
 
     def rec(i: int, remaining: int, acc):
         if remaining == 0:
-            rest = [(c, 0) for c, _ in items[i:]]
             yield tuple((c, m) for c, m in acc if m)
             return
         if i == len(items):
@@ -96,11 +89,7 @@ def _subkeys_at_level(key, level: int):
         for take in range(min(cap, remaining) + 1):
             yield from rec(i + 1, remaining - take, acc + [(c, take)])
 
-    seen = set()
-    for s in rec(0, level, []):
-        if s not in seen:
-            seen.add(s)
-            yield s
+    yield from rec(0, level, [])
 
 
 def normalized_product_row(diagram: Diagram, n: int, m: int, v,
@@ -168,7 +157,6 @@ def limit_along(diagram: Diagram, n: int, top_rule: Callable[[int, int], object]
     prev = None
     distances: list = []
     mass_sums: list = []
-    height_cache: dict = {}
     ranks: dict = {}
     result_vector: dict = {}
     steps = 0
@@ -179,9 +167,8 @@ def limit_along(diagram: Diagram, n: int, top_rule: Callable[[int, int], object]
         for w in y:
             if w not in ranks:
                 ranks[w] = diagram.rank(n, w)
-            if w not in height_cache:
-                height_cache[w] = heights(diagram, n, [w])[w]
-        mass_sums.append(sum(y[w] * height_cache[w] for w in y))
+        hs = heights(diagram, n, y)
+        mass_sums.append(sum(y[w] * hs[w] for w in y))
         if prev is not None:
             distances.append(simplex_distance(prev, y, ranks))
         prev = y

@@ -4,13 +4,19 @@ All quantities are integers or ``fractions.Fraction``; nothing here rounds.
 Heights are computed by the downward cone recursion, so they are exact for
 every built-in family; ``heights_closed_form`` exposes the per-family closed
 forms so the two routes can be compared.
+
+``heights`` is the one height recursion.  It stores what it computes in the
+diagram's height memo (level -> {vertex: H}, made in ``Diagram.__init__``),
+so calls on one diagram instance share their cones: a query walks down only
+through vertices the memo lacks.  Stochastic rows and the continuity
+profile read their source heights from it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import Diagram, DiagramError, LevelWindow, vertex_window
+from .core import Diagram, DiagramError, vertex_window
 
 
 def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
@@ -20,17 +26,41 @@ def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
     Computed by the cone recursion H^(base) = 1, H^(n+1)_v = sum of
     multiplicities times the heights one level down.  ``vertices`` defaults
     to the canonical window at ``level``.
+
+    Results are memoized on ``diagram``: the level and every requested
+    vertex not yet in the memo are validated once here, the walk down stops
+    at vertices the memo already holds, and the missing heights are then
+    filled level by level from the bottom.  Nothing is stored until the walk
+    has succeeded, so a call that raises (for example
+    ``TruncationIncompleteError`` where declared data runs out) leaves the
+    memo as it was and raises again the same way.
     """
+    diagram.check_level(level)
     if vertices is None:
         vertices = vertex_window(diagram, level, bound).vertices
     vertices = list(vertices)
-    need = diagram.cone_levels(level, vertices)
-    h = {v: 1 for v in need[diagram.base_level]}
-    for lvl in range(diagram.base_level + 1, level + 1):
-        nxt = {}
-        for v in need[lvl]:
-            nxt[v] = sum(m * h[w] for w, m in diagram.predecessors(lvl, v).items())
-        h = nxt
+    memo = diagram._height_memo
+    todo = set(vertices).difference(memo.get(level, ()))
+    for v in todo:
+        diagram.check_vertex(level, v)
+    need = {level: todo}
+    lowest = level
+    while todo and lowest > diagram.base_level:
+        below: set = set()
+        for v in todo:
+            below.update(diagram.predecessors(lowest, v))
+        lowest -= 1
+        todo = below.difference(memo.get(lowest, ()))
+        need[lowest] = todo
+    for lvl in range(lowest, level + 1):
+        filled = memo.setdefault(lvl, {})
+        if lvl == diagram.base_level:
+            filled.update(dict.fromkeys(need.pop(lvl), 1))
+            continue
+        h = memo.get(lvl - 1, {})
+        for v in need.pop(lvl):
+            filled[v] = sum(m * h[w] for w, m in diagram.predecessors(lvl, v).items())
+    h = memo[level]
     return {v: h[v] for v in vertices}
 
 
@@ -48,31 +78,23 @@ def heights_closed_form(diagram: Diagram, level: int, vertices: Iterable | None 
     return out
 
 
-def stochastic_row(diagram: Diagram, level: int, v,
-                   height_cache: dict | None = None) -> dict:
+def stochastic_row(diagram: Diagram, level: int, v) -> dict:
     """The stochastic row f_(v w) = f'_(v w) H_w / H_v for target ``v`` at ``level``.
 
-    Rows sum to exactly 1.  ``height_cache`` maps (level, vertex) -> height
-    and is filled on demand, so repeated calls share work.
+    H_v is the row's total weight, the sum of f'_(v w) H_w, so rows sum to
+    exactly 1.  Source heights come from the diagram's height memo, so
+    repeated calls share work.
     """
     row = diagram.predecessors(level, v)
-    needed = [(level, v)] + [(level - 1, w) for w in row]
-    cache = height_cache if height_cache is not None else {}
-    missing_by_level: dict[int, list] = {}
-    for lvl, u in needed:
-        if (lvl, u) not in cache:
-            missing_by_level.setdefault(lvl, []).append(u)
-    for lvl, us in missing_by_level.items():
-        for u, hval in heights(diagram, lvl, us).items():
-            cache[(lvl, u)] = hval
-    hv = cache[(level, v)]
-    return {w: Fraction(m * cache[(level - 1, w)], hv) for w, m in row.items()}
+    h = heights(diagram, level - 1, row)
+    weights = {w: m * h[w] for w, m in row.items()}
+    hv = sum(weights.values())
+    return {w: Fraction(x, hv) for w, x in weights.items()}
 
 
 def stochastic_rows(diagram: Diagram, level: int, targets: Iterable) -> dict:
-    """Stochastic rows for several targets at one level, sharing the height work."""
-    cache: dict = {}
-    return {v: stochastic_row(diagram, level, v, cache) for v in targets}
+    """Stochastic rows for several targets at one level."""
+    return {v: stochastic_row(diagram, level, v) for v in targets}
 
 
 def simplex_distance(x: Mapping, y: Mapping, ranks: Mapping[object, int]) -> Fraction:
@@ -100,14 +122,9 @@ def weighted_row_norm(row: Mapping, ranks: Mapping[object, int]) -> Fraction:
 
 def continuity_profile(diagram: Diagram, level: int, targets: Iterable) -> dict:
     """|g_v| for each target v at ``level`` (sources ranked at ``level - 1``)."""
-    cache: dict = {}
     out = {}
     for v in targets:
-        row = stochastic_row(diagram, level, v, cache)
+        row = stochastic_row(diagram, level, v)
         ranks = {w: diagram.rank(level - 1, w) for w in row}
         out[v] = weighted_row_norm(row, ranks)
     return out
-
-
-def window_ranks(window: LevelWindow) -> dict:
-    return dict(zip(window.vertices, window.ranks))

@@ -337,13 +337,10 @@ def restricted_level_mass(p_func, sub: Subdiagram, n: int) -> Fraction:
     subdiagram through level ``n``.
     """
     total = Fraction(0)
-    internal = None
     for v in sub.level_vertices(n):
         h = sub.closed_form_height(n, v)
         if h is None:
-            if internal is None:
-                internal = heights(sub, n, sub.level_vertices(n))
-            h = internal[v]
+            h = heights(sub, n, [v])[v]
         total += h * Fraction(p_func(n, v))
     return total
 

@@ -75,6 +75,21 @@ def test_truncation_incomplete_exits_two():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("--family", "pascal-n", "--level", "0", "--vertex", "[[1,1]]"),
+    ("--family", "odometer-io", "--a", "2", "--level", "0", "--vertex", "-3"),
+    ("--family", "binfty", "--level", "0", "--vertex", "1"),
+    ("--family", "binfty", "--level", "1", "--vertex", "0"),
+], ids=["pascal-level-0", "odometer-negative", "binfty-no-level-0", "binfty-vertex-0"])
+def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["heights", *args])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_stepping_past_a_provably_minimal_path_is_a_domain_error():
     result = run("vershik", "--family", "binfty", "--order", "left-to-right",
                  "--inverse", "--path",

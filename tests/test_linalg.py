@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from bratteli.core import (
     BinftyDiagram,
     BoundedDiagram,
+    CustomDiagram,
+    DiagramError,
     OdometerChainDiagram,
     PascalDiagram,
+    TruncationIncompleteError,
     build_subdiagram,
     support_key,
     vertex_window,
@@ -190,6 +193,89 @@ def test_pascal_row_norms_do_not_decay_along_coordinate_rays():
         row = stochastic_row(d, n + 1, t)
         ranks = {w: d.rank(n, w) for w in row}
         assert weighted_row_norm(row, ranks) >= floor
+
+
+def _custom():
+    return CustomDiagram(
+        levels={0: ["a"], 1: ["b", "c"], 2: ["d", "e"], 3: ["f"]},
+        rows={
+            1: {"b": {"a": 2}, "c": {"a": 1}},
+            2: {"d": {"b": 1, "c": 3}, "e": {"c": 2}},
+            3: {"f": {"d": 1, "e": 2}},
+        },
+    )
+
+
+MEMO_CASES = [
+    pytest.param(lambda: PascalDiagram("n"), lambda d, n: d.level_vertices(n, 3), id="pascal-n"),
+    pytest.param(lambda: PascalDiagram("z"), lambda d, n: d.level_vertices(n, 1), id="pascal-z"),
+    pytest.param(BinftyDiagram, lambda d, n: d.level_vertices(n, 6), id="binfty"),
+    pytest.param(lambda: BoundedDiagram(2, finite=True), lambda d, n: d.level_vertices(n),
+                 id="bounded-finite"),
+    pytest.param(lambda: OdometerChainDiagram("pow2"), lambda d, n: d.level_vertices(n, 4),
+                 id="odometer-io"),
+    pytest.param(_custom, lambda d, n: d.level_vertices(n), id="custom"),
+    pytest.param(lambda: build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": 2}),
+                 lambda d, n: d.level_vertices(n), id="staircase"),
+    pytest.param(lambda: build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": 3}),
+                 lambda d, n: d.level_vertices(n), id="pascal-edge"),
+]
+
+
+@pytest.mark.parametrize("make,window", MEMO_CASES)
+@pytest.mark.parametrize("first,second", [(2, 3), (3, 2), (1, 3), (3, 3)])
+def test_memoized_heights_equal_those_of_a_fresh_instance(make, window, first, second):
+    d = make()
+    first_vs = window(d, first)
+    assert heights(d, first, first_vs) == heights(make(), first, first_vs)
+    second_vs = window(d, second)
+    assert heights(d, second, second_vs) == heights(make(), second, second_vs)
+
+
+def test_a_height_query_that_runs_out_of_data_leaves_the_memo_usable():
+    d = OdometerChainDiagram([2, 3, 5])
+    fresh = OdometerChainDiagram([2, 3, 5]).closed_form_height
+    for _ in range(2):
+        with pytest.raises(TruncationIncompleteError):
+            heights(d, 6, [1, 2])
+        assert heights(d, 2, [1, 2]) == {1: fresh(2, 1), 2: fresh(2, 2)}
+        assert heights(d, 3, [3]) == {3: fresh(3, 3)}
+
+
+@pytest.mark.parametrize("diagram,level,v", [
+    (PascalDiagram("n"), 0, ((1, 1),)),
+    (PascalDiagram("n"), 2, ((1, 1),)),
+    (OdometerChainDiagram(2), 0, -3),
+    (BinftyDiagram(), 0, 1),
+    (BinftyDiagram(), 1, 0),
+], ids=["pascal-level-0", "pascal-level-2", "odometer-negative", "binfty-no-level-0",
+        "binfty-vertex-0"])
+def test_heights_reject_non_vertices_and_store_nothing_for_them(diagram, level, v):
+    for _ in range(2):
+        with pytest.raises(DiagramError):
+            heights(diagram, level, [v])
+
+
+def test_heights_at_an_undeclared_custom_level_are_truncation_incomplete():
+    with pytest.raises(TruncationIncompleteError):
+        heights(_custom(), 4, ["f"])
+
+
+def test_stochastic_rows_visit_each_cone_vertex_at_most_twice(monkeypatch):
+    calls = 0
+    original = PascalDiagram.predecessors
+
+    def counting(self, level, v):
+        nonlocal calls
+        calls += 1
+        return original(self, level, v)
+
+    monkeypatch.setattr(PascalDiagram, "predecessors", counting)
+    d = PascalDiagram("n")
+    stochastic_rows(d, 6, d.level_vertices(6, 6))
+    # every key of levels 0..6 over coordinates 1..6 is in the cone
+    cone_entries = sum(comb(n + 5, 5) for n in range(7))
+    assert calls <= 2 * cone_entries
 
 
 def test_heights_accept_window_default():
