@@ -26,7 +26,6 @@ from .core import (
     BinftyDiagram,
     DiagramError,
     OdometerChainDiagram,
-    PascalDiagram,
     TruncationIncompleteError,
     build_diagram,
     build_subdiagram,

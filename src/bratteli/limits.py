@@ -20,7 +20,6 @@ from .core import (
     Diagram,
     DiagramError,
     PascalDiagram,
-    key_level,
     key_mult,
     step_polynomial_coefficients,
     support_key,

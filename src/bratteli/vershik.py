@@ -13,7 +13,9 @@ maximal: the answer lives in the unspecified remainder.  Symbolic tails make
 that remainder exact.  For each supported (order, tail, family) combination
 the module either proves every tail edge extremal or locates the first
 non-extremal tail edge and materializes the prefix up to it; combinations
-with no such analysis raise ``DeepenPrefixError`` instead of guessing.
+with no such analysis raise ``DeepenPrefixError`` instead of guessing.  Paths
+are validated at the public entry points; the step engine ``_step`` trusts its
+input, since a step maps valid paths to valid paths.
 
 Extremal paths that no finite prefix-plus-tail can carry (multinomial paths
 whose support grows forever) are handled by ``PascalPathDescriptor``: the
@@ -245,10 +247,7 @@ class EdgeOrder:
 
 
 def _slots_ascending(items: Iterable) -> list:
-    out = []
-    for w, mult in items:
-        out.extend((w, slot) for slot in range(1, mult + 1))
-    return out
+    return [(w, slot) for w, mult in items for slot in range(1, mult + 1)]
 
 
 class LeftToRightOrder(EdgeOrder):
@@ -580,33 +579,32 @@ def materialize(od: OrderedDiagram, path: PathRep, depth: int) -> PathRep:
 
 
 def _step(od: OrderedDiagram, path: PathRep, side: str) -> PathRep:
-    validate_path(od.diagram, path)
-    work = path
-    m = _first_nonextremal_index(od, work, side)
+    """One adic step; trusts ``path``, which the public entry points validate."""
+    m = _first_nonextremal_index(od, path, side)
     if m is None:
-        state, depth = scan_tail(od, work, side)
+        state, depth = scan_tail(od, path, side)
         if state == "unknown":
             raise DeepenPrefixError(
                 "every specified edge is %s; extend the prefix beyond level %d"
-                % ("maximal" if side == "max" else "minimal", work.end_level),
-                missing=[("prefix-level", work.end_level + 1)],
+                % ("maximal" if side == "max" else "minimal", path.end_level),
+                missing=[("prefix-level", path.end_level + 1)],
             )
         if state == "all":
             if side == "max":
                 raise MaximalPathError("the path is maximal: every edge, tail included, is maximal")
             raise MinimalPathError("the path is minimal: every edge, tail included, is minimal")
-        work = materialize(od, work, depth)
-        m = len(work.edges) - 1
-    w, v, slot = work.edges[m]
-    level = work.start + m + 1
+        path = materialize(od, path, depth)
+        m = len(path.edges) - 1
+    w, v, slot = path.edges[m]
+    level = path.start + m + 1
     seq = od.edges_into(level, v)
     pos = seq.index((w, slot))
     new_w, new_slot = seq[pos + 1] if side == "max" else seq[pos - 1]
     refill = extremal_path_to(
-        od, level - 1, new_w, "min" if side == "max" else "max", stop_level=work.start
+        od, level - 1, new_w, "min" if side == "max" else "max", stop_level=path.start
     )
-    edges = refill + ((new_w, v, new_slot),) + work.edges[m + 1:]
-    return PathRep(work.start, edges, work.tail)
+    edges = refill + ((new_w, v, new_slot),) + path.edges[m + 1:]
+    return PathRep(path.start, edges, path.tail)
 
 
 def vershik_step(od: OrderedDiagram, path: PathRep) -> PathRep:
@@ -616,11 +614,13 @@ def vershik_step(od: OrderedDiagram, path: PathRep) -> PathRep:
     ``DeepenPrefixError`` when the explicit prefix is exhausted without a
     decision.
     """
+    validate_path(od.diagram, path)
     return _step(od, path, "max")
 
 
 def vershik_inverse(od: OrderedDiagram, path: PathRep) -> PathRep:
     """The adic predecessor of ``path`` (mirror of ``vershik_step``)."""
+    validate_path(od.diagram, path)
     return _step(od, path, "min")
 
 
@@ -1043,6 +1043,7 @@ def orbit(od: OrderedDiagram, path: PathRep, steps: int,
           visit_level: int | None = None) -> OrbitResult:
     """Iterate the adic step ``steps`` times, collecting visited prefixes.
 
+    Only the start path is validated: the step engine ``_step`` trusts its input.
     Step errors propagate with the failing step index attached as
     ``step_index``.  With a ``visit_level``, the result counts how often the
     orbit sits over each vertex of that level.
@@ -1054,7 +1055,7 @@ def orbit(od: OrderedDiagram, path: PathRep, steps: int,
     cur = path
     for i in range(steps):
         try:
-            cur = vershik_step(od, cur)
+            cur = _step(od, cur, "max")
         except DiagramError as e:
             e.step_index = i
             e.args = ("step %d: %s" % (i, e.args[0]),) + e.args[1:]

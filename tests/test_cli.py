@@ -90,6 +90,25 @@ def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path", [
+    '{"start": 1, "edges": [[1,2,1],[3,3,1]]}',
+    '{"start": 1, "edges": [[1,2,2]]}',
+    '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": "vertical", "vertex": 3}}',
+], ids=["edges-do-not-compose", "slot-out-of-range", "tail-not-at-prefix-end"])
+@pytest.mark.parametrize("command", [
+    ("orbit", "--steps", "3"),
+    ("vershik",),
+], ids=lambda command: command[0])
+def test_an_invalid_path_is_a_domain_error(command, path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--family", "binfty", "--order", "left-to-right",
+              "--path", path])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_stepping_past_a_provably_minimal_path_is_a_domain_error():
     result = run("vershik", "--family", "binfty", "--order", "left-to-right",
                  "--inverse", "--path",

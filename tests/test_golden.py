@@ -1,10 +1,15 @@
-"""Golden corpus: the README's CLI invocations, byte for byte.
+"""Golden corpora: CLI invocations whose output is pinned byte for byte.
 
 ``golden_readme.json`` holds, for each of the fifteen invocations in the
 README's CLI section, its argv, exit code and exact stdout, recorded from the
 program before the per-diagram height memo replaced the hand-rolled height
-caches.  Refactors must leave every entry unchanged; an entry is re-recorded
-only when its output is meant to change, and CHANGES.md says why.
+caches.  ``golden_orbit.json`` holds six long ``orbit`` invocations, one per
+family and edge order of the adic-orbit benchmark workload (odometer column
+left-to-right and alternating, binfty left-to-right and cyclic, the
+staircase, pascal-n natural), recorded while every adic step still
+re-validated its whole path.  Refactors must leave every entry unchanged; an
+entry is re-recorded only when its output is meant to change, and CHANGES.md
+says why.
 """
 
 import json
@@ -16,14 +21,42 @@ from click.testing import CliRunner
 from bratteli.cli import cli
 
 CORPUS = json.loads(Path(__file__).with_name("golden_readme.json").read_text())
+ORBITS = json.loads(Path(__file__).with_name("golden_orbit.json").read_text())
 
 
 def test_corpus_covers_every_subcommand():
     assert sorted(case["argv"][0] for case in CORPUS) == sorted(cli.commands)
 
 
-@pytest.mark.parametrize("case", CORPUS, ids=lambda case: case["argv"][0])
-def test_readme_invocation_output_is_unchanged(case):
+def _assert_unchanged(case):
     result = CliRunner().invoke(cli, case["argv"])
     assert result.exit_code == case["exit_code"]
     assert result.stdout_bytes == case["stdout"].encode("utf-8")
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=lambda case: case["argv"][0])
+def test_readme_invocation_output_is_unchanged(case):
+    _assert_unchanged(case)
+
+
+def _orbit_id(case):
+    argv = case["argv"]
+    family = argv[argv.index("--family") + 1]
+    sub = argv[argv.index("--sub") + 1] if "--sub" in argv else None
+    return "-".join(filter(None, (family, sub, argv[argv.index("--order") + 1])))
+
+
+def test_orbit_corpus_covers_every_order():
+    assert sorted(_orbit_id(case) for case in ORBITS) == [
+        "binfty-cyclic",
+        "binfty-left-to-right",
+        "binfty-staircase:2-left-to-right",
+        "odometer-io-constant:1-alternating",
+        "odometer-io-constant:1-left-to-right",
+        "pascal-n-natural",
+    ]
+
+
+@pytest.mark.parametrize("case", ORBITS, ids=_orbit_id)
+def test_long_orbit_output_is_unchanged(case):
+    _assert_unchanged(case)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bratteli import vershik
 from bratteli.core import (
     BinftyDiagram,
     DiagramError,
@@ -736,6 +737,95 @@ def test_orbit_with_zero_steps_returns_the_path():
     result = orbit(od, x, 0, visit_level=2)
     assert result.paths == [x]
     assert result.visits == {3: 1}
+
+
+# Orbits validate their start path once and then trust every step, so a step
+# must map a valid path to a valid one.  The cases are the families and orders
+# of the adic-orbit benchmark, each started from its minimal path.
+ORBIT_CASES = {
+    "odometer-column-ltr-30": (lambda: odometer_column(2), "left-to-right", 30, 1),
+    "odometer-column-alternating-60": (lambda: odometer_column(2), "alternating", 60, 1),
+    "binfty-ltr": (BinftyDiagram, "left-to-right", 16, 7),
+    "binfty-cyclic": (BinftyDiagram, "cyclic", 16, 7),
+    "staircase-ltr": (lambda: staircase(2), "left-to-right", 14, 10),
+    "pascal-n-natural": (lambda: PascalDiagram("n"), "natural", 13, key((2, 4), (3, 4), (4, 5))),
+}
+
+
+def _minimal_start(make, order, level, v):
+    od = OrderedDiagram(make(), order)
+    return od, PathRep(od.diagram.base_level, minimal_path_to(od, level, v))
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_every_orbit_step_keeps_the_path_valid_and_invertible(case):
+    od, start = _minimal_start(*ORBIT_CASES[case])
+    result = orbit(od, start, 250)
+    assert len({p.edges for p in result.paths}) == 251
+    for p in result.paths:
+        validate_path(od.diagram, p)
+    for before, after in zip(result.paths, result.paths[1:]):
+        assert vershik_inverse(od, after) == before
+
+
+def _count_predecessor_calls(monkeypatch, diagram):
+    calls = []
+    for d in (diagram, getattr(diagram, "ambient", None)):
+        if d is not None:
+            inner = d.predecessors
+
+            def counted(level, v, inner=inner):
+                calls.append(level)
+                return inner(level, v)
+
+            monkeypatch.setattr(d, "predecessors", counted)
+    return calls
+
+
+def test_an_orbit_reads_each_vertex_order_once_not_once_per_step(monkeypatch):
+    depth = 30
+    od = OrderedDiagram(odometer_column(2), "left-to-right")
+    slots = [1 + (0x0F0F0F0F >> j & 1) for j in range(depth - 1)] + [1]
+    start = PathRep(0, tuple((1, 1, s) for s in slots))
+    calls = _count_predecessor_calls(monkeypatch, od.diagram)
+    result = orbit(od, start, 3000)
+    assert len(result.paths) == 3001
+    # one start-path validation plus the cached edge orders: O(depth), not
+    # O(depth) per step
+    assert 0 < len(calls) <= 4 * depth
+
+
+def _never_step(*args):
+    raise AssertionError("an invalid start path reached the step engine")
+
+
+INVALID_STARTS = {
+    "edges-do-not-compose": (BinftyDiagram, PathRep(1, ((1, 2, 1), (3, 3, 1)))),
+    "slot-out-of-range": (lambda: odometer_column(2), PathRep(0, ((1, 1, 1), (1, 1, 3)))),
+    "tail-not-at-prefix-end": (BinftyDiagram, PathRep(1, ((1, 2, 1),), VerticalAt(3))),
+    "tail-foreign-to-family": (lambda: odometer_column(2), PathRep(0, ((1, 1, 1),), DiagonalFrom(1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_STARTS))
+def test_orbit_rejects_an_invalid_start_before_any_step(case, monkeypatch):
+    make, path = INVALID_STARTS[case]
+    od = OrderedDiagram(make(), "left-to-right")
+    monkeypatch.setattr(vershik, "_step", _never_step)
+    with pytest.raises(DiagramError) as info:
+        orbit(od, path, 5)
+    assert not hasattr(info.value, "step_index")
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_STARTS))
+def test_single_steps_reject_an_invalid_path(case, monkeypatch):
+    make, path = INVALID_STARTS[case]
+    od = OrderedDiagram(make(), "left-to-right")
+    monkeypatch.setattr(vershik, "_step", _never_step)
+    with pytest.raises(DiagramError):
+        vershik_step(od, path)
+    with pytest.raises(DiagramError):
+        vershik_inverse(od, path)
 
 
 # ---------------------------------------------------------------------------
