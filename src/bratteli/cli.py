@@ -162,10 +162,20 @@ def _fr(x):
     return str(Fraction(x))
 
 
+@functools.lru_cache(maxsize=None)
 def _vkey(v):
     if isinstance(v, tuple):
         return json.dumps([[c, m] for c, m in v], separators=(",", ":"))
     return str(v)
+
+
+def _by_key_repr(item):
+    return repr(item[0])
+
+
+def _vertex_rows(values, key=_by_key_repr):
+    """Lazy CSV rows [vertex, p/q] of a {vertex: rational} map, sorted by ``key``."""
+    return lambda: [[_vkey(v), _fr(x)] for v, x in sorted(values.items(), key=key)]
 
 
 def _digits(bits):
@@ -187,8 +197,10 @@ def _emit(payload, out, fmt, precision=None, rows=None, header=None,
           approx_fields=()):
     """Serialize ``payload`` deterministically to stdout or ``--out``.
 
-    ``approx_fields`` names keys of ``payload`` holding {key: Fraction-string}
-    maps; with ``--precision`` each gains an ``approx_<name>`` companion.
+    ``rows`` is a zero-argument callable returning the CSV rows under
+    ``header``; it runs only for ``--format csv``.  ``approx_fields`` names
+    keys of ``payload`` holding {key: Fraction-string} maps; with
+    ``--precision`` each gains an ``approx_<name>`` companion.
     """
     if precision is not None:
         if precision < 1:
@@ -207,7 +219,7 @@ def _emit(payload, out, fmt, precision=None, rows=None, header=None,
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(rows())
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -424,8 +436,9 @@ def heights_cmd(family, spec_file, k_param, a_rule, sub_text, level, window,
         closed = None
     if closed is not None:
         payload["closed_form_agrees"] = closed == values
-    rows = [[_vkey(v), str(values[v])] for v in vertices]
-    _emit(payload, out, fmt, precision, rows=rows, header=["vertex", "height"])
+    _emit(payload, out, fmt, precision,
+          rows=lambda: [[_vkey(v), str(values[v])] for v in vertices],
+          header=["vertex", "height"])
 
 
 @cli.command()
@@ -455,12 +468,12 @@ def stochastic(family, spec_file, k_param, a_rule, sub_text, level, window,
             sum(row.values(), Fraction(0)) == 1 for row in rows_map.values()
         ),
     }
-    csv_rows = [
-        [_vkey(v), _vkey(w), _fr(f)]
-        for v, row in rows_map.items()
-        for w, f in sorted(row.items(), key=lambda item: repr(item[0]))
-    ]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision,
+          rows=lambda: [
+              [_vkey(v), _vkey(w), _fr(f)]
+              for v, row in rows_map.items()
+              for w, f in sorted(row.items(), key=_by_key_repr)
+          ],
           header=["target", "source", "weight"])
 
 
@@ -489,11 +502,7 @@ def product(family, spec_file, k_param, a_rule, sub_text, level, m_steps,
         "row": {_vkey(w): _fr(f) for w, f in row.items()},
         "row_sum": _fr(sum(row.values(), Fraction(0))),
     }
-    csv_rows = [
-        [_vkey(w), _fr(f)]
-        for w, f in sorted(row.items(), key=lambda item: repr(item[0]))
-    ]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision, rows=_vertex_rows(row),
           header=["vertex", "weight"], approx_fields=("row",))
 
 
@@ -527,38 +536,27 @@ def limits(family, spec_file, k_param, a_rule, sub_text, level, rule,
            vertex_text, slope, d_text, closed_form, window, tol,
            m_max, method, out, fmt, precision):
     """Limits of normalized incidence products along a march of tops."""
-    if closed_form == "binfty":
-        if a_rule is None:
-            raise DiagramError("--closed-form binfty needs --a")
-        n = 1 if level is None else level
-        vector = binfty_limit_vector(_fraction(a_rule, "slope"), n, window)
+    if closed_form is not None:
+        if closed_form == "binfty":
+            if a_rule is None:
+                raise DiagramError("--closed-form binfty needs --a")
+            n = 1 if level is None else level
+            vector = binfty_limit_vector(_fraction(a_rule, "slope"), n, window)
+            rows = _vertex_rows(vector, key=None)
+        else:
+            if d_text is None or level is None:
+                raise DiagramError("--closed-form pascal needs --d and --level")
+            n = level
+            masses = _fraction_list(d_text, "direction")
+            vector = pascal_limit_vector(dict(enumerate(masses, start=1)), n)
+            rows = _vertex_rows(vector)
         payload = {
-            "closed_form": "binfty",
+            "closed_form": closed_form,
             "level": n,
             "vector": {_vkey(v): _fr(x) for v, x in vector.items()},
             "mass_reported": _fr(sum(vector.values(), Fraction(0))),
         }
-        csv_rows = [[_vkey(v), _fr(x)] for v, x in sorted(vector.items())]
-        _emit(payload, out, fmt, precision, rows=csv_rows,
-              header=["vertex", "mass"], approx_fields=("vector",))
-        return
-    if closed_form == "pascal":
-        if d_text is None or level is None:
-            raise DiagramError("--closed-form pascal needs --d and --level")
-        masses = _fraction_list(d_text, "direction")
-        d = dict(enumerate(masses, start=1))
-        vector = pascal_limit_vector(d, level)
-        payload = {
-            "closed_form": "pascal",
-            "level": level,
-            "vector": {_vkey(v): _fr(x) for v, x in vector.items()},
-            "mass_reported": _fr(sum(vector.values(), Fraction(0))),
-        }
-        csv_rows = [
-            [_vkey(v), _fr(x)]
-            for v, x in sorted(vector.items(), key=lambda item: repr(item[0]))
-        ]
-        _emit(payload, out, fmt, precision, rows=csv_rows,
+        _emit(payload, out, fmt, precision, rows=rows,
               header=["vertex", "mass"], approx_fields=("vector",))
         return
     diagram = _diagram(family, spec_file, k_param, a_rule, sub_text)
@@ -597,12 +595,7 @@ def limits(family, spec_file, k_param, a_rule, sub_text, level, rule,
             "--m-max or loosen --tol" % (
                 result.steps,
                 _fr(result.distances[-1]) if result.distances else "n/a"))
-    csv_rows = [
-        [_vkey(v), _fr(x)]
-        for v, x in sorted(result.vector.items(),
-                           key=lambda item: repr(item[0]))
-    ]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision, rows=_vertex_rows(result.vector),
           header=["vertex", "mass"], approx_fields=("vector",))
 
 
@@ -633,11 +626,11 @@ def measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
         "tower_masses": {_vkey(v): _fr(x) for v, x in towers.items()},
         "level_mass": _fr(mu.level_mass(level)),
     }
-    csv_rows = [
-        [_vkey(v), _fr(cylinders[v]), _fr(towers[v])]
-        for v in sorted(vertices, key=repr)
-    ]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision,
+          rows=lambda: [
+              [_vkey(v), _fr(cylinders[v]), _fr(towers[v])]
+              for v in sorted(vertices, key=repr)
+          ],
           header=["vertex", "cylinder_mass", "tower_mass"],
           approx_fields=("cylinder_masses", "tower_masses"))
 
@@ -672,12 +665,12 @@ def invariance(measure_name, d_text, coords_text, a_text, k_param, p_text,
             for r in records if not r.ok
         ],
     }
-    csv_rows = [
-        [r.level, _vkey(r.vertex), _fr(r.cylinder_mass),
-         _fr(r.successor_mass), r.ok]
-        for r in records
-    ]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision,
+          rows=lambda: [
+              [r.level, _vkey(r.vertex), _fr(r.cylinder_mass),
+               _fr(r.successor_mass), r.ok]
+              for r in records
+          ],
           header=["level", "vertex", "cylinder_mass", "successor_mass", "ok"])
 
 
@@ -700,8 +693,8 @@ def probability(measure_name, d_text, coords_text, a_text, k_param, p_text,
         "all_one": all(x == 1 for x in masses.values()),
         "method": mu.level_mass_method,
     }
-    csv_rows = [[n, _fr(x)] for n, x in sorted(masses.items())]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision,
+          rows=lambda: [[n, _fr(x)] for n, x in sorted(masses.items())],
           header=["level", "mass"], approx_fields=("level_masses",))
 
 
@@ -787,8 +780,8 @@ def monotone(a_text, k_param, orders, terms, out, fmt, precision):
         "completely_monotone": witness is None,
         "first_failure": None if witness is None else list(witness),
     }
-    csv_rows = [[n, _fr(x)] for n, x in enumerate(seq, start=1)]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision,
+          rows=lambda: [[n, _fr(x)] for n, x in enumerate(seq, start=1)],
           header=["n", "value"], approx_fields=("sequence",))
 
 
@@ -819,11 +812,11 @@ def sample(d_text, coords_text, depth, count, seed, out, fmt, precision):
         },
         "precision_bits": 53,
     }
-    csv_rows = [
-        [c, _fr(report.means[c]), _fr(mu.d[c]), report.stderrs[c]]
-        for c in report.coordinates
-    ]
-    _emit(payload, out, fmt, None, rows=csv_rows,
+    _emit(payload, out, fmt, None,
+          rows=lambda: [
+              [c, _fr(report.means[c]), _fr(mu.d[c]), report.stderrs[c]]
+              for c in report.coordinates
+          ],
           header=["coordinate", "mean", "expected", "stderr"])
 
 
@@ -961,11 +954,7 @@ def continuity(family, spec_file, k_param, a_rule, sub_text, level, window,
         "norms": {_vkey(v): _fr(x) for v, x in norms.items()},
         "max_norm": _fr(max(norms.values())) if norms else "0",
     }
-    csv_rows = [
-        [_vkey(v), _fr(x)]
-        for v, x in sorted(norms.items(), key=lambda item: repr(item[0]))
-    ]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision, rows=_vertex_rows(norms),
           header=["vertex", "norm"], approx_fields=("norms",))
 
 
@@ -994,8 +983,8 @@ def bk_decay(k_param, m_max, out, fmt, precision):
             values[i] <= values[i - 1] for i in range(1, len(values))),
         "final": _fr(values[-1]),
     }
-    csv_rows = [[m, _fr(ratios[m])] for m in range(1, m_max + 1)]
-    _emit(payload, out, fmt, precision, rows=csv_rows,
+    _emit(payload, out, fmt, precision,
+          rows=lambda: [[m, _fr(ratios[m])] for m in range(1, m_max + 1)],
           header=["m", "ratio"], approx_fields=("ratios",))
 
 

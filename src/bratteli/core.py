@@ -12,6 +12,12 @@ Vertex keys are either plain integers (index-labelled levels) or "support
 keys": tuples of ``(coordinate, multiplicity)`` pairs with strictly
 increasing coordinates and positive multiplicities, encoding a finitely
 supported multiplicity vector whose total is the level number.
+
+Public methods (``predecessors``, ``successors``, ``rank``) validate their
+level and vertex.  ``_predecessors`` reads rows unchecked, for callers that
+validated a vertex once and descend from it (``linalg.heights``,
+``limits.product_row``, a subdiagram reading its ambient rows): a
+predecessor of a vertex is a vertex.
 """
 from __future__ import annotations
 
@@ -225,7 +231,14 @@ class Diagram:
     # -- structure ---------------------------------------------------------
 
     def predecessors(self, level: int, v) -> dict:
-        """Sources (with multiplicities) of the edges whose range is ``v`` at ``level``."""
+        """Sources (with multiplicities) of the edges whose range is ``v`` at ``level``; checked."""
+        self.check_vertex(level, v)
+        if level == self.base_level:
+            raise DiagramError("base level vertices have no predecessors")
+        return self._predecessors(level, v)
+
+    def _predecessors(self, level: int, v) -> dict:
+        """``predecessors`` unchecked: ``v`` must be a vertex above the base level."""
         raise NotImplementedError
 
     def successors(self, level: int, w, bound: int | None = None) -> dict:
@@ -309,10 +322,7 @@ class PascalDiagram(Diagram):
             return list(range(1, bound + 1))
         return list(range(-bound, bound + 1))
 
-    def predecessors(self, level: int, v) -> dict:
-        self.check_vertex(level, v)
-        if level == self.base_level:
-            raise DiagramError("base level vertices have no predecessors")
+    def _predecessors(self, level: int, v) -> dict:
         return {key_sub(v, c): 1 for c, _ in v}
 
     def successors(self, level: int, w, bound: int | None = None) -> dict:
@@ -367,10 +377,7 @@ class BinftyDiagram(Diagram):
     def __init__(self):
         super().__init__()
 
-    def predecessors(self, level: int, v) -> dict:
-        self.check_vertex(level, v)
-        if level == self.base_level:
-            raise DiagramError("base level vertices have no predecessors")
+    def _predecessors(self, level: int, v) -> dict:
         return {w: 1 for w in range(1, v + 1)}
 
     def successors(self, level: int, w, bound: int | None = None) -> dict:
@@ -412,10 +419,7 @@ class BoundedDiagram(Diagram):
         self.family = "bounded-finite" if finite else "bounded-generalized"
         super().__init__({"k": k})
 
-    def predecessors(self, level: int, v) -> dict:
-        self.check_vertex(level, v)
-        if level == self.base_level:
-            raise DiagramError("base level vertices have no predecessors")
+    def _predecessors(self, level: int, v) -> dict:
         lo, hi = v - self.k, v + self.k
         if self.finite:
             cap = (level - 1) * self.k
@@ -491,10 +495,7 @@ class OdometerChainDiagram(Diagram):
         rule = self._column_rules.get(column, self._default_rule)
         return rule(level)
 
-    def predecessors(self, level: int, v) -> dict:
-        self.check_vertex(level, v)
-        if level == self.base_level:
-            raise DiagramError("base level vertices have no predecessors")
+    def _predecessors(self, level: int, v) -> dict:
         return {v: self.entry(level - 1, v), v + 1: 1}
 
     def successors(self, level: int, w, bound: int | None = None) -> dict:
@@ -573,9 +574,13 @@ class CustomDiagram(Diagram):
         super().__init__({"base_level": base_level})
 
     def predecessors(self, level: int, v) -> dict:
+        # level only: a vertex beyond the declared data is a missing row
         self.check_level(level)
         if level == self.base_level:
             raise DiagramError("base level vertices have no predecessors")
+        return self._predecessors(level, v)
+
+    def _predecessors(self, level: int, v) -> dict:
         row = self._rows.get(level, {}).get(v)
         if row is None:
             raise TruncationIncompleteError(
@@ -657,6 +662,9 @@ class Subdiagram(Diagram):
                 levels = {int(n): tuple(vs) for n, vs in spec["levels"].items()}
                 if any(len(vs) == 0 for vs in levels.values()):
                     raise DiagramError("vertex subdiagram levels must be nonempty")
+                for n, vs in levels.items():
+                    for v in vs:
+                        ambient.check_vertex(n, v)
                 self._explicit_levels = levels
 
                 def lookup(n: int) -> tuple:
@@ -730,13 +738,10 @@ class Subdiagram(Diagram):
 
     # -- Diagram interface --------------------------------------------------
 
-    def predecessors(self, level: int, v) -> dict:
-        self.check_vertex(level, v)
-        if level == self.base_level:
-            raise DiagramError("base level vertices have no predecessors")
+    def _predecessors(self, level: int, v) -> dict:
         kept = set(self._level_set(level - 1))
         if self.kind == "vertex":
-            amb = self.ambient.predecessors(level, v)
+            amb = self.ambient._predecessors(level, v)
             return {w: m for w, m in amb.items() if w in kept}
         return {w: m for w, m in self._retained(level, v).items() if w in kept}
 
@@ -824,11 +829,11 @@ def build_diagram(spec) -> Diagram:
             raise DiagramError("odometer-io needs an entry rule 'a'")
         d = OdometerChainDiagram(params["a"], params.get("columns"))
     elif family == "custom":
-        levels = {int(n): [_vertex_from_json(v) for v in vs] for n, vs in params["levels"].items()}
+        levels = {int(n): [vertex_from_json(v) for v in vs] for n, vs in params["levels"].items()}
         rows = {
             int(n): {
-                _vertex_from_json(json.loads(v) if isinstance(v, str) else v): {
-                    _vertex_from_json(json.loads(w) if isinstance(w, str) else w): int(m)
+                vertex_from_json(json.loads(v) if isinstance(v, str) else v): {
+                    vertex_from_json(json.loads(w) if isinstance(w, str) else w): int(m)
                     for w, m in preds.items()
                 }
                 for v, preds in level_rows.items()
@@ -844,7 +849,7 @@ def build_diagram(spec) -> Diagram:
     return d
 
 
-def _vertex_from_json(v):
+def vertex_from_json(v):
     if isinstance(v, int):
         return v
     if isinstance(v, (list, tuple)):

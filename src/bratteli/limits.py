@@ -20,27 +20,30 @@ from .core import (
     Diagram,
     DiagramError,
     PascalDiagram,
+    _compositions,
     key_mult,
     step_polynomial_coefficients,
     support_key,
 )
-from .linalg import heights, simplex_distance
+from .linalg import count_distance, heights
 
 
 def product_row(diagram: Diagram, n: int, m: int, v) -> dict:
     """Path counts from each level-``n`` vertex to ``v`` at level ``n + m``.
 
     Computed by descending through the predecessor lists, so it is exact for
-    every family and subdiagram.
+    every family and subdiagram.  Only ``v`` is validated; the descent
+    reads rows unchecked through ``_predecessors``.
     """
     if m < 0:
         raise DiagramError("m must be >= 0")
     diagram.check_vertex(n + m, v)
+    diagram.check_level(n)
     cur = {v: 1}
     for lvl in range(n + m, n, -1):
         nxt: dict = {}
         for u, c in cur.items():
-            for w, mult in diagram.predecessors(lvl, u).items():
+            for w, mult in diagram._predecessors(lvl, u).items():
                 nxt[w] = nxt.get(w, 0) + c * mult
         cur = nxt
     return cur
@@ -91,9 +94,8 @@ def _subkeys_at_level(key, level: int):
     yield from rec(0, level, [])
 
 
-def normalized_product_row(diagram: Diagram, n: int, m: int, v,
-                           method: str = "auto") -> dict:
-    """The transition row scaled to total mass 1 (a level-``n`` simplex point)."""
+def _path_counts(diagram: Diagram, n: int, m: int, v, method: str) -> tuple[dict, int]:
+    """The nonzero transition counts from ``v`` down to level ``n``, and their total."""
     if method == "closed":
         row = closed_form_product_row(diagram, n, m, v)
     elif method == "recursion":
@@ -106,7 +108,14 @@ def normalized_product_row(diagram: Diagram, n: int, m: int, v,
     total = sum(row.values())
     if total == 0:
         raise DiagramError("no paths reach level %d from %r" % (n, v))
-    return {w: Fraction(c, total) for w, c in row.items() if c}
+    return {w: c for w, c in row.items() if c}, total
+
+
+def normalized_product_row(diagram: Diagram, n: int, m: int, v,
+                           method: str = "auto") -> dict:
+    """The transition row scaled to total mass 1 (a level-``n`` simplex point)."""
+    counts, total = _path_counts(diagram, n, m, v, method)
+    return {w: Fraction(c, total) for w, c in counts.items()}
 
 
 def q_from_y(diagram: Diagram, n: int, y: Mapping) -> dict:
@@ -150,29 +159,26 @@ def limit_along(diagram: Diagram, n: int, top_rule: Callable[[int, int], object]
     ``top_rule(m, level)`` names the top vertex at ``level = n + m`` for each
     m >= 1.  Stops once the last ``STABLE_STEPS`` successive simplex distances
     fall below ``tol`` and the mass sums are relatively stable at the same
-    scale, or at ``m_max``.
+    scale, or at ``m_max``.  Iterates stay integer path counts and their
+    total; only the last becomes a vector of fractions.
     """
     tol = Fraction(tol)
     prev = None
     distances: list = []
     mass_sums: list = []
     ranks: dict = {}
-    result_vector: dict = {}
-    steps = 0
     converged = False
     for m in range(1, m_max + 1):
         v = top_rule(m, n + m)
-        y = normalized_product_row(diagram, n, m, v, method=method)
-        for w in y:
+        counts, total = _path_counts(diagram, n, m, v, method)
+        for w in counts:
             if w not in ranks:
                 ranks[w] = diagram.rank(n, w)
-        hs = heights(diagram, n, y)
-        mass_sums.append(sum(y[w] * hs[w] for w in y))
+        hs = heights(diagram, n, counts)
+        mass_sums.append(Fraction(sum(c * hs[w] for w, c in counts.items()), total))
         if prev is not None:
-            distances.append(simplex_distance(prev, y, ranks))
-        prev = y
-        result_vector = y
-        steps = m
+            distances.append(count_distance(*prev, counts, total, ranks))
+        prev = counts, total
         if len(distances) >= STABLE_STEPS:
             recent = distances[-STABLE_STEPS:]
             sums = mass_sums[-(STABLE_STEPS + 1):]
@@ -185,8 +191,8 @@ def limit_along(diagram: Diagram, n: int, top_rule: Callable[[int, int], object]
                 break
     return LimitResult(
         level=n,
-        vector=result_vector,
-        steps=steps,
+        vector={w: Fraction(c, prev[1]) for w, c in prev[0].items()} if prev else {},
+        steps=len(mass_sums),
         distances=distances,
         mass_sums=mass_sums,
         converged=converged,
@@ -262,22 +268,12 @@ def pascal_limit_vector(d: Mapping[int, Fraction], n: int) -> dict:
     d = {int(c): Fraction(x) for c, x in d.items()}
     if sum(d.values()) != 1 or any(x <= 0 for x in d.values()):
         raise DiagramError("direction weights must be positive and sum to 1")
-    coords = sorted(d)
     out = {}
-
-    def rec(i: int, remaining: int, acc):
-        if i == len(coords):
-            if remaining == 0:
-                key = tuple((c, mult) for c, mult in acc if mult)
-                weight = factorial(n)
-                prob = Fraction(1)
-                for c, mult in acc:
-                    weight //= factorial(mult)
-                    prob *= d[c] ** mult
-                out[key] = weight * prob
-            return
-        for mult in range(remaining + 1):
-            rec(i + 1, remaining - mult, acc + [(coords[i], mult)])
-
-    rec(0, n, [])
+    for key in _compositions(n, sorted(d)):
+        weight = factorial(n)
+        prob = Fraction(1)
+        for c, mult in key:
+            weight //= factorial(mult)
+            prob *= d[c] ** mult
+        out[key] = weight * prob
     return out

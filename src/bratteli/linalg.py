@@ -30,7 +30,8 @@ def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
     Results are memoized on ``diagram``: the level and every requested
     vertex not yet in the memo are validated once here, the walk down stops
     at vertices the memo already holds, and the missing heights are then
-    filled level by level from the bottom.  Nothing is stored until the walk
+    filled level by level from the bottom, reading rows unchecked through
+    ``_predecessors``.  Nothing is stored until the walk
     has succeeded, so a call that raises (for example
     ``TruncationIncompleteError`` where declared data runs out) leaves the
     memo as it was and raises again the same way.
@@ -48,7 +49,7 @@ def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
     while todo and lowest > diagram.base_level:
         below: set = set()
         for v in todo:
-            below.update(diagram.predecessors(lowest, v))
+            below.update(diagram._predecessors(lowest, v))
         lowest -= 1
         todo = below.difference(memo.get(lowest, ()))
         need[lowest] = todo
@@ -59,16 +60,23 @@ def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
             continue
         h = memo.get(lvl - 1, {})
         for v in need.pop(lvl):
-            filled[v] = sum(m * h[w] for w, m in diagram.predecessors(lvl, v).items())
+            filled[v] = sum(m * h[w] for w, m in diagram._predecessors(lvl, v).items())
     h = memo[level]
     return {v: h[v] for v in vertices}
 
 
 def heights_closed_form(diagram: Diagram, level: int, vertices: Iterable | None = None,
                         bound: int | None = None) -> dict:
-    """Closed-form heights for families that have one; DiagramError otherwise."""
+    """Closed-form heights for families that have one; DiagramError otherwise.
+
+    Validates the level and each vertex not in the height memo (memo entries were).
+    """
+    diagram.check_level(level)
     if vertices is None:
         vertices = vertex_window(diagram, level, bound).vertices
+    vertices = list(vertices)
+    for v in set(vertices).difference(diagram._height_memo.get(level, ())):
+        diagram.check_vertex(level, v)
     out = {}
     for v in vertices:
         value = diagram.closed_form_height(level, v)
@@ -98,13 +106,31 @@ def stochastic_rows(diagram: Diagram, level: int, targets: Iterable) -> dict:
 
 
 def simplex_distance(x: Mapping, y: Mapping, ranks: Mapping[object, int]) -> Fraction:
-    """d(x, y) = sum over v of 2^(-a(v)) |x_v - y_v|, with a = ``ranks``."""
+    """d(x, y) = sum over v of 2^(-a(v)) |x_v - y_v|, with a = ``ranks``.
+
+    The exact reference, term by term; ``count_distance`` is the fast kernel.
+    """
     total = Fraction(0)
     for v in set(x) | set(y):
         diff = Fraction(x.get(v, 0)) - Fraction(y.get(v, 0))
         if diff:
             total += abs(diff) * Fraction(1, 2 ** ranks[v])
     return total
+
+
+def count_distance(c: Mapping, t: int, c2: Mapping, t2: int,
+                   ranks: Mapping[object, int]) -> Fraction:
+    """The simplex distance between c / t and c2 / t2 (integer maps, positive totals).
+
+    With R the largest rank where they differ, it is sum |c_v t2 - c2_v t|
+    2^(R - a(v)) over t t2 2^R: integer work and one ``Fraction``.
+    """
+    diffs = {v: abs(c.get(v, 0) * t2 - c2.get(v, 0) * t) for v in c.keys() | c2.keys()}
+    diffs = {v: d for v, d in diffs.items() if d}
+    if not diffs:
+        return Fraction(0)
+    top = max(ranks[v] for v in diffs)
+    return Fraction(sum(d << (top - ranks[v]) for v, d in diffs.items()), (t * t2) << top)
 
 
 def weighted_row_norm(row: Mapping, ranks: Mapping[object, int]) -> Fraction:

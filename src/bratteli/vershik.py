@@ -41,6 +41,7 @@ from .core import (
     key_add,
     key_sub,
     support_key,
+    vertex_from_json,
 )
 
 
@@ -1077,12 +1078,6 @@ def _vertex_to_json(v):
     return [list(pair) for pair in v] if isinstance(v, tuple) else v
 
 
-def _vertex_from_json(v):
-    if isinstance(v, list):
-        return support_key(tuple(tuple(p) for p in v))
-    return v
-
-
 def tail_to_json(tail) -> dict:
     if isinstance(tail, Unspecified):
         return {"kind": "unspecified"}
@@ -1095,12 +1090,19 @@ def tail_to_json(tail) -> dict:
     raise DiagramError("unknown tail %r" % (tail,))
 
 
+_TAIL_FIELDS = {"vertical": "vertex", "diagonal": "vertex", "concentrating": "coordinate"}
+
+
 def tail_from_json(obj: Mapping):
+    if not isinstance(obj, Mapping):
+        raise DiagramError("a path tail must be a JSON object, got %r" % (obj,))
     kind = obj.get("kind", "unspecified")
     if kind == "unspecified":
         return Unspecified()
+    if kind in _TAIL_FIELDS and _TAIL_FIELDS[kind] not in obj:
+        raise DiagramError("a %s tail needs a %r field" % (kind, _TAIL_FIELDS[kind]))
     if kind == "vertical":
-        return VerticalAt(_vertex_from_json(obj["vertex"]), obj.get("slot", "first"))
+        return VerticalAt(vertex_from_json(obj["vertex"]), obj.get("slot", "first"))
     if kind == "diagonal":
         return DiagonalFrom(int(obj["vertex"]))
     if kind == "concentrating":
@@ -1117,9 +1119,14 @@ def path_to_json(path: PathRep) -> dict:
 
 
 def path_from_json(obj: Mapping) -> PathRep:
-    edges = tuple(
-        (_vertex_from_json(w), _vertex_from_json(v), int(slot)) for w, v, slot in obj.get("edges", [])
-    )
+    if not isinstance(obj, Mapping):
+        raise DiagramError("a path must be a JSON object {start, edges, tail}, got %r" % (obj,))
+    if "start" not in obj:
+        raise DiagramError("a path needs a 'start' level")
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list) or any(not isinstance(e, list) or len(e) != 3 for e in edges):
+        raise DiagramError("every path edge must be [source, target, slot]: %r" % (edges,))
+    edges = tuple((vertex_from_json(w), vertex_from_json(v), int(slot)) for w, v, slot in edges)
     return PathRep(int(obj["start"]), edges, tail_from_json(obj.get("tail", {})))
 
 

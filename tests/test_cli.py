@@ -94,7 +94,12 @@ def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
     '{"start": 1, "edges": [[1,2,1],[3,3,1]]}',
     '{"start": 1, "edges": [[1,2,2]]}',
     '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": "vertical", "vertex": 3}}',
-], ids=["edges-do-not-compose", "slot-out-of-range", "tail-not-at-prefix-end"])
+    '{"start":1,"edges":[[1,2,1]],"tail":{"kind":"vertical"}}',
+    '[1,2]',
+    '{"edges": [[1,2,1]]}',
+    '{"start": 1, "edges": [[1,2]]}',
+], ids=["edges-do-not-compose", "slot-out-of-range", "tail-not-at-prefix-end",
+        "tail-without-vertex", "not-an-object", "no-start", "two-field-edge"])
 @pytest.mark.parametrize("command", [
     ("orbit", "--steps", "3"),
     ("vershik",),

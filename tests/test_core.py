@@ -216,6 +216,13 @@ def test_explicit_vertex_subdiagram_validation():
         sub.level_vertices(3)
 
 
+def test_an_explicit_subdiagram_vertex_outside_the_ambient_level_is_refused():
+    with pytest.raises(DiagramError):
+        build_subdiagram(
+            BinftyDiagram(), {"kind": "vertex", "rule": "explicit", "levels": {1: [1], 2: [1, 0]}}
+        )
+
+
 def test_subdiagram_rejects_unknown_rules():
     amb = BinftyDiagram()
     with pytest.raises(DiagramError):

@@ -7,7 +7,12 @@ caches.  ``golden_orbit.json`` holds six long ``orbit`` invocations, one per
 family and edge order of the adic-orbit benchmark workload (odometer column
 left-to-right and alternating, binfty left-to-right and cyclic, the
 staircase, pascal-n natural), recorded while every adic step still
-re-validated its whole path.  Refactors must leave every entry unchanged; an
+re-validated its whole path.  ``golden_csv.json`` holds the ``--format csv``
+output of every command with a CSV form, the no-CSV error of ``extension``,
+converging ``limits`` iterations (their distances and mass sums reach
+stdout) and ``--precision 64`` runs of ``limits`` and ``continuity``,
+recorded while the CLI still built CSV rows on every run and ``limit_along``
+still carried its iterates as ``Fraction`` vectors.  Refactors must leave every entry unchanged; an
 entry is re-recorded only when its output is meant to change, and CHANGES.md
 says why.
 """
@@ -22,6 +27,7 @@ from bratteli.cli import cli
 
 CORPUS = json.loads(Path(__file__).with_name("golden_readme.json").read_text())
 ORBITS = json.loads(Path(__file__).with_name("golden_orbit.json").read_text())
+RENDERED = json.loads(Path(__file__).with_name("golden_csv.json").read_text())
 
 
 def test_corpus_covers_every_subcommand():
@@ -59,4 +65,20 @@ def test_orbit_corpus_covers_every_order():
 
 @pytest.mark.parametrize("case", ORBITS, ids=_orbit_id)
 def test_long_orbit_output_is_unchanged(case):
+    _assert_unchanged(case)
+
+
+def test_csv_corpus_covers_every_csv_command():
+    csv_commands = {case["argv"][0] for case in RENDERED if "csv" in case["argv"]}
+    assert csv_commands == set(cli.commands) - {"classify", "orbit", "vershik"}
+
+
+def _rendered_id(case):
+    argv = case["argv"]
+    picked = [a for a in argv[1:] if not a.startswith("--")]
+    return "-".join([argv[0]] + picked)
+
+
+@pytest.mark.parametrize("case", RENDERED, ids=_rendered_id)
+def test_csv_and_precision_output_is_unchanged(case):
     _assert_unchanged(case)

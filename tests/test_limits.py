@@ -7,12 +7,15 @@ import pytest
 from bratteli.core import (
     BinftyDiagram,
     BoundedDiagram,
+    CustomDiagram,
     DiagramError,
     OdometerChainDiagram,
     PascalDiagram,
+    TruncationIncompleteError,
     build_subdiagram,
     support_key,
 )
+from bratteli.linalg import heights, simplex_distance
 from bratteli.limits import (
     binfty_limit_vector,
     closed_form_product_row,
@@ -141,6 +144,52 @@ def test_limit_along_pascal_ray_reaches_product_masses():
     target = pascal_limit_vector(d, 2)
     for key, mass in target.items():
         assert abs(q.get(key, Fraction(0)) - mass) < Fraction(2, 100)
+
+
+def _staircase_middle(m, level):
+    return 2 + (level - 1) // 2
+
+
+@pytest.mark.parametrize("make,n,top_rule,m_max,method", [
+    (BinftyDiagram, 1, index_ray(1), 40, "auto"),
+    (lambda: PascalDiagram("n"), 1,
+     pascal_ray({1: Fraction(1, 3), 2: Fraction(2, 3)}), 20, "recursion"),
+    (lambda: build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": 2}),
+     3, _staircase_middle, 20, "auto"),
+], ids=["binfty-ray", "pascal-ray", "staircase-2"])
+def test_limit_along_equals_its_iterates_rebuilt_from_normalized_rows(make, n, top_rule,
+                                                                      m_max, method):
+    res = limit_along(make(), n, top_rule, m_max=m_max, method=method)
+    assert res.steps == m_max and not res.converged
+    d = make()
+    ys = [normalized_product_row(d, n, m, top_rule(m, n + m), method=method)
+          for m in range(1, m_max + 1)]
+    ranks = {w: d.rank(n, w) for y in ys for w in y}
+    mass_sums = []
+    for y in ys:
+        hs = heights(d, n, y)
+        mass_sums.append(sum(y[w] * hs[w] for w in y))
+    assert res.distances == [simplex_distance(x, y, ranks) for x, y in zip(ys, ys[1:])]
+    assert res.mass_sums == mass_sums
+    assert res.vector == ys[-1]
+
+
+def test_a_missing_custom_row_is_truncation_incomplete_in_heights_and_product_rows():
+    d = CustomDiagram(
+        levels={0: ["a"], 1: ["b", "c"], 2: ["d"]},
+        rows={1: {"b": {"a": 1}}, 2: {"d": {"b": 1, "c": 2}}},
+    )
+    with pytest.raises(TruncationIncompleteError) as exc:
+        heights(d, 2, ["d"])
+    assert exc.value.missing == [(1, "c")]
+    with pytest.raises(TruncationIncompleteError) as exc:
+        product_row(d, 0, 2, "d")
+    assert exc.value.missing == [(1, "c")]
+
+
+def test_product_rows_do_not_descend_below_the_base_level():
+    with pytest.raises(DiagramError):
+        product_row(BinftyDiagram(), 0, 2, 3)
 
 
 def test_pascal_limit_vector_is_exact_probability():

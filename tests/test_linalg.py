@@ -9,6 +9,7 @@ from bratteli.core import (
     BinftyDiagram,
     BoundedDiagram,
     CustomDiagram,
+    Diagram,
     DiagramError,
     OdometerChainDiagram,
     PascalDiagram,
@@ -19,6 +20,7 @@ from bratteli.core import (
 )
 from bratteli.linalg import (
     continuity_profile,
+    count_distance,
     heights,
     heights_closed_form,
     simplex_distance,
@@ -158,6 +160,29 @@ def test_simplex_distance_examples():
     assert d == Fraction(1, 4) / 2 + Fraction(1, 2) / 4 + Fraction(3, 4) / 8
 
 
+def test_simplex_distance_on_mixed_denominators():
+    ranks = {1: 1, 2: 3, 3: 2, 4: 5}
+    x = {1: Fraction(2, 7), 2: Fraction(5, 21), 3: Fraction(10, 21)}
+    y = {1: Fraction(1, 3), 4: Fraction(2, 3)}
+    d = simplex_distance(x, y, ranks)
+    assert d == (Fraction(1, 21) / 2 + Fraction(5, 21) / 8 + Fraction(10, 21) / 4
+                 + Fraction(2, 3) / 32)
+    assert simplex_distance({1: 1}, {1: "1/3", 2: Fraction(2, 3)}, ranks) == (
+        Fraction(2, 3) / 2 + Fraction(2, 3) / 8)
+
+
+def test_simplex_distance_on_absent_keys():
+    # a key on one side only counts in full; one where the sides agree, or
+    # that neither side holds, needs no rank
+    ranks = {"b": 2, "c": 4}
+    x = {"a": Fraction(1, 3), "b": Fraction(2, 3)}
+    y = {"a": Fraction(1, 3), "c": Fraction(2, 3)}
+    assert simplex_distance(x, y, ranks) == Fraction(2, 3) / 4 + Fraction(2, 3) / 16
+    assert simplex_distance(x, {"b": Fraction(2, 3), "a": Fraction(1, 3)}, {}) == 0
+    assert simplex_distance({}, {}, {}) == 0
+    assert simplex_distance({"b": 1}, {}, ranks) == Fraction(1, 4)
+
+
 @given(
     st.dictionaries(st.integers(1, 6), st.fractions(0, 1), max_size=4),
     st.dictionaries(st.integers(1, 6), st.fractions(0, 1), max_size=4),
@@ -256,6 +281,37 @@ def test_heights_reject_non_vertices_and_store_nothing_for_them(diagram, level, 
             heights(diagram, level, [v])
 
 
+@pytest.mark.parametrize("diagram,level,v", [
+    (PascalDiagram("n"), 0, ((1, 1),)),
+    (BinftyDiagram(), 1, 0),
+    (BinftyDiagram(), 0, 1),
+], ids=["pascal-level-0", "binfty-vertex-0", "binfty-no-level-0"])
+def test_closed_form_heights_reject_non_vertices(diagram, level, v):
+    with pytest.raises(DiagramError):
+        heights_closed_form(diagram, level, [v])
+
+
+def test_heights_validate_each_requested_vertex_once(monkeypatch):
+    d = PascalDiagram("n")
+    vertices = vertex_window(d, 8, 8).vertices
+    assert len(vertices) == 6435
+    calls = 0
+    original = Diagram.check_vertex
+
+    def counting(self, level, v):
+        nonlocal calls
+        calls += 1
+        return original(self, level, v)
+
+    monkeypatch.setattr(Diagram, "check_vertex", counting)
+    hs = heights(d, 8, vertices)
+    # the recursion's own vertices are not checked again
+    assert calls <= len(vertices) + 64
+    # nor are the memo's vertices when the closed form is compared
+    assert heights_closed_form(d, 8, vertices) == hs
+    assert calls <= len(vertices) + 64
+
+
 def test_heights_at_an_undeclared_custom_level_are_truncation_incomplete():
     with pytest.raises(TruncationIncompleteError):
         heights(_custom(), 4, ["f"])
@@ -276,6 +332,35 @@ def test_stochastic_rows_visit_each_cone_vertex_at_most_twice(monkeypatch):
     # every key of levels 0..6 over coordinates 1..6 is in the cone
     cone_entries = sum(comb(n + 5, 5) for n in range(7))
     assert calls <= 2 * cone_entries
+
+
+def test_stochastic_rows_read_each_cone_row_at_most_twice(monkeypatch):
+    # counts every row read, checked or not: the height recursion reads
+    # rows through the unchecked _predecessors
+    calls = 0
+    original = PascalDiagram._predecessors
+
+    def counting(self, level, v):
+        nonlocal calls
+        calls += 1
+        return original(self, level, v)
+
+    monkeypatch.setattr(PascalDiagram, "_predecessors", counting)
+    d = PascalDiagram("n")
+    stochastic_rows(d, 6, d.level_vertices(6, 6))
+    cone_entries = sum(comb(n + 5, 5) for n in range(7))
+    assert calls <= 2 * cone_entries
+
+
+def test_count_distance_agrees_with_simplex_distance():
+    ranks = {1: 1, 2: 3, 3: 2, 4: 5}
+    # 2/7, 5/21, 10/21 as counts over 21; 1/3, 2/3 over 3; keys 3 and 4 one-sided
+    c, t = {1: 6, 2: 5, 3: 10}, 21
+    c2, t2 = {1: 1, 4: 2}, 3
+    x = {v: Fraction(m, t) for v, m in c.items()}
+    y = {v: Fraction(m, t2) for v, m in c2.items()}
+    assert count_distance(c, t, c2, t2, ranks) == simplex_distance(x, y, ranks)
+    assert count_distance({1: 2, 2: 4}, 6, {1: 1, 2: 2}, 3, {}) == 0
 
 
 def test_heights_accept_window_default():
