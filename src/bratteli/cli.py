@@ -27,6 +27,7 @@ from .core import (
     DiagramError,
     OdometerChainDiagram,
     TruncationIncompleteError,
+    as_int,
     build_diagram,
     build_subdiagram,
     step_polynomial_coefficients,
@@ -307,17 +308,21 @@ def _mapped_errors(fn):
 # object factories
 # ---------------------------------------------------------------------------
 
+_SUB_SHORTHANDS = {
+    "staircase": ("vertex", "staircase", "k"),
+    "pascal-edge": ("edge", "pascal", "k"),
+    "constant": ("vertex", "constant", "vertex"),
+}
+
+
 def _sub_spec(text):
     kind, _, param = str(text).partition(":")
-    if kind == "staircase":
-        return {"kind": "vertex", "rule": "staircase", "k": int(param or 1)}
-    if kind == "pascal-edge":
-        return {"kind": "edge", "rule": "pascal", "k": int(param or 1)}
-    if kind == "constant":
-        return {"kind": "vertex", "rule": "constant", "vertex": int(param or 1)}
-    raise DiagramError(
-        "unknown subdiagram shorthand %r (expected staircase:K, "
-        "pascal-edge:K, or constant:V)" % text)
+    if kind not in _SUB_SHORTHANDS:
+        raise DiagramError(
+            "unknown subdiagram shorthand %r (expected staircase:K, "
+            "pascal-edge:K, or constant:V)" % text)
+    sub_kind, rule, field = _SUB_SHORTHANDS[kind]
+    return {"kind": sub_kind, "rule": rule, field: as_int(param or 1, "%s %s" % (kind, field))}
 
 
 def _diagram(family, spec_file, k_param, a_rule, sub_text):

@@ -148,8 +148,12 @@ def _pascal_sort_triple(key: tuple[tuple[int, int], ...], signed: bool):
     return (max(c for c, _ in key), len(key), tuple(key))
 
 
-def _compositions(total: int, coords: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All support keys of level ``total`` using only the given coordinates."""
+def _compositions(total: int, coords: Sequence[int],
+                  caps: Sequence[int] | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Support keys of level ``total`` over ``coords``, each multiplicity within its ``caps`` entry.
+
+    Capping keeps the uncapped order: at each coordinate, multiplicity 0 first, then 1, 2, ...
+    """
     coords = list(coords)
 
     def rec(i: int, remaining: int, acc: list[tuple[int, int]]):
@@ -159,7 +163,8 @@ def _compositions(total: int, coords: Sequence[int]) -> Iterator[tuple[tuple[int
         if i == len(coords):
             return
         yield from rec(i + 1, remaining, acc)
-        for m in range(1, remaining + 1):
+        top = remaining if caps is None else min(caps[i], remaining)
+        for m in range(1, top + 1):
             yield from rec(i + 1, remaining - m, acc + [(coords[i], m)])
 
     yield from rec(0, total, [])
@@ -648,18 +653,19 @@ class Subdiagram(Diagram):
             if rule == "staircase":
                 if ambient.family != "binfty":
                     raise DiagramError("staircase subdiagrams live inside binfty")
-                k = int(spec["k"])
+                k = as_int(_spec_field(spec, "k", "a staircase subdiagram"), "staircase offset k")
                 if k < 1:
                     raise DiagramError("staircase offset k must be >= 1")
                 self.k = k
                 self._level_set = lambda n: tuple(range(k, k + (n - self.base_level) + 1))
             elif rule == "constant":
-                vtx = spec["vertex"]
+                vtx = _spec_field(spec, "vertex", "a constant subdiagram")
                 if not ambient.level_contains(ambient.base_level, vtx):
                     raise DiagramError("constant subdiagram vertex %r not in the diagram" % (vtx,))
                 self._level_set = lambda n: (vtx,)
             elif rule == "explicit":
-                levels = {int(n): tuple(vs) for n, vs in spec["levels"].items()}
+                levels = {as_int(n, "a level"): tuple(vs)
+                          for n, vs in _spec_field(spec, "levels", "an explicit subdiagram").items()}
                 if any(len(vs) == 0 for vs in levels.values()):
                     raise DiagramError("vertex subdiagram levels must be nonempty")
                 for n, vs in levels.items():
@@ -681,7 +687,7 @@ class Subdiagram(Diagram):
             if rule == "pascal":
                 if ambient.family != "binfty":
                     raise DiagramError("the pascal edge subdiagram lives inside binfty")
-                k = int(spec["k"])
+                k = as_int(_spec_field(spec, "k", "a pascal edge subdiagram"), "edge offset k")
                 if k < 1:
                     raise DiagramError("pascal edge subdiagram offset k must be >= 1")
                 self.k = k
@@ -691,10 +697,10 @@ class Subdiagram(Diagram):
                 }
             elif rule == "explicit":
                 retained = {
-                    int(n): {v: dict(srcs) for v, srcs in rows.items()}
-                    for n, rows in spec["retained"].items()
+                    as_int(n, "a level"): {v: dict(srcs) for v, srcs in rows.items()}
+                    for n, rows in _spec_field(spec, "retained", "an explicit edge subdiagram").items()
                 }
-                seeds = tuple(spec["seed"])
+                seeds = tuple(_spec_field(spec, "seed", "an explicit edge subdiagram"))
 
                 def level_set(n: int) -> tuple:
                     if n == self.base_level:
@@ -817,36 +823,54 @@ def build_diagram(spec) -> Diagram:
     elif family == "pascal-z":
         d = PascalDiagram("z")
     elif family == "pascal-k":
-        d = PascalDiagram(int(params.get("k", 0)))
+        d = PascalDiagram(as_int(params.get("k", 0), "k"))
     elif family == "binfty":
         d = BinftyDiagram()
     elif family == "bounded-finite":
-        d = BoundedDiagram(int(params.get("k", 0)), finite=True)
+        d = BoundedDiagram(as_int(params.get("k", 0), "k"), finite=True)
     elif family == "bounded-generalized":
-        d = BoundedDiagram(int(params.get("k", 0)), finite=False)
+        d = BoundedDiagram(as_int(params.get("k", 0), "k"), finite=False)
     elif family == "odometer-io":
         if "a" not in params:
             raise DiagramError("odometer-io needs an entry rule 'a'")
         d = OdometerChainDiagram(params["a"], params.get("columns"))
     elif family == "custom":
-        levels = {int(n): [vertex_from_json(v) for v in vs] for n, vs in params["levels"].items()}
+        levels = {
+            as_int(n, "a level"): [vertex_from_json(v) for v in vs]
+            for n, vs in _spec_field(params, "levels", "a custom spec").items()
+        }
         rows = {
-            int(n): {
+            as_int(n, "a level"): {
                 vertex_from_json(json.loads(v) if isinstance(v, str) else v): {
-                    vertex_from_json(json.loads(w) if isinstance(w, str) else w): int(m)
+                    vertex_from_json(json.loads(w) if isinstance(w, str) else w): as_int(m, "a multiplicity")
                     for w, m in preds.items()
                 }
                 for v, preds in level_rows.items()
             }
-            for n, level_rows in params["rows"].items()
+            for n, level_rows in _spec_field(params, "rows", "a custom spec").items()
         }
-        d = CustomDiagram(levels, rows, base_level=int(params.get("base_level", 0)))
+        d = CustomDiagram(levels, rows, base_level=as_int(params.get("base_level", 0), "base_level"))
     else:
         raise DiagramError("unknown family %r (expected one of %s)" % (family, ", ".join(FAMILIES)))
     trunc = spec.get("truncation")
     if trunc:
         d.params["truncation"] = dict(trunc)
     return d
+
+
+def as_int(value, what: str) -> int:
+    """``int(value)`` for a field of outside input; DiagramError if it is not an integer."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DiagramError("%s must be an integer, got %r" % (what, value)) from None
+
+
+def _spec_field(spec: Mapping, name: str, what: str):
+    """``spec[name]``, or a DiagramError saying that ``what`` lacks the field."""
+    if name not in spec:
+        raise DiagramError("%s needs a %r field" % (what, name))
+    return spec[name]
 
 
 def vertex_from_json(v):
@@ -879,6 +903,8 @@ def build_subdiagram(diagram: Diagram, spec: Mapping) -> Subdiagram:
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, Mapping):
+        raise DiagramError("subdiagram spec must be a mapping or JSON string")
     kind = spec.get("kind")
     body = {k: v for k, v in spec.items() if k != "kind"}
     return Subdiagram(diagram, kind, body)

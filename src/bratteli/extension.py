@@ -11,6 +11,10 @@ has finite total mass exactly when a positive series converges:
 Series terms are exact rationals.  Verdicts distinguish closed forms from
 certified geometric tail bounds and from divergence heuristics, and say
 which one they used.
+
+Ambient heights are read through ``linalg.height``, the one
+closed-form-else-recursion route; ``linalg.heights`` is the one recursion
+behind it, and its memo on the ambient diagram is the only height cache.
 """
 from __future__ import annotations
 
@@ -26,8 +30,8 @@ from .core import (
     Subdiagram,
     build_subdiagram,
 )
-from .linalg import heights
-from .limits import closed_form_product_row, product_row
+from .linalg import height
+from .limits import _transition_row
 from .measures import (
     BinftyMeasure,
     BinomialEdgeMeasure,
@@ -61,16 +65,6 @@ class SeriesVerdict:
         return out
 
 
-def _ambient_height(sub: Subdiagram, cache: dict, level: int, w) -> int:
-    h = cache.get((level, w))
-    if h is None:
-        h = sub.ambient.closed_form_height(level, w)
-        if h is None:
-            h = heights(sub.ambient, level, [w])[w]
-        cache[(level, w)] = h
-    return h
-
-
 def extension_terms(sub: Subdiagram, p_func: Callable[[int, object], Fraction],
                     n_max: int) -> list[Fraction]:
     """The extension series terms for levels base, base+1, ..., base+n_max-1.
@@ -83,7 +77,6 @@ def extension_terms(sub: Subdiagram, p_func: Callable[[int, object], Fraction],
     discarded = (
         sub.outside_predecessors if sub.kind == "vertex" else sub.deleted_predecessors
     )
-    hcache: dict = {}
     terms = []
     for n in range(sub.base_level, sub.base_level + n_max):
         total = Fraction(0)
@@ -94,7 +87,7 @@ def extension_terms(sub: Subdiagram, p_func: Callable[[int, object], Fraction],
             pv = Fraction(p_func(n + 1, v))
             if not pv:
                 continue
-            weight = sum(mult * _ambient_height(sub, hcache, n, w) for w, mult in row.items())
+            weight = sum(mult * height(sub.ambient, n, w) for w, mult in row.items())
             total += pv * weight
         terms.append(total)
     return terms
@@ -256,11 +249,7 @@ def extended_cylinder_masses(sub: Subdiagram, p_func, n: int, w,
     for m in m_values:
         total = Fraction(0)
         for v in sub.level_vertices(n + m):
-            try:
-                row = closed_form_product_row(sub.ambient, n, m, v)
-            except DiagramError:
-                row = product_row(sub.ambient, n, m, v)
-            count = row.get(w, 0)
+            count = _transition_row(sub.ambient, n, m, v).get(w, 0)
             if count:
                 total += count * Fraction(p_func(n + m, v))
         out.append((m, total))

@@ -60,7 +60,7 @@ def closed_form_product_row(diagram: Diagram, n: int, m: int, v) -> dict:
         return {j: comb(v - j + m - 1, m - 1) for j in range(1, v + 1)}
     if isinstance(diagram, PascalDiagram):
         out = {}
-        for s in _subkeys_at_level(v, n):
+        for s in _compositions(n, [c for c, _ in v], [mult for _, mult in v]):
             count = factorial(m)
             for c, t_mult in v:
                 count //= factorial(t_mult - key_mult(s, c))
@@ -77,34 +77,25 @@ def closed_form_product_row(diagram: Diagram, n: int, m: int, v) -> dict:
     raise DiagramError("%s has no closed-form transition counts" % diagram.family)
 
 
-def _subkeys_at_level(key, level: int):
-    """All support keys s <= key (coordinatewise) with total ``level``."""
-    items = list(key)
+def _transition_row(diagram: Diagram, n: int, m: int, v, method: str = "auto") -> dict:
+    """The transition counts from ``v`` down to level ``n`` by ``method``.
 
-    def rec(i: int, remaining: int, acc):
-        if remaining == 0:
-            yield tuple((c, m) for c, m in acc if m)
-            return
-        if i == len(items):
-            return
-        c, cap = items[i]
-        for take in range(min(cap, remaining) + 1):
-            yield from rec(i + 1, remaining - take, acc + [(c, take)])
-
-    yield from rec(0, level, [])
+    "closed" and "recursion" pick ``closed_form_product_row`` or
+    ``product_row``; "auto" uses the closed form when the family has one.
+    """
+    if method == "closed":
+        return closed_form_product_row(diagram, n, m, v)
+    if method == "recursion":
+        return product_row(diagram, n, m, v)
+    try:
+        return closed_form_product_row(diagram, n, m, v)
+    except DiagramError:
+        return product_row(diagram, n, m, v)
 
 
 def _path_counts(diagram: Diagram, n: int, m: int, v, method: str) -> tuple[dict, int]:
     """The nonzero transition counts from ``v`` down to level ``n``, and their total."""
-    if method == "closed":
-        row = closed_form_product_row(diagram, n, m, v)
-    elif method == "recursion":
-        row = product_row(diagram, n, m, v)
-    else:
-        try:
-            row = closed_form_product_row(diagram, n, m, v)
-        except DiagramError:
-            row = product_row(diagram, n, m, v)
+    row = _transition_row(diagram, n, m, v, method)
     total = sum(row.values())
     if total == 0:
         raise DiagramError("no paths reach level %d from %r" % (n, v))

@@ -10,6 +10,10 @@ diagram's height memo (level -> {vertex: H}, made in ``Diagram.__init__``),
 so calls on one diagram instance share their cones: a query walks down only
 through vertices the memo lacks.  Stochastic rows and the continuity
 profile read their source heights from it.
+
+``height`` is the one closed-form-else-recursion route: the family's closed
+form when it has one, else ``heights``.  Closed forms are never written into
+the memo, so ``heights`` stays an independent check on them.
 """
 from __future__ import annotations
 
@@ -63,6 +67,14 @@ def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
             filled[v] = sum(m * h[w] for w, m in diagram._predecessors(lvl, v).items())
     h = memo[level]
     return {v: h[v] for v in vertices}
+
+
+def height(diagram: Diagram, level: int, v) -> int:
+    """H^(level)_v: the family's closed form, else ``heights``.  A closed form does not check ``v``."""
+    h = diagram.closed_form_height(level, v)
+    if h is None:
+        h = heights(diagram, level, [v])[v]
+    return h
 
 
 def heights_closed_form(diagram: Diagram, level: int, vertices: Iterable | None = None,
@@ -149,8 +161,11 @@ def weighted_row_norm(row: Mapping, ranks: Mapping[object, int]) -> Fraction:
 def continuity_profile(diagram: Diagram, level: int, targets: Iterable) -> dict:
     """|g_v| for each target v at ``level`` (sources ranked at ``level - 1``)."""
     out = {}
+    ranks: dict = {}
     for v in targets:
         row = stochastic_row(diagram, level, v)
-        ranks = {w: diagram.rank(level - 1, w) for w in row}
+        for w in row:
+            if w not in ranks:
+                ranks[w] = diagram.rank(level - 1, w)
         out[v] = weighted_row_norm(row, ranks)
     return out

@@ -9,6 +9,9 @@ sits over each vertex.
 Every number here is a ``fractions.Fraction``; invariance and probability
 checks are exact identities, with geometric or binomial-tail closed forms
 standing in for the infinite parts of the sums.
+
+Heights are read through ``linalg.height``, the one closed-form-else-recursion
+route; ``linalg.heights`` is the one recursion behind it.
 """
 from __future__ import annotations
 
@@ -25,10 +28,11 @@ from .core import (
     OdometerChainDiagram,
     PascalDiagram,
     Subdiagram,
+    _compositions,
     key_add,
     support_key,
 )
-from .linalg import heights
+from .linalg import height
 
 
 class TailInvariantMeasure:
@@ -44,11 +48,9 @@ class TailInvariantMeasure:
         raise NotImplementedError
 
     def q(self, n: int, v) -> Fraction:
-        """Tower mass H_v * p_n(v)."""
-        hv = self.diagram.closed_form_height(n, v)
-        if hv is None:
-            hv = heights(self.diagram, n, [v])[v]
-        return hv * self.p(n, v)
+        """Tower mass H_v * p_n(v); ``p`` validates the vertex first."""
+        pv = self.p(n, v)
+        return height(self.diagram, n, v) * pv
 
     def successor_mass(self, n: int, w) -> Fraction:
         """Sum of multiplicities times p_(n+1) over the successors of ``w``.
@@ -66,8 +68,8 @@ class TailInvariantMeasure:
         return self.diagram.level_vertices(n, bound)
 
     def level_mass(self, n: int) -> Fraction:
-        """Total tower mass of level ``n``, computed exactly."""
-        raise NotImplementedError
+        """Total tower mass of level ``n``: the exact sum of q over ``level_support``."""
+        return sum((self.q(n, v) for v in self.level_support(n)), Fraction(0))
 
     level_mass_method = "exact-finite-sum"
 
@@ -142,22 +144,7 @@ class PascalMeasure(TailInvariantMeasure):
         return total
 
     def level_support(self, n: int, bound: int | None = None) -> tuple:
-        coords = sorted(self.d)
-        out = []
-
-        def rec(i, remaining, acc):
-            if i == len(coords):
-                if remaining == 0:
-                    out.append(tuple((c, m) for c, m in acc if m))
-                return
-            for m in range(remaining + 1):
-                rec(i + 1, remaining - m, acc + [(coords[i], m)])
-
-        rec(0, n, [])
-        return tuple(out)
-
-    def level_mass(self, n: int) -> Fraction:
-        return sum((self.q(n, v) for v in self.level_support(n)), Fraction(0))
+        return tuple(_compositions(n, sorted(self.d)))
 
 
 class BinftyMeasure(TailInvariantMeasure):
@@ -258,12 +245,6 @@ class StaircaseMeasure(TailInvariantMeasure):
             (self.p(n + 1, v) for v in range(w, top + 1)), Fraction(0)
         )
 
-    def level_mass(self, n: int) -> Fraction:
-        total = Fraction(0)
-        for j in self.diagram.level_vertices(n):
-            total += self.diagram.closed_form_height(n, j) * self.p(n, j)
-        return total
-
     def determining_value(self, n: int) -> Fraction:
         """p_n at the top vertex k+n-1: a^(n-1)/(1+a)^(2n-2)."""
         return self.p(n, self.k + n - 1)
@@ -293,12 +274,6 @@ class BinomialEdgeMeasure(TailInvariantMeasure):
         pr, k = self.prob, self.k
         return pr ** (k + n - 1 - i) * (1 - pr) ** (i - k)
 
-    def level_mass(self, n: int) -> Fraction:
-        total = Fraction(0)
-        for i in self.diagram.level_vertices(n):
-            total += self.diagram.closed_form_height(n, i) * self.p(n, i)
-        return total
-
 
 class OdometerColumnMeasure(TailInvariantMeasure):
     """The unique invariant measure on one vertical column of an odometer chain.
@@ -324,10 +299,6 @@ class OdometerColumnMeasure(TailInvariantMeasure):
             denom *= self.diagram.ambient.entry(j, self.column)
         return Fraction(1, denom)
 
-    def level_mass(self, n: int) -> Fraction:
-        h = heights(self.diagram, n, [self.column])[self.column]
-        return h * self.p(n, self.column)
-
 
 def restricted_level_mass(p_func, sub: Subdiagram, n: int) -> Fraction:
     """Mass the ambient cylinder function ``p_func`` leaves on a subdiagram level.
@@ -338,10 +309,7 @@ def restricted_level_mass(p_func, sub: Subdiagram, n: int) -> Fraction:
     """
     total = Fraction(0)
     for v in sub.level_vertices(n):
-        h = sub.closed_form_height(n, v)
-        if h is None:
-            h = heights(sub, n, [v])[v]
-        total += h * Fraction(p_func(n, v))
+        total += height(sub, n, v) * Fraction(p_func(n, v))
     return total
 
 

@@ -38,6 +38,7 @@ from .core import (
     PascalDiagram,
     Subdiagram,
     TruncationIncompleteError,
+    as_int,
     key_add,
     key_sub,
     support_key,
@@ -102,14 +103,6 @@ class PascalConcentrating:
 
     coordinate: int
     kind = "concentrating"
-
-
-_TAIL_KINDS = {
-    "unspecified": Unspecified,
-    "vertical": VerticalAt,
-    "diagonal": DiagonalFrom,
-    "concentrating": PascalConcentrating,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +691,8 @@ class PascalPathDescriptor:
         if self.position_tail is not None:
             s, d = self.position_tail
             object.__setattr__(self, "position_tail", (int(s), int(d)))
+        if self.value_tail is not None:
+            object.__setattr__(self, "value_tail", int(self.value_tail))
 
 
 def classify_descriptor(desc: PascalPathDescriptor, domain: str = "z") -> ExtremalClass:
@@ -1104,9 +1099,9 @@ def tail_from_json(obj: Mapping):
     if kind == "vertical":
         return VerticalAt(vertex_from_json(obj["vertex"]), obj.get("slot", "first"))
     if kind == "diagonal":
-        return DiagonalFrom(int(obj["vertex"]))
+        return DiagonalFrom(as_int(obj["vertex"], "a diagonal tail vertex"))
     if kind == "concentrating":
-        return PascalConcentrating(int(obj["coordinate"]))
+        return PascalConcentrating(as_int(obj["coordinate"], "a concentrating tail coordinate"))
     raise DiagramError("unknown tail kind %r" % (kind,))
 
 
@@ -1126,8 +1121,10 @@ def path_from_json(obj: Mapping) -> PathRep:
     edges = obj.get("edges", [])
     if not isinstance(edges, list) or any(not isinstance(e, list) or len(e) != 3 for e in edges):
         raise DiagramError("every path edge must be [source, target, slot]: %r" % (edges,))
-    edges = tuple((vertex_from_json(w), vertex_from_json(v), int(slot)) for w, v, slot in edges)
-    return PathRep(int(obj["start"]), edges, tail_from_json(obj.get("tail", {})))
+    edges = tuple(
+        (vertex_from_json(w), vertex_from_json(v), as_int(slot, "an edge slot")) for w, v, slot in edges
+    )
+    return PathRep(as_int(obj["start"], "a path start"), edges, tail_from_json(obj.get("tail", {})))
 
 
 def descriptor_to_json(desc: PascalPathDescriptor) -> dict:
@@ -1141,11 +1138,17 @@ def descriptor_to_json(desc: PascalPathDescriptor) -> dict:
 
 
 def descriptor_from_json(obj: Mapping) -> PascalPathDescriptor:
+    if not isinstance(obj, Mapping) or not {"side", "positions", "values"} <= obj.keys():
+        raise DiagramError(
+            "a descriptor must be a JSON object with side, positions and values, got %r" % (obj,))
     tail = obj.get("position_tail")
-    return PascalPathDescriptor(
-        obj["side"],
-        tuple(obj["positions"]),
-        tuple(obj["values"]),
-        tuple(tail) if tail else None,
-        obj.get("value_tail"),
-    )
+    try:
+        return PascalPathDescriptor(
+            obj["side"],
+            tuple(obj["positions"]),
+            tuple(obj["values"]),
+            tuple(tail) if tail else None,
+            obj.get("value_tail"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DiagramError("malformed descriptor %r: %s" % (obj, exc)) from None

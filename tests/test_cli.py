@@ -98,8 +98,14 @@ def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
     '[1,2]',
     '{"edges": [[1,2,1]]}',
     '{"start": 1, "edges": [[1,2]]}',
+    '{"start": "x"}',
+    '{"start": 1, "edges": [[1,2,"x"]]}',
+    '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": "diagonal", "vertex": "x"}}',
+    '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": "concentrating", "coordinate": "x"}}',
 ], ids=["edges-do-not-compose", "slot-out-of-range", "tail-not-at-prefix-end",
-        "tail-without-vertex", "not-an-object", "no-start", "two-field-edge"])
+        "tail-without-vertex", "not-an-object", "no-start", "two-field-edge",
+        "non-integer-start", "non-integer-slot", "non-integer-diagonal-vertex",
+        "non-integer-coordinate"])
 @pytest.mark.parametrize("command", [
     ("orbit", "--steps", "3"),
     ("vershik",),
@@ -112,6 +118,47 @@ def test_an_invalid_path_is_a_domain_error(command, path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def assert_domain_error(argv, capsys):
+    """``main(argv)`` exits 1 with an ``error:`` line and no traceback."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("descriptor", [
+    '[1]',
+    '{"positions": [0], "values": [null]}',
+    '{"side": "max", "positions": [0], "values": ["x"]}',
+    '{"side": "max", "positions": 5, "values": [1]}',
+    '{"side": "max", "positions": [0], "values": [1], "position_tail": [1]}',
+    '{"side": "max", "positions": [0], "values": [1], "position_tail": [1, 1], "value_tail": "x"}',
+], ids=["not-an-object", "no-side", "non-integer-value", "positions-not-a-list",
+        "short-position-tail", "non-integer-value-tail"])
+def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
+    assert_domain_error(["classify", "--descriptor", descriptor], capsys)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "pascal-k", "params": {"k": "x"}},
+    {"family": "custom", "params": {"levels": {"0": [1], "1": [1]}}},
+    {"family": "binfty", "sub": {"kind": "vertex", "rule": "staircase"}},
+    {"family": "binfty", "sub": [1]},
+], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
+        "sub-not-an-object"])
+def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert_domain_error(["heights", "--spec", str(path), "--level", "1"], capsys)
+
+
+@pytest.mark.parametrize("sub", ["staircase:x", "pascal-edge:1.5", "constant:x"])
+def test_a_malformed_subdiagram_shorthand_is_a_domain_error(sub, capsys):
+    assert_domain_error(["heights", "--family", "binfty", "--sub", sub, "--level", "2"], capsys)
 
 
 def test_stepping_past_a_provably_minimal_path_is_a_domain_error():

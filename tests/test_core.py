@@ -12,6 +12,7 @@ from bratteli.core import (
     OdometerChainDiagram,
     PascalDiagram,
     TruncationIncompleteError,
+    _compositions,
     build_diagram,
     build_subdiagram,
     key_add,
@@ -236,3 +237,16 @@ def test_window_rejects_duplicate_ranks():
 
     with pytest.raises(DiagramError):
         LevelWindow(level=1, vertices=(1, 2), ranks=(1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.lists(st.integers(0, 4), min_size=0, max_size=4))
+def test_capped_compositions_keep_the_uncapped_order(total, caps):
+    coords = [2 * i - 3 for i in range(len(caps))]
+    capped = list(_compositions(total, coords, caps))
+    bounded = [
+        key for key in _compositions(total, coords)
+        if all(m <= caps[coords.index(c)] for c, m in key)
+    ]
+    assert capped == bounded
+    assert all(key_level(key) == total for key in capped)

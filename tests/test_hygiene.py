@@ -1,10 +1,15 @@
-"""Source hygiene: every module uses every name it imports.
+"""Source hygiene: every module uses every name it imports, and every
+module-level private name is read somewhere in the package.
 
-``__init__.py`` is skipped because its imports are the package's re-exports.
-A name counts as used when it appears as an ``ast.Name`` anywhere in the
-module, which covers the base of an attribute access such as ``json.dumps``.
-``from __future__`` imports are compiler directives, not names, and are
-skipped too.
+``__init__.py`` is skipped by the import check because its imports are the
+package's re-exports.  A name counts as used when it appears as an
+``ast.Name`` anywhere in the module, which covers the base of an attribute
+access such as ``json.dumps``.  ``from __future__`` imports are compiler
+directives, not names, and are skipped too.
+
+A private name (one leading underscore) defined at module level by a
+``def``, ``class`` or assignment counts as read when some module of the
+package loads it as a name or as an attribute.
 """
 
 import ast
@@ -14,6 +19,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bratteli"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def _imported_names(tree):
@@ -44,3 +50,42 @@ def test_every_imported_name_is_used(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert unused == [], "%s imports %s without using them" % (module.name, unused)
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def _loaded_names(tree):
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_the_scan_flags_an_unread_private_name():
+    tree = ast.parse("_A = 1\n_B = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\nprint(_f())\n")
+    assert set(_private_definitions(tree)) - _loaded_names(tree) == {"_B", "_C"}
+
+
+@pytest.mark.parametrize("module", ALL_MODULES, ids=lambda p: p.name)
+def test_every_private_module_level_name_is_read(module):
+    loaded = set()
+    for other in ALL_MODULES:
+        loaded |= _loaded_names(ast.parse(other.read_text(), filename=str(other)))
+    tree = ast.parse(module.read_text(), filename=str(module))
+    unread = sorted(set(_private_definitions(tree)) - loaded)
+    assert unread == [], "%s defines %s but nothing in the package reads them" % (module.name, unread)

@@ -21,6 +21,7 @@ from bratteli.core import (
 from bratteli.linalg import (
     continuity_profile,
     count_distance,
+    height,
     heights,
     heights_closed_form,
     simplex_distance,
@@ -332,6 +333,38 @@ def test_stochastic_rows_visit_each_cone_vertex_at_most_twice(monkeypatch):
     # every key of levels 0..6 over coordinates 1..6 is in the cone
     cone_entries = sum(comb(n + 5, 5) for n in range(7))
     assert calls <= 2 * cone_entries
+
+
+def test_continuity_profile_ranks_each_source_once(monkeypatch):
+    ranked = []
+    original = PascalDiagram.rank
+
+    def counting(self, level, v):
+        ranked.append((level, v))
+        return original(self, level, v)
+
+    monkeypatch.setattr(PascalDiagram, "rank", counting)
+    d = PascalDiagram("n")
+    continuity_profile(d, 6, d.level_vertices(6, 6))
+    # 252 distinct level-5 sources feed the 462 window targets
+    assert len(set(ranked)) == comb(5 + 5, 5)
+    assert len(ranked) == len(set(ranked))
+
+
+@pytest.mark.parametrize("make, level, v", [
+    (lambda: PascalDiagram("n"), 4, ((1, 2), (3, 2))),
+    (BinftyDiagram, 5, 3),
+    (lambda: OdometerChainDiagram(2, {1: 3}), 3, 1),
+    (lambda: build_subdiagram(OdometerChainDiagram(2), {"kind": "vertex", "rule": "constant",
+                                                        "vertex": 2}), 4, 2),
+], ids=["pascal-n", "binfty", "odometer-columns", "constant-column"])
+def test_height_is_the_closed_form_else_the_memoized_recursion(make, level, v):
+    d = make()
+    expected = heights(make(), level, [v])[v]
+    assert height(d, level, v) == expected
+    # a closed form is never written into the memo the recursion fills
+    has_closed_form = d.closed_form_height(level, v) is not None
+    assert (v in d._height_memo.get(level, {})) is not has_closed_form
 
 
 def test_stochastic_rows_read_each_cone_row_at_most_twice(monkeypatch):

@@ -262,3 +262,12 @@ def test_sampling_validates_arguments():
         sample_paths(mu, 0, 5, seed=1)
     with pytest.raises(DiagramError):
         sample_paths(mu, 5, 0, seed=1)
+
+
+@pytest.mark.parametrize("measure, n, v", [
+    (BinftyMeasure(HALF), 1, 0),
+    (PascalMeasure({1: Fraction(1, 3), 2: Fraction(2, 3)}), 1, ((1, -1),)),
+], ids=["binfty-vertex-0", "pascal-negative-multiplicity"])
+def test_tower_mass_of_a_non_vertex_is_a_domain_error(measure, n, v):
+    with pytest.raises(DiagramError):
+        measure.q(n, v)
