@@ -8,7 +8,6 @@ tail-invariant measures (``measures``), measure extension tests
 from .core import (
     DiagramError,
     TruncationIncompleteError,
-    LevelWindow,
     build_diagram,
     build_subdiagram,
     vertex_window,
@@ -29,7 +28,6 @@ from .vershik import (
 __all__ = [
     "DiagramError",
     "TruncationIncompleteError",
-    "LevelWindow",
     "build_diagram",
     "build_subdiagram",
     "vertex_window",

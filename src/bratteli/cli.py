@@ -9,20 +9,32 @@ byte-stable, so identical invocations produce identical bytes.
 Exit codes: 0 on success, 1 on domain errors (bad arguments, malformed
 specs, values outside a family's domain), 2 when an answer would require
 data beyond the supplied truncation depth or window.
+
+Every subcommand is registered through ``_command`` and follows one
+convention.  A command takes its resolved input first (a diagram builder
+or a measure, when it has one), then its own options, and returns either
+a JSON payload or ``(payload, header, rows[, approx_fields])`` when it has
+a CSV form.  ``_command`` does the rest: it attaches the input's option
+group, the command's own options and ``--out/--format/--precision`` in
+that order, resolves the input, renders the result with ``_emit``, and
+maps ``TruncationIncompleteError`` to exit 2 and ``DiagramError`` to 1.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import inspect
 import io
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import click
 
 from .core import (
+    FAMILIES,
     BinftyDiagram,
     DiagramError,
     OdometerChainDiagram,
@@ -76,24 +88,6 @@ from .vershik import (
 # errors under this tool's exit-code contract; code 2 is reserved for
 # truncation-incomplete answers.
 click.UsageError.exit_code = 1
-
-_FAMILIES = (
-    "pascal-n",
-    "pascal-z",
-    "pascal-k",
-    "binfty",
-    "bounded-finite",
-    "bounded-generalized",
-    "odometer-io",
-)
-
-_MEASURE_NAMES = (
-    "pascal-mu",
-    "binfty-mu",
-    "staircase-nu",
-    "edge-binomial",
-    "odometer-column",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +188,18 @@ def _decimal(value, digits):
     return "%s%d.%0*d" % (sign, whole, digits, frac)
 
 
-def _emit(payload, out, fmt, precision=None, rows=None, header=None,
+def _emit(out, fmt, precision, payload, header=None, rows=None,
           approx_fields=()):
     """Serialize ``payload`` deterministically to stdout or ``--out``.
 
     ``rows`` is a zero-argument callable returning the CSV rows under
     ``header``; it runs only for ``--format csv``.  ``approx_fields`` names
     keys of ``payload`` holding {key: Fraction-string} maps; with
-    ``--precision`` each gains an ``approx_<name>`` companion.
+    ``--precision`` each gains an ``approx_<name>`` companion.  A payload
+    that states its own ``precision_bits`` (``sample``'s float statistics)
+    keeps it and ignores ``--precision``.
     """
-    if precision is not None:
+    if precision is not None and "precision_bits" not in payload:
         if precision < 1:
             raise DiagramError("--precision must be a positive bit count")
         payload = dict(payload)
@@ -232,80 +228,7 @@ def _emit(payload, out, fmt, precision=None, rows=None, header=None,
 
 
 # ---------------------------------------------------------------------------
-# shared option groups and error mapping
-# ---------------------------------------------------------------------------
-
-def _options(*opts):
-    def deco(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-    return deco
-
-
-_DIAGRAM_OPTS = (
-    click.option("--family", type=click.Choice(_FAMILIES), default=None,
-                 help="Diagram family (or use --spec FILE)."),
-    click.option("--spec", "spec_file", default=None, metavar="FILE",
-                 help="JSON file with {family, params, ...} and an optional "
-                      "'sub' block."),
-    click.option("--k", "k_param", type=int, default=None,
-                 help="Width parameter for pascal-k / bounded families."),
-    click.option("--a", "a_rule", default=None,
-                 help="Odometer entry rule: an integer, a comma list, or 'pow2'."),
-    click.option("--sub", "sub_text", default=None,
-                 help="Subdiagram shorthand: staircase:K, pascal-edge:K, or "
-                      "constant:V."),
-)
-
-_ORDER_OPT = click.option(
-    "--order", "order_name", default="left-to-right",
-    help="Edge order: left-to-right, alternating, natural or cyclic.")
-
-_OUTPUT_OPTS = (
-    click.option("--out", default=None, metavar="FILE",
-                 help="Write output to FILE instead of stdout."),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                 default="json", help="Output format."),
-    click.option("--precision", type=int, default=None, metavar="BITS",
-                 help="Append decimal approximations at this bit precision."),
-)
-
-_MEASURE_OPTS = (
-    click.option("--measure", "measure_name",
-                 type=click.Choice(_MEASURE_NAMES), required=True,
-                 help="Measure family."),
-    click.option("--d", "d_text", default=None,
-                 help="Comma list of direction masses for pascal-mu."),
-    click.option("--coords", "coords_text", default=None,
-                 help="Comma list of coordinates matching --d (default 1..n)."),
-    click.option("--a", "a_text", default=None,
-                 help="Slope (binfty-mu, staircase-nu) or odometer entry rule."),
-    click.option("--k", "k_param", type=int, default=None,
-                 help="Subdiagram width for staircase-nu / edge-binomial."),
-    click.option("--p", "p_text", default=None,
-                 help="Edge weight for edge-binomial."),
-    click.option("--column", type=int, default=1,
-                 help="Column for odometer-column (default 1)."),
-)
-
-
-def _mapped_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except TruncationIncompleteError as exc:
-            click.echo("truncation-incomplete: %s" % exc, err=True)
-            sys.exit(2)
-        except DiagramError as exc:
-            click.echo("error: %s" % exc, err=True)
-            sys.exit(1)
-    return wrapper
-
-
-# ---------------------------------------------------------------------------
-# object factories
+# inputs: option groups and what their values resolve to
 # ---------------------------------------------------------------------------
 
 _SUB_SHORTHANDS = {
@@ -325,38 +248,68 @@ def _sub_spec(text):
     return {"kind": sub_kind, "rule": rule, field: as_int(param or 1, "%s %s" % (kind, field))}
 
 
-def _diagram(family, spec_file, k_param, a_rule, sub_text):
-    if spec_file:
-        try:
-            with open(spec_file) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DiagramError("cannot read spec file %s: %s" % (spec_file, exc))
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DiagramError("malformed JSON in %s: %s" % (spec_file, exc))
-        if not isinstance(obj, dict):
-            raise DiagramError("spec file %s must hold a JSON object" % spec_file)
-        diagram = build_diagram(obj)
-        if obj.get("sub"):
-            diagram = build_subdiagram(diagram, obj["sub"])
+class _DiagramArgs(NamedTuple):
+    """The diagram option group as given; calling it builds the diagram."""
+
+    family: str | None
+    spec_file: str | None
+    k_param: int | None
+    a_rule: str | None
+    sub_text: str | None
+
+    def __call__(self):
+        if self.spec_file:
+            try:
+                with open(self.spec_file) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise DiagramError("cannot read spec file %s: %s" % (self.spec_file, exc))
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise DiagramError("malformed JSON in %s: %s" % (self.spec_file, exc))
+            if not isinstance(obj, dict):
+                raise DiagramError("spec file %s must hold a JSON object" % self.spec_file)
+            diagram = build_diagram(obj)
+            if obj.get("sub"):
+                diagram = build_subdiagram(diagram, obj["sub"])
+            return diagram
+        family = self.family
+        if family is None:
+            raise DiagramError("pass --family or --spec FILE")
+        params = {}
+        if family in ("pascal-k", "bounded-finite", "bounded-generalized"):
+            if self.k_param is None:
+                raise DiagramError("--family %s needs --k" % family)
+            params["k"] = self.k_param
+        if family == "odometer-io":
+            if self.a_rule is None:
+                raise DiagramError("--family odometer-io needs --a (entry rule)")
+            params["a"] = _entry_rule(self.a_rule)
+        diagram = build_diagram({"family": family, "params": params})
+        if self.sub_text:
+            diagram = build_subdiagram(diagram, _sub_spec(self.sub_text))
         return diagram
-    if family is None:
-        raise DiagramError("pass --family or --spec FILE")
-    params = {}
-    if family in ("pascal-k", "bounded-finite", "bounded-generalized"):
-        if k_param is None:
-            raise DiagramError("--family %s needs --k" % family)
-        params["k"] = k_param
-    if family == "odometer-io":
-        if a_rule is None:
-            raise DiagramError("--family odometer-io needs --a (entry rule)")
-        params["a"] = _entry_rule(a_rule)
-    diagram = build_diagram({"family": family, "params": params})
-    if sub_text:
-        diagram = build_subdiagram(diagram, _sub_spec(sub_text))
-    return diagram
+
+
+def _pascal_measure(d_text, coords_text):
+    masses = _fraction_list(d_text, "direction")
+    if coords_text is not None:
+        coords = _int_list(coords_text, "coordinates")
+        if len(coords) != len(masses):
+            raise DiagramError("--coords and --d must have equal length")
+    else:
+        coords = list(range(1, len(masses) + 1))
+    return PascalMeasure(dict(zip(coords, masses)))
+
+
+def _staircase(k):
+    return build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k})
+
+
+def _staircase_measure(a_text, k_param):
+    a = _fraction(a_text, "slope")
+    return StaircaseMeasure(a, _staircase(k_param))
 
 
 def _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
@@ -364,14 +317,7 @@ def _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
     if measure_name == "pascal-mu":
         if d_text is None:
             raise DiagramError("pascal-mu needs --d (comma list of masses)")
-        masses = _fraction_list(d_text, "direction")
-        if coords_text is not None:
-            coords = _int_list(coords_text, "coordinates")
-            if len(coords) != len(masses):
-                raise DiagramError("--coords and --d must have equal length")
-        else:
-            coords = list(range(1, len(masses) + 1))
-        return PascalMeasure(dict(zip(coords, masses)))
+        return _pascal_measure(d_text, coords_text)
     if measure_name == "binfty-mu":
         if a_text is None:
             raise DiagramError("binfty-mu needs --a (slope)")
@@ -379,9 +325,7 @@ def _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
     if measure_name == "staircase-nu":
         if a_text is None or k_param is None:
             raise DiagramError("staircase-nu needs --a and --k")
-        sub = build_subdiagram(
-            BinftyDiagram(),
-            {"kind": "vertex", "rule": "staircase", "k": k_param})
+        sub = _staircase(k_param)
         return StaircaseMeasure(_fraction(a_text, "slope"), sub)
     if measure_name == "edge-binomial":
         if p_text is None or k_param is None:
@@ -399,14 +343,67 @@ def _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
     raise DiagramError("unknown measure %r" % measure_name)
 
 
-def _window_vertices(diagram, level, window, vertex_text):
-    if vertex_text is not None:
-        return (_vertex(vertex_text),)
-    return vertex_window(diagram, level, window).vertices
+# inputs name -> (its option group, the resolver its option values are passed to)
+_INPUTS = {
+    None: ((), None),
+    "diagram": ((
+        click.option("--family", type=click.Choice([f for f in FAMILIES if f != "custom"]),
+                     default=None, help="Diagram family (or use --spec FILE)."),
+        click.option("--spec", "spec_file", default=None, metavar="FILE",
+                     help="JSON file with {family, params, ...} and an optional "
+                          "'sub' block."),
+        click.option("--k", "k_param", type=int, default=None,
+                     help="Width parameter for pascal-k / bounded families."),
+        click.option("--a", "a_rule", default=None,
+                     help="Odometer entry rule: an integer, a comma list, or 'pow2'."),
+        click.option("--sub", "sub_text", default=None,
+                     help="Subdiagram shorthand: staircase:K, pascal-edge:K, or "
+                          "constant:V."),
+    ), _DiagramArgs),
+    "measure": ((
+        click.option("--measure", "measure_name",
+                     type=click.Choice(["pascal-mu", "binfty-mu", "staircase-nu",
+                                        "edge-binomial", "odometer-column"]),
+                     required=True,
+                     help="Measure family."),
+        click.option("--d", "d_text", default=None,
+                     help="Comma list of direction masses for pascal-mu."),
+        click.option("--coords", "coords_text", default=None,
+                     help="Comma list of coordinates matching --d (default 1..n)."),
+        click.option("--a", "a_text", default=None,
+                     help="Slope (binfty-mu, staircase-nu) or odometer entry rule."),
+        click.option("--k", "k_param", type=int, default=None,
+                     help="Subdiagram width for staircase-nu / edge-binomial."),
+        click.option("--p", "p_text", default=None,
+                     help="Edge weight for edge-binomial."),
+        click.option("--column", type=int, default=1,
+                     help="Column for odometer-column (default 1)."),
+    ), _measure),
+    "pascal-mu": ((
+        click.option("--d", "d_text", required=True,
+                     help="Comma list of direction masses."),
+        click.option("--coords", "coords_text", default=None,
+                     help="Comma list of coordinates matching --d."),
+    ), _pascal_measure),
+    "staircase-nu": ((
+        click.option("--a", "a_text", required=True, help="Staircase slope."),
+        click.option("--k", "k_param", type=int, default=2,
+                     help="Staircase width (default 2)."),
+    ), _staircase_measure),
+}
+
+_OUTPUT_OPTS = (
+    click.option("--out", default=None, metavar="FILE",
+                 help="Write output to FILE instead of stdout."),
+    click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+                 default="json", help="Output format."),
+    click.option("--precision", type=int, default=None, metavar="BITS",
+                 help="Append decimal approximations at this bit precision."),
+)
 
 
 # ---------------------------------------------------------------------------
-# the command group
+# the command group and its one registration wrapper
 # ---------------------------------------------------------------------------
 
 @click.group()
@@ -415,19 +412,62 @@ def cli():
     """Exact computations on generalized Bratteli diagrams."""
 
 
-@cli.command(name="heights")
-@_options(*_DIAGRAM_OPTS)
-@click.option("--level", type=int, required=True, help="Level to evaluate.")
-@click.option("--window", type=int, default=None,
-              help="Index bound cutting infinite levels to a finite window.")
-@click.option("--vertex", "vertex_text", default=None,
-              help="Single vertex instead of the whole window.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def heights_cmd(family, spec_file, k_param, a_rule, sub_text, level, window,
-                vertex_text, out, fmt, precision):
+def _command(*opts, name=None, inputs=None):
+    """Register the decorated function as a subcommand of ``cli``.
+
+    ``inputs`` names an entry of ``_INPUTS``.  Its resolver's result is the
+    command's first argument: a ``_DiagramArgs``, which the command calls
+    when it needs the diagram (so a command that needs none builds none,
+    and errors come in the command's order), or a built measure.
+    """
+    group, resolve = _INPUTS[inputs]
+    fields = tuple(inspect.signature(resolve).parameters) if resolve else ()
+
+    def deco(fn):
+        @functools.wraps(fn)
+        def run(out, fmt, precision, **kwargs):
+            try:
+                given = [resolve(*(kwargs.pop(f) for f in fields))] if resolve else []
+                result = fn(*given, **kwargs)
+                _emit(out, fmt, precision, *(result if isinstance(result, tuple) else (result,)))
+            except TruncationIncompleteError as exc:
+                click.echo("truncation-incomplete: %s" % exc, err=True)
+                sys.exit(2)
+            except DiagramError as exc:
+                click.echo("error: %s" % exc, err=True)
+                sys.exit(1)
+
+        for opt in reversed(group + opts + _OUTPUT_OPTS):
+            run = opt(run)
+        return cli.command(name=name)(run)
+    return deco
+
+
+_ORDER_OPT = click.option(
+    "--order", "order_name", default="left-to-right",
+    help="Edge order: left-to-right, alternating, natural or cyclic.")
+
+
+def _window_vertices(diagram, level, window, vertex_text):
+    if vertex_text is not None:
+        return (_vertex(vertex_text),)
+    return vertex_window(diagram, level, window)
+
+
+# ---------------------------------------------------------------------------
+# the commands
+# ---------------------------------------------------------------------------
+
+@_command(
+    click.option("--level", type=int, required=True, help="Level to evaluate."),
+    click.option("--window", type=int, default=None,
+                 help="Index bound cutting infinite levels to a finite window."),
+    click.option("--vertex", "vertex_text", default=None,
+                 help="Single vertex instead of the whole window."),
+    name="heights", inputs="diagram")
+def heights_cmd(source, level, window, vertex_text):
     """Path-count heights at a level, with closed forms when available."""
-    diagram = _diagram(family, spec_file, k_param, a_rule, sub_text)
+    diagram = source()
     vertices = _window_vertices(diagram, level, window, vertex_text)
     values = heights(diagram, level, vertices)
     payload = {
@@ -441,25 +481,21 @@ def heights_cmd(family, spec_file, k_param, a_rule, sub_text, level, window,
         closed = None
     if closed is not None:
         payload["closed_form_agrees"] = closed == values
-    _emit(payload, out, fmt, precision,
-          rows=lambda: [[_vkey(v), str(values[v])] for v in vertices],
-          header=["vertex", "height"])
+    return (payload, ["vertex", "height"],
+            lambda: [[_vkey(v), str(values[v])] for v in vertices])
 
 
-@cli.command()
-@_options(*_DIAGRAM_OPTS)
-@click.option("--level", type=int, required=True,
-              help="Target level (sources live one level down).")
-@click.option("--window", type=int, default=None,
-              help="Index bound for infinite levels.")
-@click.option("--vertex", "vertex_text", default=None,
-              help="Single target vertex instead of the whole window.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def stochastic(family, spec_file, k_param, a_rule, sub_text, level, window,
-               vertex_text, out, fmt, precision):
+@_command(
+    click.option("--level", type=int, required=True,
+                 help="Target level (sources live one level down)."),
+    click.option("--window", type=int, default=None,
+                 help="Index bound for infinite levels."),
+    click.option("--vertex", "vertex_text", default=None,
+                 help="Single target vertex instead of the whole window."),
+    inputs="diagram")
+def stochastic(source, level, window, vertex_text):
     """Height-normalized incidence rows; each row sums to exactly 1."""
-    diagram = _diagram(family, spec_file, k_param, a_rule, sub_text)
+    diagram = source()
     targets = _window_vertices(diagram, level, window, vertex_text)
     rows_map = stochastic_rows(diagram, level, targets)
     payload = {
@@ -473,30 +509,25 @@ def stochastic(family, spec_file, k_param, a_rule, sub_text, level, window,
             sum(row.values(), Fraction(0)) == 1 for row in rows_map.values()
         ),
     }
-    _emit(payload, out, fmt, precision,
-          rows=lambda: [
-              [_vkey(v), _vkey(w), _fr(f)]
-              for v, row in rows_map.items()
-              for w, f in sorted(row.items(), key=_by_key_repr)
-          ],
-          header=["target", "source", "weight"])
+    return payload, ["target", "source", "weight"], lambda: [
+        [_vkey(v), _vkey(w), _fr(f)]
+        for v, row in rows_map.items()
+        for w, f in sorted(row.items(), key=_by_key_repr)
+    ]
 
 
-@cli.command()
-@_options(*_DIAGRAM_OPTS)
-@click.option("--level", type=int, required=True, help="Lower level n.")
-@click.option("--m", "m_steps", type=int, required=True,
-              help="Number of levels in the product (top level is n + m).")
-@click.option("--vertex", "vertex_text", required=True,
-              help="Top vertex at level n + m.")
-@click.option("--method", type=click.Choice(["auto", "closed", "recursion"]),
-              default="auto", help="How to compute the normalized row.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def product(family, spec_file, k_param, a_rule, sub_text, level, m_steps,
-            vertex_text, method, out, fmt, precision):
+@_command(
+    click.option("--level", type=int, required=True, help="Lower level n."),
+    click.option("--m", "m_steps", type=int, required=True,
+                 help="Number of levels in the product (top level is n + m)."),
+    click.option("--vertex", "vertex_text", required=True,
+                 help="Top vertex at level n + m."),
+    click.option("--method", type=click.Choice(["auto", "closed", "recursion"]),
+                 default="auto", help="How to compute the normalized row."),
+    inputs="diagram")
+def product(source, level, m_steps, vertex_text, method):
     """Normalized m-step incidence row from a top vertex down to level n."""
-    diagram = _diagram(family, spec_file, k_param, a_rule, sub_text)
+    diagram = source()
     top = _vertex(vertex_text)
     row = normalized_product_row(diagram, level, m_steps, top, method=method)
     payload = {
@@ -507,46 +538,42 @@ def product(family, spec_file, k_param, a_rule, sub_text, level, m_steps,
         "row": {_vkey(w): _fr(f) for w, f in row.items()},
         "row_sum": _fr(sum(row.values(), Fraction(0))),
     }
-    _emit(payload, out, fmt, precision, rows=_vertex_rows(row),
-          header=["vertex", "weight"], approx_fields=("row",))
+    return payload, ["vertex", "weight"], _vertex_rows(row), ("row",)
 
 
-@cli.command()
-@_options(*_DIAGRAM_OPTS)
-@click.option("--level", type=int, default=None,
-              help="Level the limit vector lives at (defaults to the base).")
-@click.option("--rule", type=click.Choice(["constant", "ray", "pascal-ray"]),
-              default=None, help="How the tops march upward.")
-@click.option("--vertex", "vertex_text", default=None,
-              help="Fixed top vertex for --rule constant.")
-@click.option("--slope", default=None,
-              help="Rational slope for --rule ray.")
-@click.option("--d", "d_text", default=None,
-              help="Direction masses for --rule pascal-ray.")
-@click.option("--closed-form", "closed_form",
-              type=click.Choice(["binfty", "pascal"]), default=None,
-              help="Emit a known limit vector instead of iterating "
-                   "(binfty reads its slope from --a).")
-@click.option("--window", type=int, default=20,
-              help="Entries reported for infinite-support vectors.")
-@click.option("--tol", default="1/1000000",
-              help="Stopping tolerance for the iteration (exact rational).")
-@click.option("--m-max", type=int, default=200,
-              help="Iteration budget before reporting non-convergence.")
-@click.option("--method", type=click.Choice(["auto", "closed", "recursion"]),
-              default="auto", help="Row computation method.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def limits(family, spec_file, k_param, a_rule, sub_text, level, rule,
-           vertex_text, slope, d_text, closed_form, window, tol,
-           m_max, method, out, fmt, precision):
+@_command(
+    click.option("--level", type=int, default=None,
+                 help="Level the limit vector lives at (defaults to the base)."),
+    click.option("--rule", type=click.Choice(["constant", "ray", "pascal-ray"]),
+                 default=None, help="How the tops march upward."),
+    click.option("--vertex", "vertex_text", default=None,
+                 help="Fixed top vertex for --rule constant."),
+    click.option("--slope", default=None,
+                 help="Rational slope for --rule ray."),
+    click.option("--d", "d_text", default=None,
+                 help="Direction masses for --rule pascal-ray."),
+    click.option("--closed-form", "closed_form",
+                 type=click.Choice(["binfty", "pascal"]), default=None,
+                 help="Emit a known limit vector instead of iterating "
+                      "(binfty reads its slope from --a)."),
+    click.option("--window", type=int, default=20,
+                 help="Entries reported for infinite-support vectors."),
+    click.option("--tol", default="1/1000000",
+                 help="Stopping tolerance for the iteration (exact rational)."),
+    click.option("--m-max", type=int, default=200,
+                 help="Iteration budget before reporting non-convergence."),
+    click.option("--method", type=click.Choice(["auto", "closed", "recursion"]),
+                 default="auto", help="Row computation method."),
+    inputs="diagram")
+def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
+           window, tol, m_max, method):
     """Limits of normalized incidence products along a march of tops."""
     if closed_form is not None:
         if closed_form == "binfty":
-            if a_rule is None:
+            if source.a_rule is None:
                 raise DiagramError("--closed-form binfty needs --a")
             n = 1 if level is None else level
-            vector = binfty_limit_vector(_fraction(a_rule, "slope"), n, window)
+            vector = binfty_limit_vector(_fraction(source.a_rule, "slope"), n, window)
             rows = _vertex_rows(vector, key=None)
         else:
             if d_text is None or level is None:
@@ -561,10 +588,8 @@ def limits(family, spec_file, k_param, a_rule, sub_text, level, rule,
             "vector": {_vkey(v): _fr(x) for v, x in vector.items()},
             "mass_reported": _fr(sum(vector.values(), Fraction(0))),
         }
-        _emit(payload, out, fmt, precision, rows=rows,
-              header=["vertex", "mass"], approx_fields=("vector",))
-        return
-    diagram = _diagram(family, spec_file, k_param, a_rule, sub_text)
+        return payload, ["vertex", "mass"], rows, ("vector",)
+    diagram = source()
     n = diagram.base_level if level is None else level
     if rule is None:
         raise DiagramError("pass --rule (or --closed-form)")
@@ -584,6 +609,12 @@ def limits(family, spec_file, k_param, a_rule, sub_text, level, rule,
     result = limit_along(diagram, n, top_rule,
                          tol=_fraction(tol, "tolerance"), m_max=m_max,
                          method=method)
+    if not result.converged:
+        raise TruncationIncompleteError(
+            "no convergence within %d steps (last distance %s); raise "
+            "--m-max or loosen --tol" % (
+                result.steps,
+                _fr(result.distances[-1]) if result.distances else "n/a"))
     payload = {
         "family": diagram.family,
         "level": result.level,
@@ -594,30 +625,18 @@ def limits(family, spec_file, k_param, a_rule, sub_text, level, rule,
         "last_distances": [_fr(x) for x in result.distances[-3:]],
         "note": result.note,
     }
-    if not result.converged:
-        raise TruncationIncompleteError(
-            "no convergence within %d steps (last distance %s); raise "
-            "--m-max or loosen --tol" % (
-                result.steps,
-                _fr(result.distances[-1]) if result.distances else "n/a"))
-    _emit(payload, out, fmt, precision, rows=_vertex_rows(result.vector),
-          header=["vertex", "mass"], approx_fields=("vector",))
+    return payload, ["vertex", "mass"], _vertex_rows(result.vector), ("vector",)
 
 
-@cli.command()
-@_options(*_MEASURE_OPTS)
-@click.option("--level", type=int, required=True, help="Level to report.")
-@click.option("--window", type=int, default=None,
-              help="Support cut for infinite levels.")
-@click.option("--vertex", "vertex_text", default=None,
-              help="Single vertex instead of the level's support.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
-            column, level, window, vertex_text, out, fmt, precision):
+@_command(
+    click.option("--level", type=int, required=True, help="Level to report."),
+    click.option("--window", type=int, default=None,
+                 help="Support cut for infinite levels."),
+    click.option("--vertex", "vertex_text", default=None,
+                 help="Single vertex instead of the level's support."),
+    inputs="measure")
+def measure(mu, level, window, vertex_text):
     """Cylinder and tower masses of a tail-invariant measure at a level."""
-    mu = _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
-                  column)
     if vertex_text is not None:
         vertices = (_vertex(vertex_text),)
     else:
@@ -631,28 +650,20 @@ def measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
         "tower_masses": {_vkey(v): _fr(x) for v, x in towers.items()},
         "level_mass": _fr(mu.level_mass(level)),
     }
-    _emit(payload, out, fmt, precision,
-          rows=lambda: [
-              [_vkey(v), _fr(cylinders[v]), _fr(towers[v])]
-              for v in sorted(vertices, key=repr)
-          ],
-          header=["vertex", "cylinder_mass", "tower_mass"],
-          approx_fields=("cylinder_masses", "tower_masses"))
+    return (payload, ["vertex", "cylinder_mass", "tower_mass"],
+            lambda: [[_vkey(v), _fr(cylinders[v]), _fr(towers[v])]
+                     for v in sorted(vertices, key=repr)],
+            ("cylinder_masses", "tower_masses"))
 
 
-@cli.command()
-@_options(*_MEASURE_OPTS)
-@click.option("--levels", type=int, required=True,
-              help="Number of levels checked, starting at the base.")
-@click.option("--window", type=int, default=None,
-              help="Support cut for infinite levels.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def invariance(measure_name, d_text, coords_text, a_text, k_param, p_text,
-               column, levels, window, out, fmt, precision):
+@_command(
+    click.option("--levels", type=int, required=True,
+                 help="Number of levels checked, starting at the base."),
+    click.option("--window", type=int, default=None,
+                 help="Support cut for infinite levels."),
+    inputs="measure")
+def invariance(mu, levels, window):
     """Exact balance check: cylinder mass equals its successor mass."""
-    mu = _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
-                  column)
     base = mu.diagram.base_level
     records = invariance_report(mu, range(base, base + levels), bound=window)
     payload = {
@@ -670,26 +681,18 @@ def invariance(measure_name, d_text, coords_text, a_text, k_param, p_text,
             for r in records if not r.ok
         ],
     }
-    _emit(payload, out, fmt, precision,
-          rows=lambda: [
-              [r.level, _vkey(r.vertex), _fr(r.cylinder_mass),
-               _fr(r.successor_mass), r.ok]
-              for r in records
-          ],
-          header=["level", "vertex", "cylinder_mass", "successor_mass", "ok"])
+    return payload, ["level", "vertex", "cylinder_mass", "successor_mass", "ok"], lambda: [
+        [r.level, _vkey(r.vertex), _fr(r.cylinder_mass), _fr(r.successor_mass), r.ok]
+        for r in records
+    ]
 
 
-@cli.command()
-@_options(*_MEASURE_OPTS)
-@click.option("--levels", type=int, required=True,
-              help="Number of levels summed, starting at the base.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def probability(measure_name, d_text, coords_text, a_text, k_param, p_text,
-                column, levels, out, fmt, precision):
+@_command(
+    click.option("--levels", type=int, required=True,
+                 help="Number of levels summed, starting at the base."),
+    inputs="measure")
+def probability(mu, levels):
     """Total tower mass per level; a probability measure reports exactly 1."""
-    mu = _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
-                  column)
     base = mu.diagram.base_level
     masses = {n: mu.level_mass(n) for n in range(base, base + levels)}
     payload = {
@@ -698,84 +701,65 @@ def probability(measure_name, d_text, coords_text, a_text, k_param, p_text,
         "all_one": all(x == 1 for x in masses.values()),
         "method": mu.level_mass_method,
     }
-    _emit(payload, out, fmt, precision,
-          rows=lambda: [[n, _fr(x)] for n, x in sorted(masses.items())],
-          header=["level", "mass"], approx_fields=("level_masses",))
+    return (payload, ["level", "mass"],
+            lambda: [[n, _fr(x)] for n, x in sorted(masses.items())],
+            ("level_masses",))
 
 
-@cli.command()
-@click.option("--case", "case_name",
-              type=click.Choice(sorted(EXTENSION_CASES)), required=True,
-              help="Which extension boundary to test.")
-@click.option("--a", "a_text", default=None,
-              help="Slope (rational) or odometer entry rule.")
-@click.option("--p", "p_text", default=None,
-              help="Edge weight for nu-p-pascal-edge.")
-@click.option("--k", "k_param", type=int, default=None,
-              help="Subdiagram width (default 2).")
-@click.option("--column", type=int, default=1,
-              help="Column for odometer-column (default 1).")
-@click.option("--n-max", "n_max", type=int, default=None,
-              help="Series depth before declaring a partial-sum verdict.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def extension(case_name, a_text, p_text, k_param, column, n_max, out, fmt,
-              precision):
+_slope = functools.partial(_fraction, what="slope")
+
+# case -> (the option holding its parameter, that parameter's keyword and
+# reader, the keyword taking --k or --column, the keyword taking --n-max)
+_EXTENSION_ARGS = {
+    "mu-a-pascal-edge": ("--a", "a", _slope, "k", "n_check"),
+    "nu-a-staircase": ("--a", "a", _slope, "k", "n_max"),
+    "nu-p-pascal-edge": ("--p", "prob", functools.partial(_fraction, what="edge weight"), "k", "n_max"),
+    "odometer-column": ("--a", "a", _entry_rule, "column", "n_max"),
+}
+
+
+@_command(
+    click.option("--case", "case_name",
+                 type=click.Choice(sorted(EXTENSION_CASES)), required=True,
+                 help="Which extension boundary to test."),
+    click.option("--a", "a_text", default=None,
+                 help="Slope (rational) or odometer entry rule."),
+    click.option("--p", "p_text", default=None,
+                 help="Edge weight for nu-p-pascal-edge."),
+    click.option("--k", "k_param", type=int, default=2,
+                 help="Subdiagram width (default 2)."),
+    click.option("--column", type=int, default=1,
+                 help="Column for odometer-column (default 1)."),
+    click.option("--n-max", "n_max", type=int, default=None,
+                 help="Series depth before declaring a partial-sum verdict."))
+def extension(case_name, a_text, p_text, k_param, column, n_max):
     """Decide whether a subdiagram measure extends to a finite measure."""
-    k = 2 if k_param is None else k_param
-    kwargs = {}
-    if case_name == "mu-a-pascal-edge":
-        if a_text is None:
-            raise DiagramError("mu-a-pascal-edge needs --a")
-        kwargs = {"a": _fraction(a_text, "slope"), "k": k}
-        if n_max is not None:
-            kwargs["n_check"] = n_max
-    elif case_name == "nu-a-staircase":
-        if a_text is None:
-            raise DiagramError("nu-a-staircase needs --a")
-        kwargs = {"a": _fraction(a_text, "slope"), "k": k}
-        if n_max is not None:
-            kwargs["n_max"] = n_max
-    elif case_name == "nu-p-pascal-edge":
-        if p_text is None:
-            raise DiagramError("nu-p-pascal-edge needs --p")
-        kwargs = {"prob": _fraction(p_text, "edge weight"), "k": k}
-        if n_max is not None:
-            kwargs["n_max"] = n_max
-    elif case_name == "odometer-column":
-        if a_text is None:
-            raise DiagramError("odometer-column needs --a")
-        kwargs = {"a": _entry_rule(a_text), "column": column}
-        if n_max is not None:
-            kwargs["n_max"] = n_max
-    verdict = run_extension_case(case_name, **kwargs)
-    payload = dict(verdict.to_json())
+    option, name, read, width, depth = _EXTENSION_ARGS[case_name]
+    text = p_text if option == "--p" else a_text
+    if text is None:
+        raise DiagramError("%s needs %s" % (case_name, option))
+    kwargs = {name: read(text), width: column if width == "column" else k_param}
+    if n_max is not None:
+        kwargs[depth] = n_max
+    payload = dict(run_extension_case(case_name, **kwargs).to_json())
     payload["case"] = case_name
-    _emit(payload, out, fmt, precision)
+    return payload
 
 
-@cli.command()
-@click.option("--a", "a_text", required=True, help="Staircase slope.")
-@click.option("--k", "k_param", type=int, default=2,
-              help="Staircase width (default 2).")
-@click.option("--orders", type=int, default=5,
-              help="Highest finite-difference order checked.")
-@click.option("--terms", type=int, default=12,
-              help="Length of the determining sequence.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def monotone(a_text, k_param, orders, terms, out, fmt, precision):
+@_command(
+    click.option("--orders", type=int, default=5,
+                 help="Highest finite-difference order checked."),
+    click.option("--terms", type=int, default=12,
+                 help="Length of the determining sequence."),
+    inputs="staircase-nu")
+def monotone(nu, orders, terms):
     """Complete monotonicity of the staircase determining sequence."""
-    a = _fraction(a_text, "slope")
-    sub = build_subdiagram(
-        BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k_param})
-    nu = StaircaseMeasure(a, sub)
     seq = [nu.determining_value(n) for n in range(1, terms + 1)]
     witness = completely_monotone_witness(seq, orders)
     table = difference_table(seq, orders)
     payload = {
         "measure": nu.name,
-        "k": k_param,
+        "k": nu.k,
         "orders": orders,
         "sequence": {str(n): _fr(x) for n, x in enumerate(seq, start=1)},
         "differences": {
@@ -785,24 +769,18 @@ def monotone(a_text, k_param, orders, terms, out, fmt, precision):
         "completely_monotone": witness is None,
         "first_failure": None if witness is None else list(witness),
     }
-    _emit(payload, out, fmt, precision,
-          rows=lambda: [[n, _fr(x)] for n, x in enumerate(seq, start=1)],
-          header=["n", "value"], approx_fields=("sequence",))
+    return (payload, ["n", "value"],
+            lambda: [[n, _fr(x)] for n, x in enumerate(seq, start=1)],
+            ("sequence",))
 
 
-@cli.command()
-@click.option("--d", "d_text", required=True,
-              help="Comma list of direction masses.")
-@click.option("--coords", "coords_text", default=None,
-              help="Comma list of coordinates matching --d.")
-@click.option("--depth", type=int, required=True, help="Path length.")
-@click.option("--count", type=int, required=True, help="Number of paths.")
-@click.option("--seed", type=int, required=True, help="Generator seed.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def sample(d_text, coords_text, depth, count, seed, out, fmt, precision):
+@_command(
+    click.option("--depth", type=int, required=True, help="Path length."),
+    click.option("--count", type=int, required=True, help="Number of paths."),
+    click.option("--seed", type=int, required=True, help="Generator seed."),
+    inputs="pascal-mu")
+def sample(mu, depth, count, seed):
     """Sample random paths from a product measure; report coordinate means."""
-    mu = _measure("pascal-mu", d_text, coords_text, None, None, None, 1)
     report = sample_paths(mu, depth, count, seed)
     payload = {
         "measure": mu.name,
@@ -812,60 +790,44 @@ def sample(d_text, coords_text, depth, count, seed, out, fmt, precision):
         "means": {str(c): _fr(x) for c, x in report.means.items()},
         "expected": {str(c): _fr(mu.d[c]) for c in report.coordinates},
         "stderrs": {str(c): x for c, x in report.stderrs.items()},
-        "endpoint_counts": {
-            _vkey(v): n for v, n in report.endpoint_counts.items()
-        },
+        "endpoint_counts": {_vkey(v): n for v, n in report.endpoint_counts.items()},
         "precision_bits": 53,
     }
-    _emit(payload, out, fmt, None,
-          rows=lambda: [
-              [c, _fr(report.means[c]), _fr(mu.d[c]), report.stderrs[c]]
-              for c in report.coordinates
-          ],
-          header=["coordinate", "mean", "expected", "stderr"])
+    return payload, ["coordinate", "mean", "expected", "stderr"], lambda: [
+        [c, _fr(report.means[c]), _fr(mu.d[c]), report.stderrs[c]]
+        for c in report.coordinates
+    ]
 
 
-def _ordered(family, spec_file, k_param, a_rule, sub_text, order_name):
-    diagram = _diagram(family, spec_file, k_param, a_rule, sub_text)
-    return OrderedDiagram(diagram, order_name)
-
-
-@cli.command()
-@_options(*_DIAGRAM_OPTS)
-@_ORDER_OPT
-@click.option("--path", "path_text", required=True,
-              help="Path as JSON: {start, edges, tail}.")
-@click.option("--inverse", is_flag=True, default=False,
-              help="Apply the inverse step instead.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def vershik(family, spec_file, k_param, a_rule, sub_text, order_name,
-            path_text, inverse, out, fmt, precision):
+@_command(
+    _ORDER_OPT,
+    click.option("--path", "path_text", required=True,
+                 help="Path as JSON: {start, edges, tail}."),
+    click.option("--inverse", is_flag=True, default=False,
+                 help="Apply the inverse step instead."),
+    inputs="diagram")
+def vershik(source, order_name, path_text, inverse):
     """One step of the adic transformation on an explicit path."""
-    od = _ordered(family, spec_file, k_param, a_rule, sub_text, order_name)
+    od = OrderedDiagram(source(), order_name)
     path = path_from_json(_json_arg(path_text, "path"))
     result = vershik_inverse(od, path) if inverse else vershik_step(od, path)
-    payload = {
+    return {
         "direction": "inverse" if inverse else "forward",
         "input": path_to_json(path),
         "output": path_to_json(result),
     }
-    _emit(payload, out, fmt, precision)
 
 
-@cli.command()
-@_options(*_DIAGRAM_OPTS)
-@_ORDER_OPT
-@click.option("--path", "path_text", default=None,
-              help="Path as JSON: {start, edges, tail}.")
-@click.option("--descriptor", "descriptor_text", default=None,
-              help="Extremal-path descriptor as JSON.")
-@click.option("--domain", type=click.Choice(["z", "n"]), default="z",
-              help="Coordinate domain for descriptors.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def classify(family, spec_file, k_param, a_rule, sub_text, order_name,
-             path_text, descriptor_text, domain, out, fmt, precision):
+@_command(
+    _ORDER_OPT,
+    click.option("--path", "path_text", default=None,
+                 help="Path as JSON: {start, edges, tail}."),
+    click.option("--descriptor", "descriptor_text", default=None,
+                 help="Extremal-path descriptor as JSON."),
+    click.option("--domain", type=click.Choice(["z", "n"]), default="z",
+                 help="Coordinate domain for descriptors."),
+    inputs="diagram")
+def classify(source, order_name, path_text, descriptor_text, domain):
     """Extremality class of a path or descriptor, with step candidates."""
     if (path_text is None) == (descriptor_text is None):
         raise DiagramError("pass exactly one of --path or --descriptor")
@@ -888,9 +850,8 @@ def classify(family, spec_file, k_param, a_rule, sub_text, order_name,
                 payload["mirror_clipped"] = clipped
             except DiagramError as exc:
                 payload["mirror_note"] = str(exc)
-        _emit(payload, out, fmt, precision)
-        return
-    od = _ordered(family, spec_file, k_param, a_rule, sub_text, order_name)
+        return payload
+    od = OrderedDiagram(source(), order_name)
     path = path_from_json(_json_arg(path_text, "path"))
     cls = classify_extremal(od, path)
     payload = {
@@ -905,24 +866,21 @@ def classify(family, spec_file, k_param, a_rule, sub_text, order_name,
     else:
         payload["candidates"] = sorted(
             (path_to_json(c) for c in candidates), key=json.dumps)
-    _emit(payload, out, fmt, precision)
+    return payload
 
 
-@cli.command(name="orbit")
-@_options(*_DIAGRAM_OPTS)
-@_ORDER_OPT
-@click.option("--path", "path_text", required=True,
-              help="Starting path as JSON.")
-@click.option("--steps", type=int, required=True,
-              help="Forward steps to take.")
-@click.option("--visit-level", type=int, default=None,
-              help="Count vertex visits at this level along the orbit.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def orbit_cmd(family, spec_file, k_param, a_rule, sub_text, order_name,
-              path_text, steps, visit_level, out, fmt, precision):
+@_command(
+    _ORDER_OPT,
+    click.option("--path", "path_text", required=True,
+                 help="Starting path as JSON."),
+    click.option("--steps", type=int, required=True,
+                 help="Forward steps to take."),
+    click.option("--visit-level", type=int, default=None,
+                 help="Count vertex visits at this level along the orbit."),
+    name="orbit", inputs="diagram")
+def orbit_cmd(source, order_name, path_text, steps, visit_level):
     """Iterate the adic transformation and tally vertex visits."""
-    od = _ordered(family, spec_file, k_param, a_rule, sub_text, order_name)
+    od = OrderedDiagram(source(), order_name)
     path = path_from_json(_json_arg(path_text, "path"))
     result = orbit(od, path, steps, visit_level=visit_level)
     payload = {
@@ -933,53 +891,43 @@ def orbit_cmd(family, spec_file, k_param, a_rule, sub_text, order_name,
     }
     if visit_level is not None:
         payload["visit_level"] = visit_level
-        payload["visits"] = {
-            _vkey(v): n for v, n in result.visits.items()
-        }
-    _emit(payload, out, fmt, precision)
+        payload["visits"] = {_vkey(v): n for v, n in result.visits.items()}
+    return payload
 
 
-@cli.command()
-@_options(*_DIAGRAM_OPTS)
-@click.option("--level", type=int, required=True,
-              help="Target level (sources ranked one level down).")
-@click.option("--window", type=int, default=None,
-              help="Index bound for infinite levels.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def continuity(family, spec_file, k_param, a_rule, sub_text, level, window,
-               out, fmt, precision):
+@_command(
+    click.option("--level", type=int, required=True,
+                 help="Target level (sources ranked one level down)."),
+    click.option("--window", type=int, default=None,
+                 help="Index bound for infinite levels."),
+    inputs="diagram")
+def continuity(source, level, window):
     """Rank-weighted row norms tracking continuity of the transpose action."""
-    diagram = _diagram(family, spec_file, k_param, a_rule, sub_text)
-    targets = vertex_window(diagram, level, window).vertices
-    norms = continuity_profile(diagram, level, targets)
+    diagram = source()
+    norms = continuity_profile(diagram, level, vertex_window(diagram, level, window))
     payload = {
         "family": diagram.family,
         "level": level,
         "norms": {_vkey(v): _fr(x) for v, x in norms.items()},
         "max_norm": _fr(max(norms.values())) if norms else "0",
     }
-    _emit(payload, out, fmt, precision, rows=_vertex_rows(norms),
-          header=["vertex", "norm"], approx_fields=("norms",))
+    return payload, ["vertex", "norm"], _vertex_rows(norms), ("norms",)
 
 
-@cli.command(name="bk-decay")
-@click.option("--k", "k_param", type=int, required=True,
-              help="Band half-width of the bounded diagram.")
-@click.option("--m-max", "m_max", type=int, required=True,
-              help="Largest power examined.")
-@_options(*_OUTPUT_OPTS)
-@_mapped_errors
-def bk_decay(k_param, m_max, out, fmt, precision):
+@_command(
+    click.option("--k", "k_param", type=int, required=True,
+                 help="Band half-width of the bounded diagram."),
+    click.option("--m-max", "m_max", type=int, required=True,
+                 help="Largest power examined."),
+    name="bk-decay")
+def bk_decay(k_param, m_max):
     """Central-coefficient decay ratios K_0^(m) / (2k+1)^m for powers m."""
     if k_param < 1 or m_max < 1:
         raise DiagramError("--k and --m-max must be positive")
     width = 2 * k_param + 1
-    ratios = {}
-    for m in range(1, m_max + 1):
-        central = step_polynomial_coefficients(k_param, m)[0]
-        ratios[m] = Fraction(central, width ** m)
-    values = [ratios[m] for m in range(1, m_max + 1)]
+    ratios = {m: Fraction(step_polynomial_coefficients(k_param, m)[0], width ** m)
+              for m in range(1, m_max + 1)}
+    values = list(ratios.values())
     payload = {
         "k": k_param,
         "m_max": m_max,
@@ -988,9 +936,9 @@ def bk_decay(k_param, m_max, out, fmt, precision):
             values[i] <= values[i - 1] for i in range(1, len(values))),
         "final": _fr(values[-1]),
     }
-    _emit(payload, out, fmt, precision,
-          rows=lambda: [[m, _fr(ratios[m])] for m in range(1, m_max + 1)],
-          header=["m", "ratio"], approx_fields=("ratios",))
+    return (payload, ["m", "ratio"],
+            lambda: [[m, _fr(ratios[m])] for m in range(1, m_max + 1)],
+            ("ratios",))
 
 
 def main(argv=None):

@@ -22,7 +22,6 @@ predecessor of a vertex is a vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -31,10 +30,10 @@ FAMILIES = (
     "pascal-n",
     "pascal-z",
     "pascal-k",
+    "binfty",
     "bounded-finite",
     "bounded-generalized",
     "odometer-io",
-    "binfty",
     "custom",
 )
 
@@ -65,7 +64,11 @@ def zigzag(i: int) -> int:
 
 def support_key(pairs: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
     """Build a canonical support key from (coordinate, multiplicity) pairs."""
-    items = [(int(c), int(m)) for c, m in pairs]
+    try:
+        items = [(int(c), int(m)) for c, m in pairs]
+    except (TypeError, ValueError):
+        raise DiagramError("a support key is a list of [coordinate, multiplicity] "
+                           "integer pairs, got %r" % (pairs,)) from None
     items.sort()
     coords = [c for c, _ in items]
     if len(set(coords)) != len(coords):
@@ -192,29 +195,6 @@ def _pascal_rank(key: tuple[tuple[int, int], ...], level: int, signed: bool) -> 
         return 1
     r = max(_coord_rank(c, signed) for c, _ in key)
     return _pascal_positions(level, r, signed)[key]
-
-
-@dataclass(frozen=True)
-class LevelWindow:
-    """A finite, ordered snapshot of one level with its enumeration ranks."""
-
-    level: int
-    vertices: tuple
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) != len(set(self.vertices)):
-            raise DiagramError("window vertices must be distinct")
-        if len(self.ranks) != len(self.vertices):
-            raise DiagramError("one rank per vertex required")
-        if any(r < 1 for r in self.ranks) or len(set(self.ranks)) != len(self.ranks):
-            raise DiagramError("ranks must be distinct positive integers")
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 class Diagram:
@@ -345,7 +325,7 @@ class PascalDiagram(Diagram):
             return False
         try:
             canon = support_key(v)
-        except (DiagramError, TypeError, ValueError):
+        except DiagramError:
             return False
         if canon != tuple(v):
             return False
@@ -817,7 +797,7 @@ def build_diagram(spec) -> Diagram:
     if not isinstance(spec, Mapping):
         raise DiagramError("diagram spec must be a mapping or JSON string")
     family = spec.get("family")
-    params = dict(spec.get("params", {}))
+    params = _object(spec.get("params", {}), "a spec's params")
     if family == "pascal-n":
         d = PascalDiagram("n")
     elif family == "pascal-z":
@@ -835,19 +815,21 @@ def build_diagram(spec) -> Diagram:
             raise DiagramError("odometer-io needs an entry rule 'a'")
         d = OdometerChainDiagram(params["a"], params.get("columns"))
     elif family == "custom":
+        levels = _object(_spec_field(params, "levels", "a custom spec"), "a custom spec's levels")
         levels = {
             as_int(n, "a level"): [vertex_from_json(v) for v in vs]
-            for n, vs in _spec_field(params, "levels", "a custom spec").items()
+            for n, vs in levels.items()
         }
+        rows = _object(_spec_field(params, "rows", "a custom spec"), "a custom spec's rows")
         rows = {
             as_int(n, "a level"): {
-                vertex_from_json(json.loads(v) if isinstance(v, str) else v): {
-                    vertex_from_json(json.loads(w) if isinstance(w, str) else w): as_int(m, "a multiplicity")
-                    for w, m in preds.items()
+                _row_key(v): {
+                    _row_key(w): as_int(m, "a multiplicity")
+                    for w, m in _object(preds, "a row").items()
                 }
-                for v, preds in level_rows.items()
+                for v, preds in _object(level_rows, "a level's rows").items()
             }
-            for n, level_rows in _spec_field(params, "rows", "a custom spec").items()
+            for n, level_rows in rows.items()
         }
         d = CustomDiagram(levels, rows, base_level=as_int(params.get("base_level", 0), "base_level"))
     else:
@@ -873,6 +855,23 @@ def _spec_field(spec: Mapping, name: str, what: str):
     return spec[name]
 
 
+def _object(value, what: str) -> dict:
+    """``value`` as a dict; DiagramError unless it is a JSON object."""
+    if not isinstance(value, Mapping):
+        raise DiagramError("%s must be a JSON object, got %r" % (what, value))
+    return dict(value)
+
+
+def _row_key(v):
+    """A vertex of a custom spec's rows: JSON, or the JSON text of an object key."""
+    if isinstance(v, str):
+        try:
+            v = json.loads(v)
+        except json.JSONDecodeError:
+            raise DiagramError("malformed vertex key %r in a custom spec" % v) from None
+    return vertex_from_json(v)
+
+
 def vertex_from_json(v):
     if isinstance(v, int):
         return v
@@ -881,15 +880,13 @@ def vertex_from_json(v):
     raise DiagramError("vertices must be integers or [coordinate, multiplicity] pair lists")
 
 
-def vertex_window(diagram: Diagram, level: int, bound: int | None = None) -> LevelWindow:
-    """The level's canonical finite window (cone of the base level cut by ``bound``)."""
+def vertex_window(diagram: Diagram, level: int, bound: int | None = None) -> tuple:
+    """The level's vertices in rank order, cut by ``bound`` or else by the spec's truncation bound."""
     diagram.check_level(level)
     if bound is None:
         trunc = diagram.params.get("truncation") or {}
         bound = trunc.get("bound")
-    vs = diagram.level_vertices(level, bound)
-    ranks = tuple(diagram.rank(level, v) for v in vs)
-    return LevelWindow(level=level, vertices=vs, ranks=ranks)
+    return diagram.level_vertices(level, bound)
 
 
 def build_subdiagram(diagram: Diagram, spec: Mapping) -> Subdiagram:

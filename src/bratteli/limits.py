@@ -109,16 +109,6 @@ def normalized_product_row(diagram: Diagram, n: int, m: int, v,
     return {w: Fraction(c, total) for w, c in counts.items()}
 
 
-def q_from_y(diagram: Diagram, n: int, y: Mapping) -> dict:
-    """Tower masses q_w proportional to y_w H_w, normalized to total 1."""
-    hs = heights(diagram, n, list(y))
-    weighted = {w: Fraction(y[w]) * hs[w] for w in y}
-    total = sum(weighted.values())
-    if total == 0:
-        raise DiagramError("the vector has no mass on level %d" % n)
-    return {w: val / total for w, val in weighted.items() if val}
-
-
 @dataclass
 class LimitResult:
     """Outcome of the inverse-limit iteration at one level.

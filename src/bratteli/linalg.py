@@ -42,7 +42,7 @@ def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
     """
     diagram.check_level(level)
     if vertices is None:
-        vertices = vertex_window(diagram, level, bound).vertices
+        vertices = vertex_window(diagram, level, bound)
     vertices = list(vertices)
     memo = diagram._height_memo
     todo = set(vertices).difference(memo.get(level, ()))
@@ -85,7 +85,7 @@ def heights_closed_form(diagram: Diagram, level: int, vertices: Iterable | None 
     """
     diagram.check_level(level)
     if vertices is None:
-        vertices = vertex_window(diagram, level, bound).vertices
+        vertices = vertex_window(diagram, level, bound)
     vertices = list(vertices)
     for v in set(vertices).difference(diagram._height_memo.get(level, ())):
         diagram.check_vertex(level, v)

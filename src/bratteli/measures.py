@@ -403,10 +403,3 @@ def sample_paths(measure: PascalMeasure, depth: int, count: int, seed: int) -> S
         c: sqrt(float(measure.d[c] * (1 - measure.d[c])) / depth / count) for c in coords
     }
     return SampleReport(depth, count, seed, tuple(coords), means, stderrs, endpoints)
-
-
-def endpoint_distribution(measure: PascalMeasure, depth: int) -> dict:
-    """The exact law of the level-``depth`` vertex: tower masses over the support."""
-    if not isinstance(measure, PascalMeasure):
-        raise DiagramError("endpoint distributions are defined for product measures")
-    return {v: measure.q(depth, v) for v in measure.level_support(depth)}

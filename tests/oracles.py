@@ -2,12 +2,15 @@
 
 Everything here favours transparency over speed: heights and transition
 counts come from explicit path enumeration, polynomial coefficients from
-sympy expansion, and adic successors from sorting complete path lists.
+sympy expansion, adic successors from sorting complete path lists, and the
+endpoint law of a product measure from summing every coordinate sequence.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 import sympy
 
@@ -31,6 +34,22 @@ def enumerate_paths_down(diagram, level, v, stop_level=None):
 
 def path_count(diagram, level, v, stop_level=None):
     return len(enumerate_paths_down(diagram, level, v, stop_level))
+
+
+def q_from_y(diagram, n, y):
+    """Tower masses q_w proportional to y_w H_w, normalized to total 1."""
+    weighted = {w: Fraction(y[w]) * path_count(diagram, n, w) for w in y}
+    total = sum(weighted.values())
+    return {w: val / total for w, val in weighted.items() if val}
+
+
+def endpoint_distribution(d, depth):
+    """The law of the level-``depth`` vertex under the product measure with masses ``d``."""
+    law = {}
+    for seq in product(sorted(d), repeat=depth):
+        key = tuple(sorted(Counter(seq).items()))
+        law[key] = law.get(key, 0) + prod(d[c] for c in seq)
+    return law
 
 
 def transition_count(diagram, n, m, v, w):

@@ -80,7 +80,10 @@ def test_truncation_incomplete_exits_two():
     ("--family", "odometer-io", "--a", "2", "--level", "0", "--vertex", "-3"),
     ("--family", "binfty", "--level", "0", "--vertex", "1"),
     ("--family", "binfty", "--level", "1", "--vertex", "0"),
-], ids=["pascal-level-0", "odometer-negative", "binfty-no-level-0", "binfty-vertex-0"])
+    ("--family", "pascal-n", "--level", "1", "--vertex", '[["x",1]]'),
+    ("--family", "pascal-n", "--level", "1", "--vertex", "[1]"),
+], ids=["pascal-level-0", "odometer-negative", "binfty-no-level-0", "binfty-vertex-0",
+        "pascal-non-integer-key", "pascal-key-not-pairs"])
 def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
     with pytest.raises(SystemExit) as info:
         main(["heights", *args])
@@ -102,10 +105,12 @@ def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
     '{"start": 1, "edges": [[1,2,"x"]]}',
     '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": "diagonal", "vertex": "x"}}',
     '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": "concentrating", "coordinate": "x"}}',
+    '{"start": 1, "edges": [[1,[["x",1]],1]]}',
+    '{"start": 1, "edges": [[1,[1],1]]}',
 ], ids=["edges-do-not-compose", "slot-out-of-range", "tail-not-at-prefix-end",
         "tail-without-vertex", "not-an-object", "no-start", "two-field-edge",
         "non-integer-start", "non-integer-slot", "non-integer-diagonal-vertex",
-        "non-integer-coordinate"])
+        "non-integer-coordinate", "non-integer-key-vertex", "key-vertex-not-pairs"])
 @pytest.mark.parametrize("command", [
     ("orbit", "--steps", "3"),
     ("vershik",),
@@ -148,8 +153,13 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     {"family": "custom", "params": {"levels": {"0": [1], "1": [1]}}},
     {"family": "binfty", "sub": {"kind": "vertex", "rule": "staircase"}},
     {"family": "binfty", "sub": [1]},
+    {"family": "pascal-n", "params": [1]},
+    {"family": "custom", "params": {"levels": [[1], [1]], "rows": {}}},
+    {"family": "custom", "params": {"levels": {"0": [1], "1": [1]},
+                                    "rows": {"1": {"[1": {"1": 1}}}}},
 ], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
-        "sub-not-an-object"])
+        "sub-not-an-object", "params-not-an-object", "custom-levels-a-list",
+        "custom-malformed-row-key"])
 def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

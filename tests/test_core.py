@@ -77,14 +77,14 @@ def test_pascal_window_count_and_ranks():
     for n, b in [(2, 2), (3, 3), (4, 2)]:
         win = vertex_window(d, n, b)
         assert len(win) == comb(n + b - 1, b - 1)
-        assert list(win.ranks) == list(range(1, len(win) + 1))
+        assert [d.rank(n, v) for v in win] == list(range(1, len(win) + 1))
 
 
 def test_pascal_z_window_ranks_follow_zigzag_order():
     d = PascalDiagram("z")
     win = vertex_window(d, 2, 1)  # coordinates -1, 0, 1
-    assert list(win.ranks) == list(range(1, len(win) + 1))
-    first = win.vertices[0]
+    assert [d.rank(2, v) for v in win] == list(range(1, len(win) + 1))
+    first = win[0]
     assert first == ((0, 2),)  # concentrated on the first-ranked coordinate
 
 
@@ -232,11 +232,19 @@ def test_subdiagram_rejects_unknown_rules():
         build_subdiagram(amb, {"kind": "diagonal", "rule": "staircase", "k": 2})
 
 
-def test_window_rejects_duplicate_ranks():
-    from bratteli.core import LevelWindow
-
-    with pytest.raises(DiagramError):
-        LevelWindow(level=1, vertices=(1, 2), ranks=(1, 1))
+@pytest.mark.parametrize("spec", [
+    {"family": "pascal-n"},
+    {"family": "pascal-z"},
+    {"family": "pascal-k", "params": {"k": 3}},
+    {"family": "binfty"},
+    {"family": "bounded-finite", "params": {"k": 1}},
+    {"family": "odometer-io", "params": {"a": 2}},
+], ids=lambda spec: spec["family"])
+def test_a_window_lists_its_vertices_in_rank_order(spec):
+    d = build_diagram(spec)
+    for level in range(d.base_level, d.base_level + 4):
+        win = vertex_window(d, level, 3)
+        assert [d.rank(level, v) for v in win] == list(range(1, len(win) + 1))
 
 
 @settings(max_examples=60, deadline=None)

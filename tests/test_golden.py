@@ -12,9 +12,15 @@ output of every command with a CSV form, the no-CSV error of ``extension``,
 converging ``limits`` iterations (their distances and mass sums reach
 stdout) and ``--precision 64`` runs of ``limits`` and ``continuity``,
 recorded while the CLI still built CSV rows on every run and ``limit_along``
-still carried its iterates as ``Fraction`` vectors.  Refactors must leave every entry unchanged; an
-entry is re-recorded only when its output is meant to change, and CHANGES.md
-says why.
+still carried its iterates as ``Fraction`` vectors.  ``golden_cli.json`` holds
+the ``--help`` text of the group and of every subcommand, ``sample`` with
+``--precision 0`` and ``--precision 64`` (both exit 0 and keep its 53-bit
+float precision), ``extension --precision 64`` and the no-CSV error of
+``orbit``, recorded while every command still parsed its own options and
+called the emitter itself; it runs in an 80-column terminal so that the help
+text does not depend on the caller's.  Refactors must leave every entry
+unchanged; an entry is re-recorded only when its output is meant to change,
+and CHANGES.md says why.
 """
 
 import json
@@ -28,14 +34,15 @@ from bratteli.cli import cli
 CORPUS = json.loads(Path(__file__).with_name("golden_readme.json").read_text())
 ORBITS = json.loads(Path(__file__).with_name("golden_orbit.json").read_text())
 RENDERED = json.loads(Path(__file__).with_name("golden_csv.json").read_text())
+CONVENTIONS = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
 def test_corpus_covers_every_subcommand():
     assert sorted(case["argv"][0] for case in CORPUS) == sorted(cli.commands)
 
 
-def _assert_unchanged(case):
-    result = CliRunner().invoke(cli, case["argv"])
+def _assert_unchanged(case, **extra):
+    result = CliRunner().invoke(cli, case["argv"], **extra)
     assert result.exit_code == case["exit_code"]
     assert result.stdout_bytes == case["stdout"].encode("utf-8")
 
@@ -82,3 +89,13 @@ def _rendered_id(case):
 @pytest.mark.parametrize("case", RENDERED, ids=_rendered_id)
 def test_csv_and_precision_output_is_unchanged(case):
     _assert_unchanged(case)
+
+
+def test_cli_corpus_covers_the_help_of_every_subcommand():
+    helped = [case["argv"][:-1] for case in CONVENTIONS if case["argv"][-1] == "--help"]
+    assert sorted(helped) == [[]] + sorted([name] for name in cli.commands)
+
+
+@pytest.mark.parametrize("case", CONVENTIONS, ids=_rendered_id)
+def test_help_precision_and_format_output_is_unchanged(case):
+    _assert_unchanged(case, env={"COLUMNS": "80"})

@@ -26,7 +26,6 @@ from bratteli.limits import (
     pascal_limit_vector,
     pascal_ray,
     product_row,
-    q_from_y,
 )
 
 import oracles
@@ -108,7 +107,7 @@ def test_normalized_rows_sum_to_one():
 
 def test_q_from_y_weights_by_heights():
     binfty = BinftyDiagram()
-    q = q_from_y(binfty, 2, {1: Fraction(1, 2), 2: Fraction(1, 2)})
+    q = oracles.q_from_y(binfty, 2, {1: Fraction(1, 2), 2: Fraction(1, 2)})
     assert q == {1: Fraction(1, 3), 2: Fraction(2, 3)}
 
 
@@ -140,7 +139,7 @@ def test_limit_along_pascal_ray_reaches_product_masses():
         pascal, 2, pascal_ray(d), tol=Fraction(1, 10**3), m_max=1500
     )
     assert res.converged
-    q = q_from_y(pascal, 2, res.vector)
+    q = oracles.q_from_y(pascal, 2, res.vector)
     target = pascal_limit_vector(d, 2)
     for key, mass in target.items():
         assert abs(q.get(key, Fraction(0)) - mass) < Fraction(2, 100)

