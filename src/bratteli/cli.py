@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import click
 
+from . import __version__
 from .core import (
     FAMILIES,
     BinftyDiagram,
@@ -221,8 +222,11 @@ def _emit(out, fmt, precision, payload, header=None, rows=None,
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DiagramError("cannot write --out %s: %s" % (out, exc.strerror or exc)) from None
     else:
         click.echo(text, nl=False)
 
@@ -407,7 +411,7 @@ _OUTPUT_OPTS = (
 # ---------------------------------------------------------------------------
 
 @click.group()
-@click.version_option(package_name="bratteli", prog_name="bratteli")
+@click.version_option(__version__, prog_name="bratteli")
 def cli():
     """Exact computations on generalized Bratteli diagrams."""
 

@@ -817,7 +817,7 @@ def build_diagram(spec) -> Diagram:
     elif family == "custom":
         levels = _object(_spec_field(params, "levels", "a custom spec"), "a custom spec's levels")
         levels = {
-            as_int(n, "a level"): [vertex_from_json(v) for v in vs]
+            as_int(n, "a level"): [vertex_from_json(v) for v in _list(vs, "a custom level's vertices")]
             for n, vs in levels.items()
         }
         rows = _object(_spec_field(params, "rows", "a custom spec"), "a custom spec's rows")
@@ -836,7 +836,7 @@ def build_diagram(spec) -> Diagram:
         raise DiagramError("unknown family %r (expected one of %s)" % (family, ", ".join(FAMILIES)))
     trunc = spec.get("truncation")
     if trunc:
-        d.params["truncation"] = dict(trunc)
+        d.params["truncation"] = _object(trunc, "a spec's truncation")
     return d
 
 
@@ -860,6 +860,13 @@ def _object(value, what: str) -> dict:
     if not isinstance(value, Mapping):
         raise DiagramError("%s must be a JSON object, got %r" % (what, value))
     return dict(value)
+
+
+def _list(value, what: str) -> list:
+    """``value`` as a list; DiagramError unless it is a JSON array."""
+    if not isinstance(value, (list, tuple)):
+        raise DiagramError("%s must be a JSON array, got %r" % (what, value))
+    return list(value)
 
 
 def _row_key(v):

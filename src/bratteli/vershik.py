@@ -10,10 +10,13 @@ this with minimal edges and maximal refills.
 Paths are finite prefixes plus an optional symbolic tail.  Because levels
 never end, a path whose explicit edges are all maximal is not necessarily
 maximal: the answer lives in the unspecified remainder.  Symbolic tails make
-that remainder exact.  For each supported (order, tail, family) combination
-the module either proves every tail edge extremal or locates the first
-non-extremal tail edge and materializes the prefix up to it; combinations
-with no such analysis raise ``DeepenPrefixError`` instead of guessing.  Paths
+that remainder exact.  Each tail kind owns the families it is defined on,
+its anchor and its edges, so materializing and scanning a tail read its
+``edges`` without asking which kind it is.  For each supported (order,
+tail, family) combination the module either proves every tail edge
+extremal or locates the first non-extremal tail edge and materializes the
+prefix up to it; combinations with no such analysis raise
+``DeepenPrefixError`` instead of guessing.  Paths
 are validated at the public entry points; the step engine ``_step`` trusts its
 input, since a step maps valid paths to valid paths.
 
@@ -27,8 +30,9 @@ the maximal side to the minimal side.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import count, islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     BinftyDiagram,
@@ -65,15 +69,42 @@ class DeepenPrefixError(TruncationIncompleteError):
 # symbolic tails
 
 
+class _Tail:
+    """A symbolic remainder beyond a path's explicit prefix.
+
+    A tail kind declares the ``families`` (``_family_kind`` values) it is
+    defined on and its ``anchor``, the vertex an empty prefix starts from;
+    ``edges`` unfolds it upward from a given level and vertex.
+    """
+
+    families: tuple = ()
+
+    @property
+    def anchor(self):
+        return self.vertex
+
+    def edges(self, diagram: Diagram, level: int, v) -> Iterator:
+        """The tail's ``(source, target, slot)`` edges above vertex ``v`` at ``level``."""
+        raise NotImplementedError
+
+    def moved_to(self, v) -> "_Tail":
+        """The same tail once the prefix has grown to end at ``v``."""
+        return self
+
+
 @dataclass(frozen=True)
-class Unspecified:
+class Unspecified(_Tail):
     """No information beyond the explicit prefix."""
 
     kind = "unspecified"
+    anchor = None
+
+    def edges(self, diagram, level, v):
+        raise DiagramError("cannot materialize an unspecified tail")
 
 
 @dataclass(frozen=True)
-class VerticalAt:
+class VerticalAt(_Tail):
     """Beyond the prefix the path repeats the vertex forever.
 
     ``slot`` picks among parallel edges: "first" / "last" in the level's
@@ -83,26 +114,45 @@ class VerticalAt:
     vertex: object
     slot: str = "first"
     kind = "vertical"
+    families = ("binfty", "staircase", "column-binfty", "column-odometer")
 
     def __post_init__(self):
         if self.slot not in ("first", "last"):
             raise DiagramError("vertical tail slot must be 'first' or 'last'")
 
+    def edges(self, diagram, level, v):
+        for lvl in count(level + 1):
+            yield (v, v, 1 if self.slot == "first" else diagram.predecessors(lvl, v)[v])
+
 
 @dataclass(frozen=True)
-class DiagonalFrom:
+class DiagonalFrom(_Tail):
     """Beyond the prefix the path slants: v -> v+1 -> v+2 -> ..."""
 
     vertex: int
     kind = "diagonal"
+    families = ("binfty", "staircase")
+
+    def edges(self, diagram, level, v):
+        return ((w, w + 1, 1) for w in count(v))
+
+    def moved_to(self, v):
+        return DiagonalFrom(v)
 
 
 @dataclass(frozen=True)
-class PascalConcentrating:
+class PascalConcentrating(_Tail):
     """Beyond the prefix every step adds one unit at the same coordinate."""
 
     coordinate: int
     kind = "concentrating"
+    families = ("pascal",)
+    anchor = ()  # an empty concentrating path starts at the root key
+
+    def edges(self, diagram, level, v):
+        while True:
+            w, v = v, key_add(v, self.coordinate)
+            yield (w, v, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +182,7 @@ class PathRep:
     @property
     def end_vertex(self):
         """The deepest known vertex: prefix end, or the tail's anchor."""
-        if self.edges:
-            return self.edges[-1][1]
-        if isinstance(self.tail, (VerticalAt, DiagonalFrom)):
-            return self.tail.vertex
-        if isinstance(self.tail, PascalConcentrating):
-            return ()  # an empty concentrating path starts at the root key
-        return None
+        return self.edges[-1][1] if self.edges else self.tail.anchor
 
     def vertex_at(self, level: int):
         if not self.start <= level <= self.end_level:
@@ -170,36 +214,24 @@ def validate_path(diagram: Diagram, path: PathRep) -> None:
 
 def _validate_tail(diagram: Diagram, path: PathRep) -> None:
     tail = path.tail
+    if not isinstance(tail, _Tail):
+        raise DiagramError("unknown tail %r" % (tail,))
     if isinstance(tail, Unspecified):
         if not path.edges:
             raise DiagramError("an empty path needs a symbolic tail to anchor it")
         return
-    kind = _family_kind(diagram)
-    if isinstance(tail, VerticalAt):
-        allowed = ("binfty", "staircase", "column-binfty", "column-odometer")
-        if kind not in allowed:
-            raise DiagramError("vertical tails are not defined on %s" % diagram.family)
-        anchor_level = path.end_level
-        if not diagram.level_contains(anchor_level, tail.vertex):
-            raise DiagramError("vertical tail vertex %r is not at level %d" % (tail.vertex, anchor_level))
-        if path.edges and path.edges[-1][1] != tail.vertex:
-            raise DiagramError("vertical tail must anchor at the prefix end")
-    elif isinstance(tail, DiagonalFrom):
-        if kind not in ("binfty", "staircase"):
-            raise DiagramError("diagonal tails are not defined on %s" % diagram.family)
-        if not diagram.level_contains(path.end_level, tail.vertex):
-            raise DiagramError("diagonal tail vertex %r is not at level %d" % (tail.vertex, path.end_level))
-        if path.edges and path.edges[-1][1] != tail.vertex:
-            raise DiagramError("diagonal tail must anchor at the prefix end")
-    elif isinstance(tail, PascalConcentrating):
-        if kind != "pascal":
-            raise DiagramError("concentrating tails are not defined on %s" % diagram.family)
+    if _family_kind(diagram) not in tail.families:
+        raise DiagramError("%s tails are not defined on %s" % (tail.kind, diagram.family))
+    if isinstance(tail, PascalConcentrating):
         if not diagram.coord_in_domain(tail.coordinate):
             raise DiagramError("coordinate %d is outside %s" % (tail.coordinate, diagram.family))
         if not path.edges and path.start != diagram.base_level:
             raise DiagramError("an empty concentrating path must start at the base level")
-    else:
-        raise DiagramError("unknown tail %r" % (tail,))
+        return
+    if not diagram.level_contains(path.end_level, tail.vertex):
+        raise DiagramError("%s tail vertex %r is not at level %d" % (tail.kind, tail.vertex, path.end_level))
+    if path.edges and path.edges[-1][1] != tail.vertex:
+        raise DiagramError("%s tail must anchor at the prefix end" % tail.kind)
 
 
 def _family_kind(diagram: Diagram) -> str:
@@ -244,15 +276,19 @@ def _slots_ascending(items: Iterable) -> list:
     return [(w, slot) for w, mult in items for slot in range(1, mult + 1)]
 
 
+def _rank_sorted_slots(diagram: Diagram, level: int, v) -> list:
+    """The edges into ``v``, sources in rank order, parallel slots ascending."""
+    preds = diagram.predecessors(level, v)
+    return _slots_ascending(sorted(preds.items(), key=lambda wm: diagram.rank(level - 1, wm[0])))
+
+
 class LeftToRightOrder(EdgeOrder):
     """Sources in increasing enumeration order, parallel slots ascending."""
 
     name = "left-to-right"
 
     def edges_into(self, diagram, level, v):
-        preds = diagram.predecessors(level, v)
-        items = sorted(preds.items(), key=lambda wm: diagram.rank(level - 1, wm[0]))
-        return tuple(_slots_ascending(items))
+        return tuple(_rank_sorted_slots(diagram, level, v))
 
 
 class AlternatingOrder(EdgeOrder):
@@ -261,12 +297,8 @@ class AlternatingOrder(EdgeOrder):
     name = "alternating"
 
     def edges_into(self, diagram, level, v):
-        preds = diagram.predecessors(level, v)
-        items = sorted(preds.items(), key=lambda wm: diagram.rank(level - 1, wm[0]))
-        flat = _slots_ascending(items)
-        if level % 2 == 0:
-            flat.reverse()
-        return tuple(flat)
+        flat = _rank_sorted_slots(diagram, level, v)
+        return tuple(reversed(flat) if level % 2 == 0 else flat)
 
 
 class NaturalPascalOrder(EdgeOrder):
@@ -397,67 +429,25 @@ def _first_nonextremal_index(od: OrderedDiagram, path: PathRep, side: str):
 def extremal_path_to(od: OrderedDiagram, level: int, vertex, side: str,
                      stop_level: int | None = None) -> tuple:
     """The minimal ("min") or maximal ("max") path from ``stop_level`` up to
-    ``vertex``, as an edge tuple.
-
-    Multinomial diagrams under the natural order use the closed recipe:
-    walking down, remove one unit at the smallest (minimal side) or largest
-    (maximal side) occupied position.  Everywhere else the refill picks the
-    first or last edge of the order level by level.
+    ``vertex``, as an edge tuple: walking down, the first or last edge of
+    the order at every level.
     """
-    d = od.diagram
-    stop = d.base_level if stop_level is None else stop_level
+    stop = od.diagram.base_level if stop_level is None else stop_level
     if level < stop:
         raise DiagramError("vertex level %d below the stop level %d" % (level, stop))
     edges = []
     u = vertex
-    if isinstance(d, PascalDiagram) and od.order.name == "natural-pascal":
-        for lvl in range(level, stop, -1):
-            c = u[0][0] if side == "min" else u[-1][0]
-            w = key_sub(u, c)
-            edges.append((w, u, 1))
-            u = w
-    else:
-        for lvl in range(level, stop, -1):
-            seq = od.edges_into(lvl, u)
-            w, slot = seq[0] if side == "min" else seq[-1]
-            edges.append((w, u, slot))
-            u = w
+    for lvl in range(level, stop, -1):
+        seq = od.edges_into(lvl, u)
+        w, slot = seq[0] if side == "min" else seq[-1]
+        edges.append((w, u, slot))
+        u = w
     edges.reverse()
     return tuple(edges)
 
 
-def minimal_path_to(od, level, vertex, stop_level=None) -> tuple:
-    return extremal_path_to(od, level, vertex, "min", stop_level)
-
-
-def maximal_path_to(od, level, vertex, stop_level=None) -> tuple:
-    return extremal_path_to(od, level, vertex, "max", stop_level)
-
-
 # ---------------------------------------------------------------------------
 # symbolic tail analysis
-
-
-def _tail_edge(od: OrderedDiagram, tail, anchor_level: int, anchor, j: int):
-    """The j-th tail edge (1-based) as (source, target, slot)."""
-    d = od.diagram
-    if isinstance(tail, VerticalAt):
-        v = tail.vertex
-        if tail.slot == "first":
-            slot = 1
-        else:
-            slot = d.predecessors(anchor_level + j, v)[v]
-        return (v, v, slot)
-    if isinstance(tail, DiagonalFrom):
-        return (tail.vertex + j - 1, tail.vertex + j, 1)
-    raise DiagramError("tail %r has no edge sequence" % (tail,))
-
-
-def _concentrating_vertices(anchor, coordinate: int, depth: int) -> list:
-    out = [anchor]
-    for _ in range(depth):
-        out.append(key_add(out[-1], coordinate))
-    return out
 
 
 def _tail_decision(od: OrderedDiagram, tail, kind: str, anchor_level: int, anchor, side: str):
@@ -523,27 +513,13 @@ def _tail_decision(od: OrderedDiagram, tail, kind: str, anchor_level: int, ancho
 def scan_tail(od: OrderedDiagram, path: PathRep, side: str):
     """Resolve the tail: ("all", None), ("found", depth), or ("unknown", None)."""
     tail = path.tail
-    if isinstance(tail, Unspecified):
-        return ("unknown", None)
-    kind = _family_kind(od.diagram)
-    anchor_level = path.end_level
-    anchor = path.end_vertex
-    decision = _tail_decision(od, tail, kind, anchor_level, anchor, side)
-    if decision == "all":
-        return ("all", None)
-    if decision == "unknown":
-        return ("unknown", None)
-    if isinstance(tail, PascalConcentrating):
-        vertices = _concentrating_vertices(anchor, tail.coordinate, decision)
-        for j in range(1, decision + 1):
-            w, v = vertices[j - 1], vertices[j]
-            if not _edge_is_extremal(od, anchor_level + j, v, w, 1, side):
-                return ("found", j)
-    else:
-        for j in range(1, decision + 1):
-            w, v, slot = _tail_edge(od, tail, anchor_level, anchor, j)
-            if not _edge_is_extremal(od, anchor_level + j, v, w, slot, side):
-                return ("found", j)
+    level, anchor = path.end_level, path.end_vertex
+    decision = _tail_decision(od, tail, _family_kind(od.diagram), level, anchor, side)
+    if decision in ("all", "unknown"):
+        return (decision, None)
+    for j, (w, v, slot) in enumerate(islice(tail.edges(od.diagram, level, anchor), decision), 1):
+        if not _edge_is_extremal(od, level + j, v, w, slot, side):
+            return ("found", j)
     raise DiagramError(
         "internal: tail scan cap %d exhausted for %r under %s" % (decision, tail, od.order.name)
     )
@@ -553,18 +529,8 @@ def materialize(od: OrderedDiagram, path: PathRep, depth: int) -> PathRep:
     """Append ``depth`` tail edges to the prefix, keeping the tail."""
     if depth < 0:
         raise DiagramError("materialize depth must be >= 0")
-    tail = path.tail
-    anchor_level = path.end_level
-    anchor = path.end_vertex
-    if isinstance(tail, PascalConcentrating):
-        vertices = _concentrating_vertices(anchor, tail.coordinate, depth)
-        new = tuple((vertices[j - 1], vertices[j], 1) for j in range(1, depth + 1))
-    elif isinstance(tail, (VerticalAt, DiagonalFrom)):
-        new = tuple(_tail_edge(od, tail, anchor_level, anchor, j) for j in range(1, depth + 1))
-        if isinstance(tail, DiagonalFrom) and depth:
-            tail = DiagonalFrom(new[-1][1])
-    else:
-        raise DiagramError("cannot materialize an unspecified tail")
+    new = tuple(islice(path.tail.edges(od.diagram, path.end_level, path.end_vertex), depth))
+    tail = path.tail.moved_to(new[-1][1]) if new else path.tail
     return PathRep(path.start, path.edges + new, tail)
 
 
@@ -1074,35 +1040,30 @@ def _vertex_to_json(v):
 
 
 def tail_to_json(tail) -> dict:
-    if isinstance(tail, Unspecified):
-        return {"kind": "unspecified"}
-    if isinstance(tail, VerticalAt):
-        return {"kind": "vertical", "vertex": _vertex_to_json(tail.vertex), "slot": tail.slot}
-    if isinstance(tail, DiagonalFrom):
-        return {"kind": "diagonal", "vertex": tail.vertex}
-    if isinstance(tail, PascalConcentrating):
-        return {"kind": "concentrating", "coordinate": tail.coordinate}
-    raise DiagramError("unknown tail %r" % (tail,))
+    return {"kind": tail.kind, **{f.name: _vertex_to_json(getattr(tail, f.name)) for f in fields(tail)}}
 
 
-_TAIL_FIELDS = {"vertical": "vertex", "diagonal": "vertex", "concentrating": "coordinate"}
+_TAIL_KINDS = {t.kind: t for t in (Unspecified, VerticalAt, DiagonalFrom, PascalConcentrating)}
 
 
 def tail_from_json(obj: Mapping):
+    """A tail from its JSON object: integer fields must be integers, a vertex is a vertex."""
     if not isinstance(obj, Mapping):
         raise DiagramError("a path tail must be a JSON object, got %r" % (obj,))
     kind = obj.get("kind", "unspecified")
-    if kind == "unspecified":
-        return Unspecified()
-    if kind in _TAIL_FIELDS and _TAIL_FIELDS[kind] not in obj:
-        raise DiagramError("a %s tail needs a %r field" % (kind, _TAIL_FIELDS[kind]))
-    if kind == "vertical":
-        return VerticalAt(vertex_from_json(obj["vertex"]), obj.get("slot", "first"))
-    if kind == "diagonal":
-        return DiagonalFrom(as_int(obj["vertex"], "a diagonal tail vertex"))
-    if kind == "concentrating":
-        return PascalConcentrating(as_int(obj["coordinate"], "a concentrating tail coordinate"))
-    raise DiagramError("unknown tail kind %r" % (kind,))
+    cls = _TAIL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DiagramError("unknown tail kind %r" % (kind,))
+    args = {}
+    for f in fields(cls):
+        if f.name not in obj:
+            if f.default is MISSING:
+                raise DiagramError("a %s tail needs a %r field" % (kind, f.name))
+        elif f.type == "int":
+            args[f.name] = as_int(obj[f.name], "a %s tail %s" % (kind, f.name))
+        else:
+            args[f.name] = vertex_from_json(obj[f.name]) if f.name == "vertex" else obj[f.name]
+    return cls(**args)
 
 
 def path_to_json(path: PathRep) -> dict:

@@ -62,7 +62,7 @@ from bratteli.vershik import (
     bijection_check,
     classify_descriptor,
     classify_extremal,
-    minimal_path_to,
+    extremal_path_to,
     succ_pred,
     succ_pred_descriptor,
     vershik_inverse,
@@ -365,7 +365,7 @@ def test_criterion_10_adic_step_bijections_and_binary_carry():
         OdometerChainDiagram(2),
         {"kind": "vertex", "rule": "constant", "vertex": 1})
     od = OrderedDiagram(column, "left-to-right")
-    path = PathRep(column.base_level, minimal_path_to(od, 5, 1))
+    path = PathRep(column.base_level, extremal_path_to(od, 5, 1, "min"))
     for value in range(32):
         assert path.edges == tuple(
             (1, 1, ((value >> bit) & 1) + 1) for bit in range(5))

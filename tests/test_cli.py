@@ -107,10 +107,12 @@ def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
     '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": "concentrating", "coordinate": "x"}}',
     '{"start": 1, "edges": [[1,[["x",1]],1]]}',
     '{"start": 1, "edges": [[1,[1],1]]}',
+    '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": [1]}}',
 ], ids=["edges-do-not-compose", "slot-out-of-range", "tail-not-at-prefix-end",
         "tail-without-vertex", "not-an-object", "no-start", "two-field-edge",
         "non-integer-start", "non-integer-slot", "non-integer-diagonal-vertex",
-        "non-integer-coordinate", "non-integer-key-vertex", "key-vertex-not-pairs"])
+        "non-integer-coordinate", "non-integer-key-vertex", "key-vertex-not-pairs",
+        "tail-kind-not-a-string"])
 @pytest.mark.parametrize("command", [
     ("orbit", "--steps", "3"),
     ("vershik",),
@@ -157,9 +159,11 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     {"family": "custom", "params": {"levels": [[1], [1]], "rows": {}}},
     {"family": "custom", "params": {"levels": {"0": [1], "1": [1]},
                                     "rows": {"1": {"[1": {"1": 1}}}}},
+    {"family": "custom", "params": {"levels": {"0": 5}, "rows": {}}},
+    {"family": "binfty", "truncation": [1]},
 ], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
         "sub-not-an-object", "params-not-an-object", "custom-levels-a-list",
-        "custom-malformed-row-key"])
+        "custom-malformed-row-key", "custom-level-not-a-list", "truncation-not-an-object"])
 def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -186,6 +190,18 @@ def test_success_exits_zero_through_the_console_entry_point(tmp_path):
               "--window", "3", "--out", str(out)])
     assert info.value.code == 0
     assert json.loads(out.read_text())["heights"]["3"] == "3"
+
+
+def test_out_into_a_missing_directory_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert_domain_error(["heights", "--family", "binfty", "--level", "2",
+                         "--window", "2", "--out", str(out)], capsys)
+
+
+def test_version_is_read_from_the_package_not_installed_metadata():
+    result = run("--version")
+    assert result.exit_code == 0, result.output
+    assert result.output == "bratteli, version 0.1.0\n"
 
 
 # ---------------------------------------------------------------------------

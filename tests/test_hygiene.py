@@ -10,14 +10,21 @@ directives, not names, and are skipped too.
 A private name (one leading underscore) defined at module level by a
 ``def``, ``class`` or assignment counts as read when some module of the
 package loads it as a name or as an attribute.
+
+Every layer callable the benchmark's tracer (``perfbench/shim.py``) hooks
+must exist under its listed name: the tracer looks each one up unguarded, so
+a renamed function would otherwise crash traced benchmark runs.  The test
+reads ``TRACED`` from the shim's source without importing it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bratteli"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bratteli"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
@@ -89,3 +96,22 @@ def test_every_private_module_level_name_is_read(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     unread = sorted(set(_private_definitions(tree)) - loaded)
     assert unread == [], "%s defines %s but nothing in the package reads them" % (module.name, unread)
+
+
+def _traced_entries():
+    tree = ast.parse((ROOT / "perfbench" / "shim.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/shim.py defines no TRACED tuple")
+
+
+@pytest.mark.parametrize("module, attr, span", _traced_entries(), ids=lambda x: x)
+def test_every_traced_callable_exists(module, attr, span):
+    mod = importlib.import_module("bratteli." + module)
+    if "." in attr:  # a method entry: the tracer hooks whichever classes define it
+        owner = attr.split(".")[0]
+        assert isinstance(getattr(mod, owner, None), type), "bratteli.%s has no class %s" % (module, owner)
+    else:
+        assert callable(getattr(mod, attr, None)), "bratteli.%s has no function %s" % (module, attr)

@@ -16,7 +16,6 @@ from bratteli.core import (
 )
 from bratteli.linalg import heights
 from bratteli.vershik import (
-    CustomOrder,
     DeepenPrefixError,
     DiagonalFrom,
     ExtremalClass,
@@ -36,10 +35,9 @@ from bratteli.vershik import (
     descriptor_to_json,
     descriptor_vertex,
     enumerate_prefixes,
+    extremal_path_to,
     make_order,
     materialize,
-    maximal_path_to,
-    minimal_path_to,
     mirror_descriptor,
     orbit,
     path_from_json,
@@ -205,24 +203,39 @@ def test_validate_path_checks_tail_admissibility():
 
 def test_minimal_and_maximal_refills_on_binfty():
     od = OrderedDiagram(BinftyDiagram(), "left-to-right")
-    assert minimal_path_to(od, 4, 3) == ((1, 1, 1), (1, 1, 1), (1, 3, 1))
-    assert maximal_path_to(od, 3, 2) == ((2, 2, 1), (2, 2, 1))
+    assert extremal_path_to(od, 4, 3, "min") == ((1, 1, 1), (1, 1, 1), (1, 3, 1))
+    assert extremal_path_to(od, 3, 2, "max") == ((2, 2, 1), (2, 2, 1))
+
+
+def _natural_refill_reference(v, side):
+    """Walk down from ``v`` to the root key, removing one unit at the smallest
+    (min) or largest (max) occupied coordinate."""
+    counts = dict(v)
+    edges = []
+    while counts:
+        c = min(counts) if side == "min" else max(counts)
+        below = dict(counts)
+        below[c] -= 1
+        if not below[c]:
+            del below[c]
+        edges.append((key(*below.items()), key(*counts.items()), 1))
+        counts = below
+    return tuple(reversed(edges))
 
 
 def test_natural_refill_recipe_matches_generic_descent():
-    d = PascalDiagram("z")
-    fast = OrderedDiagram(d, "natural")
-    slow = OrderedDiagram(d, CustomOrder(lambda dd, lvl, v: make_order("natural").edges_into(dd, lvl, v)))
-    v = key((-2, 2), (0, 1), (3, 2))
-    for side_fn in (minimal_path_to, maximal_path_to):
-        assert side_fn(fast, 5, v) == side_fn(slow, 5, v)
+    for signed, v in (("z", key((-2, 2), (0, 1), (3, 2))), ("n", key((1, 2), (2, 1), (4, 3)))):
+        od = OrderedDiagram(PascalDiagram(signed), "natural")
+        level = sum(m for _, m in v)
+        for side in ("min", "max"):
+            assert extremal_path_to(od, level, v, side) == _natural_refill_reference(v, side)
 
 
 def test_minimal_refill_fills_smallest_position_first():
     od = OrderedDiagram(PascalDiagram("n"), "natural")
     v = key((1, 1), (3, 1))
-    lo = minimal_path_to(od, 2, v)
-    hi = maximal_path_to(od, 2, v)
+    lo = extremal_path_to(od, 2, v, "min")
+    hi = extremal_path_to(od, 2, v, "max")
     # minimal: the level-1 vertex still holds the larger position
     assert lo == ((key(), key((3, 1)), 1), (key((3, 1)), v, 1))
     assert hi == ((key(), key((1, 1)), 1), (key((1, 1)), v, 1))
@@ -707,7 +720,7 @@ def test_orbit_counts_level_visits_like_path_counts():
     od = OrderedDiagram(staircase(2), "left-to-right")
     top_level, v = 5, 4
     hs = heights(od.diagram, top_level)
-    start = PathRep(1, minimal_path_to(od, top_level, v))
+    start = PathRep(1, extremal_path_to(od, top_level, v, "min"))
     result = orbit(od, start, hs[v] - 1, visit_level=3)
     assert len(result.paths) == hs[v]
     expected = {}
@@ -754,7 +767,7 @@ ORBIT_CASES = {
 
 def _minimal_start(make, order, level, v):
     od = OrderedDiagram(make(), order)
-    return od, PathRep(od.diagram.base_level, minimal_path_to(od, level, v))
+    return od, PathRep(od.diagram.base_level, extremal_path_to(od, level, v, "min"))
 
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
@@ -847,6 +860,27 @@ def test_materialize_respects_parallel_slot_choice():
     hi = materialize(od, PathRep(0, (), VerticalAt(1, "last")), 2)
     assert lo.edges == ((1, 1, 1), (1, 1, 1))
     assert hi.edges == ((1, 1, 2), (1, 1, 2))
+
+
+def test_materialize_grows_a_concentrating_tail_from_a_nonempty_anchor():
+    od = OrderedDiagram(PascalDiagram("n"), "natural")
+    x = PathRep(0, ((key(), key((2, 1)), 1),), PascalConcentrating(1))
+    y = materialize(od, x, 2)
+    assert y.edges[1:] == ((key((2, 1)), key((1, 1), (2, 1)), 1),
+                           (key((1, 1), (2, 1)), key((1, 2), (2, 1)), 1))
+    assert y.tail == x.tail
+
+
+def test_materialize_takes_each_levels_multiplicity_as_the_last_slot():
+    od = OrderedDiagram(odometer_column("pow2"), "left-to-right")
+    y = materialize(od, PathRep(0, (), VerticalAt(1, "last")), 4)
+    assert y.edges == ((1, 1, 2), (1, 1, 4), (1, 1, 8), (1, 1, 16))
+
+
+def test_materialize_refuses_an_unspecified_tail_even_at_depth_zero():
+    od = OrderedDiagram(BinftyDiagram(), "left-to-right")
+    with pytest.raises(DiagramError):
+        materialize(od, PathRep(1, ((2, 3, 1),)), 0)
 
 
 def test_path_serialization_round_trip():
