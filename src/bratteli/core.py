@@ -442,17 +442,36 @@ class BoundedDiagram(Diagram):
         return step_polynomial_coefficients(self.k, level).get(v, 0)
 
 
-@lru_cache(maxsize=None)
+#: k -> {power: coefficients}, holding only the powers callers asked for
+_step_powers: dict[int, dict[int, dict[int, int]]] = {}
+
+
 def step_polynomial_coefficients(k: int, power: int) -> dict[int, int]:
-    """Coefficients of (x^-k + ... + 1 + ... + x^k)^power as {exponent: coefficient}."""
-    coeffs = {0: 1}
-    for _ in range(power):
-        new: dict[int, int] = {}
-        for e, c in coeffs.items():
-            for d in range(-k, k + 1):
-                new[e + d] = new.get(e + d, 0) + c
-        coeffs = new
+    """Coefficients of (x^-k + ... + 1 + ... + x^k)^power as {exponent: coefficient}.
+
+    Built from the largest power already cached for ``k`` by one
+    ``_step_convolve`` per missing power, so ascending calls for 1..m cost m
+    convolutions in all.  Every dict has the key order of the from-scratch
+    loop, because each step is that loop's body.
+    """
+    cached = _step_powers.setdefault(k, {})
+    coeffs = cached.get(power)
+    if coeffs is None:
+        start = max((p for p in cached if 0 < p < power), default=0)
+        coeffs = cached[start] if start else {0: 1}
+        for _ in range(start, power):
+            coeffs = _step_convolve(coeffs, k)
+        cached[power] = coeffs
     return coeffs
+
+
+def _step_convolve(coeffs: dict[int, int], k: int) -> dict[int, int]:
+    """``coeffs`` times x^-k + ... + x^k: the next power's coefficients."""
+    new: dict[int, int] = {}
+    for e, c in coeffs.items():
+        for d in range(-k, k + 1):
+            new[e + d] = new.get(e + d, 0) + c
+    return new
 
 
 class OdometerChainDiagram(Diagram):
@@ -836,7 +855,10 @@ def build_diagram(spec) -> Diagram:
         raise DiagramError("unknown family %r (expected one of %s)" % (family, ", ".join(FAMILIES)))
     trunc = spec.get("truncation")
     if trunc:
-        d.params["truncation"] = _object(trunc, "a spec's truncation")
+        trunc = _object(trunc, "a spec's truncation")
+        if trunc.get("bound") is not None:
+            trunc["bound"] = as_int(trunc["bound"], "a truncation bound")
+        d.params["truncation"] = trunc
     return d
 
 

@@ -2,7 +2,7 @@
 
 Everything here favours transparency over speed: heights and transition
 counts come from explicit path enumeration, polynomial coefficients from
-sympy expansion, adic successors from sorting complete path lists, and the
+sympy expansion or the from-scratch convolution loop, adic successors from sorting complete path lists, and the
 endpoint law of a product measure from summing every coordinate sequence.
 """
 from __future__ import annotations
@@ -77,6 +77,22 @@ def step_poly_coefficients(k, power):
         if c:
             out[e - k * power] = int(c)
     return out
+
+
+def step_poly_from_scratch(k, power):
+    """(x^-k + ... + x^k)^power by ``power`` convolutions from {0: 1}.
+
+    The from-scratch loop the library once ran for every power; its dicts
+    set the key order that closed-form product rows print in.
+    """
+    coeffs = {0: 1}
+    for _ in range(power):
+        new = {}
+        for e, c in coeffs.items():
+            for d in range(-k, k + 1):
+                new[e + d] = new.get(e + d, 0) + c
+        coeffs = new
+    return coeffs
 
 
 def adic_sort_key(path, order):

@@ -161,13 +161,24 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
                                     "rows": {"1": {"[1": {"1": 1}}}}},
     {"family": "custom", "params": {"levels": {"0": 5}, "rows": {}}},
     {"family": "binfty", "truncation": [1]},
+    {"family": "binfty", "truncation": {"bound": "x"}},
 ], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
         "sub-not-an-object", "params-not-an-object", "custom-levels-a-list",
-        "custom-malformed-row-key", "custom-level-not-a-list", "truncation-not-an-object"])
+        "custom-malformed-row-key", "custom-level-not-a-list", "truncation-not-an-object",
+        "truncation-bound-not-an-integer"])
 def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert_domain_error(["heights", "--spec", str(path), "--level", "1"], capsys)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "pascal-n", "truncation": {"bound": "x"}},
+], ids=["truncation-bound-not-an-integer"])
+def test_a_malformed_spec_file_is_a_domain_error_for_stochastic(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert_domain_error(["stochastic", "--spec", str(path), "--level", "2"], capsys)
 
 
 @pytest.mark.parametrize("sub", ["staircase:x", "pascal-edge:1.5", "constant:x"])

@@ -1,9 +1,14 @@
 import json
+import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from bratteli import core
 from bratteli.core import (
     BinftyDiagram,
     BoundedDiagram,
@@ -18,6 +23,7 @@ from bratteli.core import (
     key_add,
     key_level,
     key_sub,
+    step_polynomial_coefficients,
     support_key,
     vertex_window,
     zigzag,
@@ -258,3 +264,39 @@ def test_capped_compositions_keep_the_uncapped_order(total, caps):
     ]
     assert capped == bounded
     assert all(key_level(key) == total for key in capped)
+
+
+@pytest.fixture
+def fresh_step_powers(monkeypatch):
+    """An empty step-polynomial cache for one test; the module's own is restored after."""
+    monkeypatch.setattr(core, "_step_powers", {})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_step_polynomial_powers_in_any_order_match_the_from_scratch_loop(k, fresh_step_powers):
+    powers = list(range(61))
+    random.Random(k).shuffle(powers)
+    for power in powers:
+        got = step_polynomial_coefficients(k, power)
+        assert list(got.items()) == list(oracles.step_poly_from_scratch(k, power).items())
+
+
+def test_a_step_polynomial_power_beyond_the_recursion_limit_is_built(fresh_step_powers):
+    power = sys.getrecursionlimit() + 1
+    coeffs = step_polynomial_coefficients(1, power)
+    assert sum(coeffs.values()) == 3 ** power
+    assert coeffs[power] == coeffs[-power] == 1
+
+
+def test_ascending_step_polynomial_powers_cost_one_convolution_each(fresh_step_powers, monkeypatch):
+    calls = Counter()
+    convolve = core._step_convolve
+
+    def counting(coeffs, k):
+        calls[k] += 1
+        return convolve(coeffs, k)
+
+    monkeypatch.setattr(core, "_step_convolve", counting)
+    for m in range(1, 81):
+        step_polynomial_coefficients(2, m)
+    assert calls == {2: 80}

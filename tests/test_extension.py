@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,7 @@ from bratteli.core import (
     BinftyDiagram,
     DiagramError,
     OdometerChainDiagram,
+    Subdiagram,
     build_subdiagram,
 )
 from bratteli.extension import (
@@ -21,6 +23,7 @@ from bratteli.extension import (
     run_extension_case,
     series_verdict,
     staircase_extension,
+    staircase_terms,
 )
 from bratteli.measures import (
     BinomialEdgeMeasure,
@@ -87,6 +90,32 @@ def test_staircase_extension_diverges_at_one():
     v = staircase_extension(Fraction(1), 2, n_max=150)
     assert v.verdict == INFINITE
     assert v.method == "divergence-heuristic"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [Fraction(1, 3), HALF, Fraction(2, 3), Fraction(3, 4),
+                               Fraction(3, 5), Fraction(1), Fraction(2), Fraction(5, 2)])
+def test_staircase_closed_form_terms_equal_the_generic_sum(a, k):
+    sub = staircase(k)
+    nu = StaircaseMeasure(a, sub)
+    assert staircase_terms(nu, 40) == extension_terms(sub, nu.p, 40)
+
+
+def test_staircase_extension_reads_two_masses_per_term(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(StaircaseMeasure, "p", counting("p", StaircaseMeasure.p))
+    monkeypatch.setattr(Subdiagram, "outside_predecessors",
+                        counting("outside_predecessors", Subdiagram.outside_predecessors))
+    staircase_extension(HALF, 2, n_max=200)
+    assert calls["p"] <= 2 * 200 + 4
+    assert calls["outside_predecessors"] == 0
 
 
 def test_edge_binomial_terms_match_direct_formula():

@@ -18,7 +18,11 @@ the ``--help`` text of the group and of every subcommand, ``sample`` with
 float precision), ``extension --precision 64`` and the no-CSV error of
 ``orbit``, recorded while every command still parsed its own options and
 called the emitter itself; it runs in an 80-column terminal so that the help
-text does not depend on the caller's.  Refactors must leave every entry
+text does not depend on the caller's.  ``golden_series.json`` holds four
+``extension --case nu-a-staircase`` runs (a = 1/2, 1, 2 and 3/5, the last with
+``--precision 64``) and ``bk-decay`` for k = 1, 2, 3 in JSON and once in CSV,
+recorded while every staircase term still summed over every kept vertex and
+every step-polynomial power was rebuilt from {0: 1}.  Refactors must leave every entry
 unchanged; an entry is re-recorded only when its output is meant to change,
 and CHANGES.md says why.
 """
@@ -35,6 +39,7 @@ CORPUS = json.loads(Path(__file__).with_name("golden_readme.json").read_text())
 ORBITS = json.loads(Path(__file__).with_name("golden_orbit.json").read_text())
 RENDERED = json.loads(Path(__file__).with_name("golden_csv.json").read_text())
 CONVENTIONS = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+SERIES = json.loads(Path(__file__).with_name("golden_series.json").read_text())
 
 
 def test_corpus_covers_every_subcommand():
@@ -99,3 +104,8 @@ def test_cli_corpus_covers_the_help_of_every_subcommand():
 @pytest.mark.parametrize("case", CONVENTIONS, ids=_rendered_id)
 def test_help_precision_and_format_output_is_unchanged(case):
     _assert_unchanged(case, env={"COLUMNS": "80"})
+
+
+@pytest.mark.parametrize("case", SERIES, ids=_rendered_id)
+def test_series_output_is_unchanged(case):
+    _assert_unchanged(case)
