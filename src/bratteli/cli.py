@@ -29,6 +29,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 import click
@@ -45,7 +46,6 @@ from .core import (
     build_subdiagram,
     step_polynomial_coefficients,
     support_key,
-    vertex_window,
 )
 from .extension import EXTENSION_CASES, run_extension_case
 from .limits import (
@@ -155,14 +155,20 @@ def _json_arg(text, what):
 # ---------------------------------------------------------------------------
 
 def _fr(x):
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 @functools.lru_cache(maxsize=None)
 def _vkey(v):
     if isinstance(v, tuple):
-        return json.dumps([[c, m] for c, m in v], separators=(",", ":"))
+        return "[%s]" % ",".join("[%d,%d]" % p for p in v)
     return str(v)
+
+
+def _sums_to_one(row):
+    """Whether the ``Fraction``s of ``row`` sum to exactly 1, summed as integers over their lcm."""
+    big = lcm(*(f.denominator for f in row.values()))
+    return sum(f.numerator * (big // f.denominator) for f in row.values()) == big
 
 
 def _by_key_repr(item):
@@ -452,12 +458,6 @@ _ORDER_OPT = click.option(
     help="Edge order: left-to-right, alternating, natural or cyclic.")
 
 
-def _window_vertices(diagram, level, window, vertex_text):
-    if vertex_text is not None:
-        return (_vertex(vertex_text),)
-    return vertex_window(diagram, level, window)
-
-
 # ---------------------------------------------------------------------------
 # the commands
 # ---------------------------------------------------------------------------
@@ -472,21 +472,21 @@ def _window_vertices(diagram, level, window, vertex_text):
 def heights_cmd(source, level, window, vertex_text):
     """Path-count heights at a level, with closed forms when available."""
     diagram = source()
-    vertices = _window_vertices(diagram, level, window, vertex_text)
-    values = heights(diagram, level, vertices)
+    values = heights(diagram, level, None if vertex_text is None else [_vertex(vertex_text)],
+                     window)
     payload = {
         "family": diagram.family,
         "level": level,
-        "heights": {_vkey(v): str(values[v]) for v in vertices},
+        "heights": {_vkey(v): str(h) for v, h in values.items()},
     }
     try:
-        closed = heights_closed_form(diagram, level, vertices)
+        closed = heights_closed_form(diagram, level, values)
     except DiagramError:
         closed = None
     if closed is not None:
         payload["closed_form_agrees"] = closed == values
     return (payload, ["vertex", "height"],
-            lambda: [[_vkey(v), str(values[v])] for v in vertices])
+            lambda: [[_vkey(v), str(h)] for v, h in values.items()])
 
 
 @_command(
@@ -500,8 +500,8 @@ def heights_cmd(source, level, window, vertex_text):
 def stochastic(source, level, window, vertex_text):
     """Height-normalized incidence rows; each row sums to exactly 1."""
     diagram = source()
-    targets = _window_vertices(diagram, level, window, vertex_text)
-    rows_map = stochastic_rows(diagram, level, targets)
+    rows_map = stochastic_rows(diagram, level,
+                               None if vertex_text is None else [_vertex(vertex_text)], window)
     payload = {
         "family": diagram.family,
         "level": level,
@@ -509,9 +509,7 @@ def stochastic(source, level, window, vertex_text):
             _vkey(v): {_vkey(w): _fr(f) for w, f in row.items()}
             for v, row in rows_map.items()
         },
-        "row_sums_one": all(
-            sum(row.values(), Fraction(0)) == 1 for row in rows_map.values()
-        ),
+        "row_sums_one": all(_sums_to_one(row) for row in rows_map.values()),
     }
     return payload, ["target", "source", "weight"], lambda: [
         [_vkey(v), _vkey(w), _fr(f)]
@@ -908,7 +906,7 @@ def orbit_cmd(source, order_name, path_text, steps, visit_level):
 def continuity(source, level, window):
     """Rank-weighted row norms tracking continuity of the transpose action."""
     diagram = source()
-    norms = continuity_profile(diagram, level, vertex_window(diagram, level, window))
+    norms = continuity_profile(diagram, level, bound=window)
     payload = {
         "family": diagram.family,
         "level": level,

@@ -105,22 +105,6 @@ def key_add(key: tuple[tuple[int, int], ...], coord: int) -> tuple[tuple[int, in
     return tuple(out)
 
 
-def key_sub(key: tuple[tuple[int, int], ...], coord: int) -> tuple[tuple[int, int], ...]:
-    """The key with one unit removed at ``coord`` (which must be present)."""
-    out = []
-    found = False
-    for c, m in key:
-        if c == coord:
-            found = True
-            if m > 1:
-                out.append((c, m - 1))
-        else:
-            out.append((c, m))
-    if not found:
-        raise DiagramError("coordinate %r absent from key %r" % (coord, key))
-    return tuple(out)
-
-
 def _coord_rank(coord: int, signed: bool) -> int:
     return zigzag(coord) if signed else coord
 
@@ -147,8 +131,8 @@ def _pascal_sort_triple(key: tuple[tuple[int, int], ...], signed: bool):
         return (0, 0, ())
     if signed:
         ranked = tuple(sorted((zigzag(c), m) for c, m in key))
-        return (max(r for r, _ in ranked), len(key), ranked)
-    return (max(c for c, _ in key), len(key), tuple(key))
+        return (ranked[-1][0], len(key), ranked)
+    return (key[-1][0], len(key), tuple(key))
 
 
 def _compositions(total: int, coords: Sequence[int],
@@ -308,7 +292,9 @@ class PascalDiagram(Diagram):
         return list(range(-bound, bound + 1))
 
     def _predecessors(self, level: int, v) -> dict:
-        return {key_sub(v, c): 1 for c, _ in v}
+        # one unit removed at each position, ascending; a pair at 1 drops out
+        return {v[:i] + ((c, m - 1),) + v[i + 1:] if m > 1 else v[:i] + v[i + 1:]: 1
+                for i, (c, m) in enumerate(v)}
 
     def successors(self, level: int, w, bound: int | None = None) -> dict:
         self.check_vertex(level, w)
@@ -575,6 +561,13 @@ class CustomDiagram(Diagram):
                 raise DiagramError("custom level %d is empty" % n)
             if any(isinstance(v, tuple) for v in vs):
                 self.integer_keys = False
+        for n, level_rows in self._rows.items():  # so a row's sources are vertices
+            below = set(self._levels.get(n - 1, ()))
+            for v, preds in level_rows.items():
+                stray = [w for w in preds if w not in below]
+                if stray:
+                    raise DiagramError("custom row of %r at level %d names %r, which is not "
+                                       "a vertex of level %d" % (v, n, stray[0], n - 1))
         super().__init__({"base_level": base_level})
 
     def predecessors(self, level: int, v) -> dict:

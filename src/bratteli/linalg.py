@@ -5,11 +5,17 @@ Heights are computed by the downward cone recursion, so they are exact for
 every built-in family; ``heights_closed_form`` exposes the per-family closed
 forms so the two routes can be compared.
 
-``heights`` is the one height recursion.  It stores what it computes in the
-diagram's height memo (level -> {vertex: H}, made in ``Diagram.__init__``),
-so calls on one diagram instance share their cones: a query walks down only
-through vertices the memo lacks.  Stochastic rows and the continuity
-profile read their source heights from it.
+``_heights`` is the one height recursion, and it checks nothing.  It stores
+what it computes in the diagram's height memo (level -> {vertex: H}, made in
+``Diagram.__init__``), so calls on one diagram instance share their cones: a
+query walks down only through vertices the memo lacks.
+
+Validation happens once, at entry.  A whole window (``vertices`` or
+``targets`` left ``None``, cut by ``bound``) is trusted, because
+``vertex_window`` lists vertices; an explicit list is checked.
+``stochastic_rows`` reads each target row once and fills every source
+height with one ``_heights`` call; ``stochastic_row`` and the continuity
+profile read their rows from it.
 
 ``height`` is the one closed-form-else-recursion route: the family's closed
 form when it has one, else ``heights``.  Closed forms are never written into
@@ -29,25 +35,36 @@ def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
 
     Computed by the cone recursion H^(base) = 1, H^(n+1)_v = sum of
     multiplicities times the heights one level down.  ``vertices`` defaults
-    to the canonical window at ``level``.
+    to the canonical window at ``level``, whose vertices are not checked; an
+    explicit list is checked once per vertex not yet in the height memo.
+    """
+    return _heights(diagram, level, _entry_vertices(diagram, level, vertices, bound))
 
-    Results are memoized on ``diagram``: the level and every requested
-    vertex not yet in the memo are validated once here, the walk down stops
-    at vertices the memo already holds, and the missing heights are then
-    filled level by level from the bottom, reading rows unchecked through
-    ``_predecessors``.  Nothing is stored until the walk
+
+def _entry_vertices(diagram: Diagram, level: int, vertices: Iterable | None,
+                    bound: int | None):
+    """The window at ``level`` (trusted), else ``vertices`` checked where the height memo lacks them."""
+    diagram.check_level(level)
+    if vertices is None:
+        return vertex_window(diagram, level, bound)
+    vertices = list(vertices)
+    for v in set(vertices).difference(diagram._height_memo.get(level, ())):
+        diagram.check_vertex(level, v)
+    return vertices
+
+
+def _heights(diagram: Diagram, level: int, vertices: Iterable) -> dict:
+    """``heights`` unchecked: ``vertices`` must be vertices of ``level``.
+
+    The walk down stops at vertices the memo already holds, and the missing
+    heights are then filled level by level from the bottom, reading rows
+    unchecked through ``_predecessors``.  Nothing is stored until the walk
     has succeeded, so a call that raises (for example
     ``TruncationIncompleteError`` where declared data runs out) leaves the
     memo as it was and raises again the same way.
     """
-    diagram.check_level(level)
-    if vertices is None:
-        vertices = vertex_window(diagram, level, bound)
-    vertices = list(vertices)
     memo = diagram._height_memo
     todo = set(vertices).difference(memo.get(level, ()))
-    for v in todo:
-        diagram.check_vertex(level, v)
     need = {level: todo}
     lowest = level
     while todo and lowest > diagram.base_level:
@@ -81,16 +98,10 @@ def heights_closed_form(diagram: Diagram, level: int, vertices: Iterable | None 
                         bound: int | None = None) -> dict:
     """Closed-form heights for families that have one; DiagramError otherwise.
 
-    Validates the level and each vertex not in the height memo (memo entries were).
+    Vertices are taken as ``heights`` takes them: a window trusted, a list checked.
     """
-    diagram.check_level(level)
-    if vertices is None:
-        vertices = vertex_window(diagram, level, bound)
-    vertices = list(vertices)
-    for v in set(vertices).difference(diagram._height_memo.get(level, ())):
-        diagram.check_vertex(level, v)
     out = {}
-    for v in vertices:
+    for v in _entry_vertices(diagram, level, vertices, bound):
         value = diagram.closed_form_height(level, v)
         if value is None:
             raise DiagramError("%s has no closed-form height" % diagram.family)
@@ -99,22 +110,33 @@ def heights_closed_form(diagram: Diagram, level: int, vertices: Iterable | None 
 
 
 def stochastic_row(diagram: Diagram, level: int, v) -> dict:
-    """The stochastic row f_(v w) = f'_(v w) H_w / H_v for target ``v`` at ``level``.
+    """The stochastic row f_(v w) = f'_(v w) H_w / H_v for target ``v`` at ``level``."""
+    return stochastic_rows(diagram, level, [v])[v]
 
-    H_v is the row's total weight, the sum of f'_(v w) H_w, so rows sum to
-    exactly 1.  Source heights come from the diagram's height memo, so
-    repeated calls share work.
+
+def stochastic_rows(diagram: Diagram, level: int, targets: Iterable | None = None,
+                    bound: int | None = None) -> dict:
+    """Stochastic rows for several targets at one level, the window by default.
+
+    An explicit target is checked as ``predecessors`` checks it; a window's
+    targets are trusted.  Each row is read once, and one ``_heights`` call
+    fills the source heights of all of them.  H_v is a row's total weight,
+    the sum of f'_(v w) H_w, so rows sum to exactly 1.
     """
-    row = diagram.predecessors(level, v)
-    h = heights(diagram, level - 1, row)
-    weights = {w: m * h[w] for w, m in row.items()}
-    hv = sum(weights.values())
-    return {w: Fraction(x, hv) for w, x in weights.items()}
-
-
-def stochastic_rows(diagram: Diagram, level: int, targets: Iterable) -> dict:
-    """Stochastic rows for several targets at one level."""
-    return {v: stochastic_row(diagram, level, v) for v in targets}
+    diagram.check_level(level)
+    read = diagram.predecessors
+    if targets is None:
+        targets = vertex_window(diagram, level, bound)
+        if level > diagram.base_level:  # at the base level the checked read refuses
+            read = diagram._predecessors
+    rows = {v: read(level, v) for v in targets}
+    h = _heights(diagram, level - 1, set().union(*rows.values()))
+    out = {}
+    for v, row in rows.items():
+        weights = {w: m * h[w] for w, m in row.items()}
+        hv = sum(weights.values())
+        out[v] = {w: Fraction(x, hv) for w, x in weights.items()}
+    return out
 
 
 def simplex_distance(x: Mapping, y: Mapping, ranks: Mapping[object, int]) -> Fraction:
@@ -158,12 +180,15 @@ def weighted_row_norm(row: Mapping, ranks: Mapping[object, int]) -> Fraction:
     )
 
 
-def continuity_profile(diagram: Diagram, level: int, targets: Iterable) -> dict:
-    """|g_v| for each target v at ``level`` (sources ranked at ``level - 1``)."""
+def continuity_profile(diagram: Diagram, level: int, targets: Iterable | None = None,
+                       bound: int | None = None) -> dict:
+    """|g_v| for each target v at ``level`` (sources ranked at ``level - 1``).
+
+    Targets are taken, and rows read, as ``stochastic_rows`` does.
+    """
     out = {}
     ranks: dict = {}
-    for v in targets:
-        row = stochastic_row(diagram, level, v)
+    for v, row in stochastic_rows(diagram, level, targets, bound).items():
         for w in row:
             if w not in ranks:
                 ranks[w] = diagram.rank(level - 1, w)

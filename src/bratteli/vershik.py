@@ -44,7 +44,6 @@ from .core import (
     TruncationIncompleteError,
     as_int,
     key_add,
-    key_sub,
     support_key,
     vertex_from_json,
 )
@@ -317,7 +316,7 @@ class NaturalPascalOrder(EdgeOrder):
         diagram.check_vertex(level, v)
         if level == diagram.base_level:
             raise DiagramError("base level vertices have no incoming edges")
-        return tuple((key_sub(v, c), 1) for c, _ in v)
+        return tuple(diagram._predecessors(level, v).items())
 
 
 class CyclicBinftyOrder(EdgeOrder):

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here favours transparency over speed: heights and transition
-counts come from explicit path enumeration, polynomial coefficients from
+counts come from explicit path enumeration, multinomial rows from rebuilding
+each key pair by pair, polynomial coefficients from
 sympy expansion or the from-scratch convolution loop, adic successors from sorting complete path lists, and the
 endpoint law of a product measure from summing every coordinate sequence.
 """
@@ -55,6 +56,27 @@ def endpoint_distribution(d, depth):
 def transition_count(diagram, n, m, v, w):
     """Number of paths from ``w`` at level ``n`` up to ``v`` at level ``n + m``."""
     return sum(1 for p in enumerate_paths_down(diagram, n + m, v, n) if p[0][0] == w)
+
+
+def key_sub(key, coord):
+    """The support key with one unit removed at ``coord`` (which must be present)."""
+    out = []
+    found = False
+    for c, m in key:
+        if c == coord:
+            found = True
+            if m > 1:
+                out.append((c, m - 1))
+        else:
+            out.append((c, m))
+    if not found:
+        raise ValueError("coordinate %r absent from key %r" % (coord, key))
+    return tuple(out)
+
+
+def pascal_row(key):
+    """The multinomial predecessor row of ``key``: one unit removed at each coordinate, ascending."""
+    return {key_sub(key, c): 1 for c, _ in key}
 
 
 def multinomial_height(key):

@@ -162,10 +162,12 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     {"family": "custom", "params": {"levels": {"0": 5}, "rows": {}}},
     {"family": "binfty", "truncation": [1]},
     {"family": "binfty", "truncation": {"bound": "x"}},
+    {"family": "custom", "params": {"levels": {"0": [1], "1": [1]},
+                                    "rows": {"1": {"1": {"2": 1}}}}},
 ], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
         "sub-not-an-object", "params-not-an-object", "custom-levels-a-list",
         "custom-malformed-row-key", "custom-level-not-a-list", "truncation-not-an-object",
-        "truncation-bound-not-an-integer"])
+        "truncation-bound-not-an-integer", "custom-row-source-not-a-vertex"])
 def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -179,6 +181,22 @@ def test_a_malformed_spec_file_is_a_domain_error_for_stochastic(spec, tmp_path, 
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert_domain_error(["stochastic", "--spec", str(path), "--level", "2"], capsys)
+
+
+@pytest.mark.parametrize("rows, missing", [
+    ({"1": {"2": {"1": 1}, "3": {"1": 1}}, "2": {"4": {"2": 1, "3": 1}}}, "vertex 5 at level 2"),
+    ({"1": {"2": {"1": 1}}, "2": {"4": {"2": 1, "3": 1}, "5": {"3": 2}}}, "vertex 3 at level 1"),
+], ids=["target-row", "source-row"])
+def test_a_custom_spec_whose_rows_run_out_is_truncation_incomplete_for_stochastic(
+        rows, missing, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "custom", "params": {
+        "levels": {"0": [1], "1": [2, 3], "2": [4, 5]}, "rows": rows}}))
+    with pytest.raises(SystemExit) as info:
+        main(["stochastic", "--spec", str(path), "--level", "2"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        "truncation-incomplete: no incidence row declared for %s\n" % missing)
 
 
 @pytest.mark.parametrize("sub", ["staircase:x", "pascal-edge:1.5", "constant:x"])

@@ -22,7 +22,6 @@ from bratteli.core import (
     build_subdiagram,
     key_add,
     key_level,
-    key_sub,
     step_polynomial_coefficients,
     support_key,
     vertex_window,
@@ -53,7 +52,7 @@ def test_key_add_sub_round_trip(d, c):
     key = support_key(d.items())
     bigger = key_add(key, c)
     assert key_level(bigger) == key_level(key) + 1
-    assert key_sub(bigger, c) == key
+    assert oracles.key_sub(bigger, c) == key
 
 
 def test_pascal_predecessors_are_single_removals():
@@ -64,6 +63,20 @@ def test_pascal_predecessors_are_single_removals():
         support_key([(1, 1), (4, 1)]): 1,
         support_key([(1, 2)]): 1,
     }
+
+
+PASCAL_COORDS = {"n": st.integers(1, 9), "z": st.integers(-6, 6), 4: st.integers(1, 4)}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_pascal_rows_are_the_oracle_rows_in_removal_order(data):
+    coords = data.draw(st.sampled_from(["n", "z", 4]))
+    pairs = data.draw(st.dictionaries(PASCAL_COORDS[coords], st.integers(1, 4),
+                                      min_size=1, max_size=5))
+    key = support_key(pairs.items())
+    row = PascalDiagram(coords).predecessors(key_level(key), key)
+    assert list(row.items()) == list(oracles.pascal_row(key).items())
 
 
 @pytest.mark.parametrize("coords", ["n", "z", 3])

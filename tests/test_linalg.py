@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -400,3 +401,77 @@ def test_heights_accept_window_default():
     d = BinftyDiagram()
     win = vertex_window(d, 3, 5)
     assert heights(d, 3, win) == heights(d, 3, bound=5)
+
+
+@pytest.fixture
+def row_reads(monkeypatch):
+    """Counts of (level, vertex) for every Pascal row read and every check_vertex call."""
+    reads, checks = Counter(), Counter()
+    read, check = PascalDiagram._predecessors, Diagram.check_vertex
+
+    def counting_read(self, level, v):
+        reads[level, v] += 1
+        return read(self, level, v)
+
+    def counting_check(self, level, v):
+        checks[level, v] += 1
+        return check(self, level, v)
+
+    monkeypatch.setattr(PascalDiagram, "_predecessors", counting_read)
+    monkeypatch.setattr(Diagram, "check_vertex", counting_check)
+    return reads, checks
+
+
+def test_a_whole_window_of_heights_is_not_checked(row_reads):
+    _, checks = row_reads
+    hs = heights(PascalDiagram("n"), 8, bound=8)
+    assert len(hs) == comb(8 + 7, 7)
+    assert not checks
+
+
+def test_stochastic_rows_of_a_window_read_each_row_once_and_check_nothing(row_reads):
+    reads, checks = row_reads
+    rows = stochastic_rows(PascalDiagram("n"), 7, bound=8)
+    assert len(rows) == 3432
+    assert not checks
+    top = {v: n for (level, v), n in reads.items() if level == 7}
+    assert set(top) == set(rows) and set(top.values()) == {1}
+    cone_below = sum(comb(n + 7, 7) for n in range(7))
+    assert sum(n for (level, _), n in reads.items() if level < 7) <= 2 * cone_below
+
+
+def test_continuity_profile_reads_each_target_row_once(row_reads):
+    reads, checks = row_reads
+    norms = continuity_profile(PascalDiagram("n"), 6, bound=6)
+    assert len(norms) == comb(6 + 5, 5)
+    assert {v: n for (level, v), n in reads.items() if level == 6} == dict.fromkeys(norms, 1)
+    # only the ranking of the level-5 sources checks vertices
+    assert {level for level, _ in checks} == {5}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stochastic_rows(PascalDiagram("n"), 0, bound=3),
+    lambda: stochastic_rows(PascalDiagram("n"), 0, [()]),
+    lambda: stochastic_row(PascalDiagram("n"), 0, ()),
+    lambda: stochastic_rows(BinftyDiagram(), 1, bound=4),
+    lambda: stochastic_row(BinftyDiagram(), 1, 2),
+    lambda: continuity_profile(BinftyDiagram(), 1, bound=4),
+], ids=["pascal-window", "pascal-list", "pascal-row", "binfty-window", "binfty-row",
+        "continuity-window"])
+def test_stochastic_rows_at_the_base_level_are_refused(call):
+    with pytest.raises(DiagramError, match="base level vertices have no predecessors"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: stochastic_rows(PascalDiagram("n"), 3, [((1, 3),), ((1, 2),)]),
+     r"\(\(1, 2\),\) is not a vertex of level 3 of pascal-n"),
+    (lambda: stochastic_row(BinftyDiagram(), 3, 0), "0 is not a vertex of level 3 of binfty"),
+    (lambda: stochastic_rows(BinftyDiagram(), 0, bound=3), "binfty has no level 0"),
+    (lambda: stochastic_rows(BinftyDiagram(), 0, [1]), "binfty has no level 0"),
+    (lambda: continuity_profile(BinftyDiagram(), 0, bound=3), "binfty has no level 0"),
+], ids=["non-vertex-in-list", "non-vertex-row", "below-base-window", "below-base-list",
+        "continuity-below-base"])
+def test_stochastic_rows_refuse_non_vertices_and_levels_below_the_base(call, message):
+    with pytest.raises(DiagramError, match=message):
+        call()
