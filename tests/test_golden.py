@@ -22,7 +22,12 @@ text does not depend on the caller's.  ``golden_series.json`` holds four
 ``extension --case nu-a-staircase`` runs (a = 1/2, 1, 2 and 3/5, the last with
 ``--precision 64``) and ``bk-decay`` for k = 1, 2, 3 in JSON and once in CSV,
 recorded while every staircase term still summed over every kept vertex and
-every step-polynomial power was rebuilt from {0: 1}.  Refactors must leave every entry
+every step-polynomial power was rebuilt from {0: 1}.  It also holds four
+``extension --case nu-p-pascal-edge`` runs (one with ``--precision 64``), one
+``mu-a-pascal-edge`` run, and ``invariance``, ``probability`` and ``measure``
+on ``binfty-mu`` and ``probability`` on ``edge-binomial``, recorded while
+every cylinder-mass sum still added one ``Fraction`` at a time and every
+edge-binomial term summed over every kept vertex.  Refactors must leave every entry
 unchanged; an entry is re-recorded only when its output is meant to change,
 and CHANGES.md says why.
 """
