@@ -150,6 +150,13 @@ def _json_arg(text, what):
         raise DiagramError("bad %s: %s" % (what, exc))
 
 
+def _at_least_one(value, option):
+    """``value`` unless it is given and below 1: an empty range proves no verdict."""
+    if value is not None and value < 1:
+        raise DiagramError("%s must be at least 1, got %d" % (option, value))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -639,6 +646,7 @@ def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
     inputs="measure")
 def measure(mu, level, window, vertex_text):
     """Cylinder and tower masses of a tail-invariant measure at a level."""
+    window = _at_least_one(window, "--window")
     if vertex_text is not None:
         vertices = (_vertex(vertex_text),)
     else:
@@ -667,6 +675,7 @@ def measure(mu, level, window, vertex_text):
 def invariance(mu, levels, window):
     """Exact balance check: cylinder mass equals its successor mass."""
     base = mu.diagram.base_level
+    levels, window = _at_least_one(levels, "--levels"), _at_least_one(window, "--window")
     records = invariance_report(mu, range(base, base + levels), bound=window)
     payload = {
         "measure": mu.name,
@@ -696,6 +705,7 @@ def invariance(mu, levels, window):
 def probability(mu, levels):
     """Total tower mass per level; a probability measure reports exactly 1."""
     base = mu.diagram.base_level
+    levels = _at_least_one(levels, "--levels")
     masses = {n: mu.level_mass(n) for n in range(base, base + levels)}
     payload = {
         "measure": mu.name,
@@ -742,7 +752,7 @@ def extension(case_name, a_text, p_text, k_param, column, n_max):
         raise DiagramError("%s needs %s" % (case_name, option))
     kwargs = {name: read(text), width: column if width == "column" else k_param}
     if n_max is not None:
-        kwargs[depth] = n_max
+        kwargs[depth] = _at_least_one(n_max, "--n-max")
     payload = dict(run_extension_case(case_name, **kwargs).to_json())
     payload["case"] = case_name
     return payload

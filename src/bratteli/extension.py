@@ -9,10 +9,12 @@ has finite total mass exactly when a positive series converges:
 * edge subdiagrams — the same with the deleted edges per kept target.
 
 Series terms are exact rationals.  ``extension_terms`` is the generic sum
-over every kept vertex; it serves the edge-binomial and odometer-column
-cases and referees the closed forms in the tests.  ``staircase_terms`` is
-the staircase's closed-form route: tail invariance folds each level's sum
-into two cylinder masses, so a term costs O(k) exact operations, not O(n).
+over every kept vertex; it serves only the odometer-column case and
+referees the closed forms in the tests.  ``staircase_terms`` is the
+staircase's closed-form route: tail invariance folds each level's sum into
+two cylinder masses, so a term costs O(k) exact operations, not O(n).
+``edge_binomial_terms`` is the edge subdiagram's: each kept vertex's deleted
+edges weigh one ambient height, and the level's sum is one ``mass_sum``.
 Verdicts distinguish closed forms from certified geometric tail bounds and
 from divergence heuristics, and say which one they used.
 
@@ -118,6 +120,25 @@ def staircase_terms(nu: StaircaseMeasure, n_max: int) -> list[Fraction]:
     return terms
 
 
+def edge_binomial_terms(nu: BinomialEdgeMeasure, n_max: int) -> list[Fraction]:
+    """``extension_terms(sub, nu.p, n_max)`` for the two-edge subdiagram, in closed form.
+
+    A kept vertex v of W_{n+1} retains the edges from v-1 and v, so its
+    deleted sources are {1, ..., v-2}: exactly the B_inf predecessors of v-2
+    at level n+1.  Their height sum is H_{n+1}(v-2), and
+
+        term_n = sum_{v in W_{n+1}, v >= 3} H_{n+1}(v-2) * p_{n+1}(v),
+
+    one ``nu.mass_sum`` per level, the same rational as the generic sum.
+    """
+    sub = nu.diagram
+    return [
+        nu.mass_sum(n + 1, {v: height(sub.ambient, n + 1, v - 2)
+                            for v in sub.level_vertices(n + 1) if v >= 3})
+        for n in range(sub.base_level, sub.base_level + n_max)
+    ]
+
+
 RATIO_WINDOW = 8
 GEOMETRIC_CAP = Fraction(99, 100)
 DECAY_FLOOR = Fraction(97, 100)
@@ -193,12 +214,12 @@ def restricted_mass_limit(a, k: int, n_check: int = 40) -> SeriesVerdict:
         BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k}
     )
     mass = a ** (k - 1) / (a + 1) ** k
-    if restricted_level_mass(mu.p, sub, 1) != mass:
+    if restricted_level_mass(mu, sub, 1) != mass:
         raise DiagramError("restricted mass mismatch at the first level")
     for n in range(1, n_check):
         catalan = Fraction(comb(2 * n, n), n + 1)
         mass = mass - a ** (k + n) / (a + 1) ** (2 * n + k) * catalan
-        direct = restricted_level_mass(mu.p, sub, n + 1)
+        direct = restricted_level_mass(mu, sub, n + 1)
         if direct != mass:
             raise DiagramError("restricted mass recursion broke at level %d" % (n + 1))
     value = (a / (a + 1)) ** (k - 1) * (1 - a) if a < 1 else Fraction(0)
@@ -225,8 +246,7 @@ def edge_binomial_extension(prob, k: int, n_max: int = 60, **verdict_opts) -> Se
         BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k}
     )
     nu = BinomialEdgeMeasure(prob, sub)
-    terms = extension_terms(sub, nu.p, n_max)
-    return series_verdict(terms, **verdict_opts)
+    return series_verdict(edge_binomial_terms(nu, n_max), **verdict_opts)
 
 
 def odometer_column_extension(a, column: int = 1, n_max: int = 30,

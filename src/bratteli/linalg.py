@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import Diagram, DiagramError, vertex_window
+from .core import Diagram, DiagramError, TruncationIncompleteError, vertex_window
 
 
 def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
@@ -61,7 +61,9 @@ def _heights(diagram: Diagram, level: int, vertices: Iterable) -> dict:
     unchecked through ``_predecessors``.  Nothing is stored until the walk
     has succeeded, so a call that raises (for example
     ``TruncationIncompleteError`` where declared data runs out) leaves the
-    memo as it was and raises again the same way.
+    memo as it was and raises again the same way.  When several rows of a
+    level are missing, the error names the first in ``repr`` order, so it
+    does not depend on the hash seed.
     """
     memo = diagram._height_memo
     todo = set(vertices).difference(memo.get(level, ()))
@@ -69,8 +71,13 @@ def _heights(diagram: Diagram, level: int, vertices: Iterable) -> dict:
     lowest = level
     while todo and lowest > diagram.base_level:
         below: set = set()
-        for v in todo:
-            below.update(diagram._predecessors(lowest, v))
+        try:
+            for v in todo:
+                below.update(diagram._predecessors(lowest, v))
+        except TruncationIncompleteError:
+            for v in sorted(todo, key=repr):  # raises at the first missing row
+                diagram._predecessors(lowest, v)
+            raise
         lowest -= 1
         todo = below.difference(memo.get(lowest, ()))
         need[lowest] = todo

@@ -10,6 +10,10 @@ Every number here is a ``fractions.Fraction``; invariance and probability
 checks are exact identities, with geometric or binomial-tail closed forms
 standing in for the infinite parts of the sums.
 
+``mass_sum`` is the one exact weighted sum of cylinder masses, behind every
+successor, level and restricted mass; closed-form measures add integer
+numerators over one denominator and build a single ``Fraction``.
+
 Heights are read through ``linalg.height``, the one closed-form-else-recursion
 route; ``linalg.heights`` is the one recursion behind it.
 """
@@ -52,16 +56,17 @@ class TailInvariantMeasure:
         pv = self.p(n, v)
         return height(self.diagram, n, v) * pv
 
+    def mass_sum(self, n: int, weights: Mapping) -> Fraction:
+        """Exact sum of weights[v] * p_n(v) over a {vertex: int} map, each vertex checked as ``p`` checks it."""
+        return sum((w * self.p(n, v) for v, w in weights.items()), Fraction(0))
+
     def successor_mass(self, n: int, w) -> Fraction:
         """Sum of multiplicities times p_(n+1) over the successors of ``w``.
 
         The default walks the (finite) successor list; families with
         infinitely many successors override this with an exact closed form.
         """
-        total = Fraction(0)
-        for v, mult in self.diagram.successors(n, w).items():
-            total += mult * self.p(n + 1, v)
-        return total
+        return self.mass_sum(n + 1, self.diagram.successors(n, w))
 
     def level_support(self, n: int, bound: int | None = None) -> tuple:
         """Vertices carrying mass at level ``n`` (cut to ``bound`` if infinite)."""
@@ -69,7 +74,7 @@ class TailInvariantMeasure:
 
     def level_mass(self, n: int) -> Fraction:
         """Total tower mass of level ``n``: the exact sum of q over ``level_support``."""
-        return sum((self.q(n, v) for v in self.level_support(n)), Fraction(0))
+        return self.mass_sum(n, {v: height(self.diagram, n, v) for v in self.level_support(n)})
 
     level_mass_method = "exact-finite-sum"
 
@@ -138,10 +143,7 @@ class PascalMeasure(TailInvariantMeasure):
     def successor_mass(self, n: int, w) -> Fraction:
         self.diagram.check_vertex(n, w)
         coords = set(self.d) | {c for c, _ in w}
-        total = Fraction(0)
-        for c in coords:
-            total += self.p(n + 1, key_add(w, c))
-        return total
+        return self.mass_sum(n + 1, {key_add(w, c): 1 for c in coords})
 
     def level_support(self, n: int, bound: int | None = None) -> tuple:
         return tuple(_compositions(n, sorted(self.d)))
@@ -170,6 +172,17 @@ class BinftyMeasure(TailInvariantMeasure):
         a = self.a
         return a ** (j - 1) / (a + 1) ** (n + j - 1)
 
+    def mass_sum(self, n: int, weights: Mapping) -> Fraction:
+        """With a = s/t, p_n(j) = s^(j-1) t^n / (s+t)^(n+j-1): integers over (s+t)^(n+J-1), J the largest j."""
+        if not weights:
+            return Fraction(0)
+        _check_vertices(self.diagram, n, weights)
+        s, t = self.a.numerator, self.a.denominator
+        top = max(weights)
+        spow, upow = [s ** e for e in range(top)], [(s + t) ** e for e in range(top)]
+        num = sum(w * spow[j - 1] * upow[top - j] for j, w in weights.items())
+        return Fraction(t ** n * num, (s + t) ** (n + top - 1))
+
     def tail_from(self, n: int, j_from: int) -> Fraction:
         """Exact sum of p_n(j) for j >= j_from (a geometric series)."""
         a = self.a
@@ -178,13 +191,11 @@ class BinftyMeasure(TailInvariantMeasure):
 
     def successor_mass(self, n: int, w) -> Fraction:
         cut = w + self.EXPLICIT_TERMS
-        partial = sum(
-            (self.p(n + 1, v) for v in range(w, cut)), Fraction(0)
-        )
+        partial = self.mass_sum(n + 1, dict.fromkeys(range(w, cut), 1))
         return partial + self.tail_from(n + 1, cut)
 
     def level_support(self, n: int, bound: int | None = None) -> tuple:
-        return self.diagram.level_vertices(n, bound or 12)
+        return self.diagram.level_vertices(n, 12 if bound is None else bound)
 
     def level_tail_mass(self, n: int, j_max: int) -> Fraction:
         """Exact tower mass above index ``j_max``: sum_{j > j_max} q_n(j).
@@ -200,10 +211,8 @@ class BinftyMeasure(TailInvariantMeasure):
         )
 
     def level_mass(self, n: int, j_max: int = 40) -> Fraction:
-        partial = sum(
-            (self.q(n, j) for j in range(1, j_max + 1)), Fraction(0)
-        )
-        return partial + self.level_tail_mass(n, j_max)
+        weights = {j: height(self.diagram, n, j) for j in range(1, j_max + 1)}
+        return self.mass_sum(n, weights) + self.level_tail_mass(n, j_max)
 
     level_mass_method = "finite sum plus exact binomial tail"
 
@@ -241,9 +250,7 @@ class StaircaseMeasure(TailInvariantMeasure):
 
     def successor_mass(self, n: int, w) -> Fraction:
         top = self.k + n  # largest vertex of level n+1
-        return sum(
-            (self.p(n + 1, v) for v in range(w, top + 1)), Fraction(0)
-        )
+        return self.mass_sum(n + 1, dict.fromkeys(range(w, top + 1), 1))
 
     def determining_value(self, n: int) -> Fraction:
         """p_n at the top vertex k+n-1: a^(n-1)/(1+a)^(2n-2)."""
@@ -274,6 +281,16 @@ class BinomialEdgeMeasure(TailInvariantMeasure):
         pr, k = self.prob, self.k
         return pr ** (k + n - 1 - i) * (1 - pr) ** (i - k)
 
+    def mass_sum(self, n: int, weights: Mapping) -> Fraction:
+        """With prob = s/t, p_n(i) = s^(k+n-1-i) (t-s)^(i-k) / t^(n-1): integers over t^(n-1)."""
+        if not weights:
+            return Fraction(0)
+        _check_vertices(self.diagram, n, weights, set(self.diagram.level_vertices(n)))
+        s, t, k = self.prob.numerator, self.prob.denominator, self.k
+        spow, dpow = [s ** e for e in range(n)], [(t - s) ** e for e in range(n)]
+        num = sum(w * spow[k + n - 1 - i] * dpow[i - k] for i, w in weights.items())
+        return Fraction(num, t ** (n - 1))
+
 
 class OdometerColumnMeasure(TailInvariantMeasure):
     """The unique invariant measure on one vertical column of an odometer chain.
@@ -300,17 +317,22 @@ class OdometerColumnMeasure(TailInvariantMeasure):
         return Fraction(1, denom)
 
 
-def restricted_level_mass(p_func, sub: Subdiagram, n: int) -> Fraction:
-    """Mass the ambient cylinder function ``p_func`` leaves on a subdiagram level.
+def _check_vertices(diagram: Diagram, n: int, vertices: Iterable, kept: set | None = None) -> None:
+    """Raise as ``check_vertex`` would at the first of ``vertices`` outside ``kept`` (default: level ``n``)."""
+    diagram.check_level(n)
+    for v in vertices:
+        if not (v in kept if kept is not None else diagram.level_contains(n, v)):
+            diagram.check_vertex(n, v)
+
+
+def restricted_level_mass(measure: TailInvariantMeasure, sub: Subdiagram, n: int) -> Fraction:
+    """Mass the ambient ``measure`` leaves on a subdiagram level.
 
     Sums internal heights times ambient cylinder masses over the kept level:
     the portion of the ambient path space that has stayed inside the
     subdiagram through level ``n``.
     """
-    total = Fraction(0)
-    for v in sub.level_vertices(n):
-        total += height(sub, n, v) * Fraction(p_func(n, v))
-    return total
+    return measure.mass_sum(n, {v: height(sub, n, v) for v in sub.level_vertices(n)})
 
 
 # -- difference tables and complete monotonicity ------------------------------

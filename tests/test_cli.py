@@ -212,6 +212,23 @@ def test_stepping_past_a_provably_minimal_path_is_a_domain_error():
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariance", "--measure", "binfty-mu", "--a", "1/2", "--levels", "0"],
+    ["invariance", "--measure", "pascal-mu", "--d", "1/2,1/2", "--levels", "-1"],
+    ["probability", "--measure", "binfty-mu", "--a", "1/2", "--levels", "-2"],
+    ["extension", "--case", "nu-p-pascal-edge", "--p", "1/2", "--n-max", "0"],
+    ["extension", "--case", "mu-a-pascal-edge", "--a", "1/2", "--n-max", "0"],
+    ["invariance", "--measure", "binfty-mu", "--a", "1/2", "--levels", "2", "--window", "0"],
+    ["measure", "--measure", "binfty-mu", "--a", "1/2", "--level", "2", "--window", "0"],
+    ["measure", "--measure", "binfty-mu", "--a", "1/2", "--level", "2", "--window", "-3",
+     "--vertex", "3"],
+], ids=["invariance-levels-0", "invariance-levels-negative", "probability-levels-negative",
+        "extension-n-max-0", "restricted-mass-n-max-0", "invariance-window-0",
+        "measure-window-0", "measure-window-negative"])
+def test_an_empty_range_is_a_domain_error_not_a_vacuous_verdict(argv, capsys):
+    assert_domain_error(argv, capsys)
+
+
 def test_success_exits_zero_through_the_console_entry_point(tmp_path):
     out = tmp_path / "h.json"
     with pytest.raises(SystemExit) as info:

@@ -16,6 +16,7 @@ from bratteli.extension import (
     INCONCLUSIVE,
     INFINITE,
     edge_binomial_extension,
+    edge_binomial_terms,
     extended_cylinder_masses,
     extension_terms,
     odometer_column_extension,
@@ -26,6 +27,7 @@ from bratteli.extension import (
     staircase_terms,
 )
 from bratteli.measures import (
+    BinftyMeasure,
     BinomialEdgeMeasure,
     OdometerColumnMeasure,
     StaircaseMeasure,
@@ -101,21 +103,24 @@ def test_staircase_closed_form_terms_equal_the_generic_sum(a, k):
     assert staircase_terms(nu, 40) == extension_terms(sub, nu.p, 40)
 
 
-def test_staircase_extension_reads_two_masses_per_term(monkeypatch):
+def _count_calls(monkeypatch, cls, name):
     calls = Counter()
+    original = getattr(cls, name)
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(StaircaseMeasure, "p", counting("p", StaircaseMeasure.p))
-    monkeypatch.setattr(Subdiagram, "outside_predecessors",
-                        counting("outside_predecessors", Subdiagram.outside_predecessors))
+    monkeypatch.setattr(cls, name, wrapped)
+    return calls
+
+
+def test_staircase_extension_reads_two_masses_per_term(monkeypatch):
+    masses = _count_calls(monkeypatch, StaircaseMeasure, "p")
+    rows = _count_calls(monkeypatch, Subdiagram, "outside_predecessors")
     staircase_extension(HALF, 2, n_max=200)
-    assert calls["p"] <= 2 * 200 + 4
-    assert calls["outside_predecessors"] == 0
+    assert masses["p"] <= 2 * 200 + 4
+    assert rows["outside_predecessors"] == 0
 
 
 def test_edge_binomial_terms_match_direct_formula():
@@ -131,6 +136,29 @@ def test_edge_binomial_terms_match_direct_formula():
             for j in range(n + 1)
         )
         assert t == direct
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("prob", [Fraction(1, 4), Fraction(1, 3), HALF, Fraction(2, 3),
+                                  Fraction(3, 4)])
+def test_edge_binomial_closed_form_terms_equal_the_generic_sum(prob, k):
+    sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k})
+    nu = BinomialEdgeMeasure(prob, sub)
+    assert edge_binomial_terms(nu, 40) == extension_terms(sub, nu.p, 40)
+
+
+def test_edge_binomial_extension_reads_no_rows_and_no_single_masses(monkeypatch):
+    rows = _count_calls(monkeypatch, Subdiagram, "deleted_predecessors")
+    masses = _count_calls(monkeypatch, BinomialEdgeMeasure, "p")
+    edge_binomial_extension(HALF, 2, n_max=60)
+    assert rows["deleted_predecessors"] == 0
+    assert masses["p"] == 0
+
+
+def test_restricted_mass_limit_reads_no_single_masses(monkeypatch):
+    masses = _count_calls(monkeypatch, BinftyMeasure, "p")
+    assert restricted_mass_limit(HALF, 2, n_check=40).value == Fraction(1, 6)
+    assert masses["p"] == 0
 
 
 def test_edge_binomial_extension_diverges():

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from bratteli.linalg import (
     weighted_row_norm,
 )
 
+import bratteli
 import oracles
 
 
@@ -312,6 +317,26 @@ def test_heights_validate_each_requested_vertex_once(monkeypatch):
     # nor are the memo's vertices when the closed form is compared
     assert heights_closed_form(d, 8, vertices) == hs
     assert calls <= len(vertices) + 64
+
+
+_MISSING_ROWS = """
+from bratteli.core import CustomDiagram, TruncationIncompleteError
+from bratteli.linalg import stochastic_rows
+d = CustomDiagram({0: ["r"], 1: ["c", "x", "y"], 2: ["d"]}, {2: {"d": {"c": 1, "x": 1, "y": 1}}})
+try:
+    stochastic_rows(d, 2, ["d"])
+except TruncationIncompleteError as exc:
+    print(exc.missing)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_the_missing_row_named_does_not_depend_on_the_hash_seed(hash_seed):
+    src = str(Path(bratteli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _MISSING_ROWS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[(1, 'c')]\n"
 
 
 def test_heights_at_an_undeclared_custom_level_are_truncation_incomplete():

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bratteli.core import (
     BinftyDiagram,
@@ -14,6 +16,7 @@ from bratteli.core import (
 from bratteli.limits import pascal_limit_vector
 from bratteli.measures import (
     BinftyMeasure,
+    BinomialEdgeMeasure,
     OdometerColumnMeasure,
     PascalMeasure,
     StaircaseMeasure,
@@ -179,16 +182,76 @@ def test_complete_monotonicity_witness_on_flat_sequence():
     assert completely_monotone_witness(seq, 2) == (1, 2)
 
 
+def _weights_at(draw, vertices):
+    chosen = draw(st.lists(st.sampled_from(vertices), unique=True, max_size=len(vertices)))
+    return {v: draw(st.integers(0, 50)) for v in chosen}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), a=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)]))
+def test_binfty_mass_sum_equals_the_sum_of_cylinder_masses(data, a):
+    mu = BinftyMeasure(a)
+    n = data.draw(st.integers(1, 9))
+    weights = _weights_at(data.draw, list(range(1, 40)))
+    assert mu.mass_sum(n, weights) == sum((w * mu.p(n, v) for v, w in weights.items()), Fraction(0))
+    with pytest.raises(DiagramError):
+        mu.mass_sum(n, {**weights, 0: 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), prob=st.sampled_from([Fraction(1, 4), Fraction(1, 3), HALF, Fraction(5, 7)]),
+       k=st.integers(1, 4))
+def test_edge_binomial_mass_sum_equals_the_sum_of_cylinder_masses(data, prob, k):
+    sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k})
+    nu = BinomialEdgeMeasure(prob, sub)
+    n = data.draw(st.integers(1, 12))
+    kept = sub.level_vertices(n)
+    weights = _weights_at(data.draw, list(kept))
+    assert nu.mass_sum(n, weights) == sum((w * nu.p(n, v) for v, w in weights.items()), Fraction(0))
+    outside = data.draw(st.sampled_from([k - 1, k + n, k + n + 5]))
+    with pytest.raises(DiagramError):
+        nu.mass_sum(n, {**weights, outside: 1})
+
+
+def test_binfty_support_is_cut_to_the_bound_given_even_zero():
+    mu = BinftyMeasure(HALF)
+    assert mu.level_support(2) == tuple(range(1, 13))
+    assert mu.level_support(2, 0) == ()
+    assert mu.level_support(2, 3) == (1, 2, 3)
+
+
+def test_mass_sum_of_no_weights_is_zero():
+    sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": 2})
+    assert BinftyMeasure(HALF).mass_sum(3, {}) == 0
+    assert BinomialEdgeMeasure(HALF, sub).mass_sum(3, {}) == 0
+    assert StaircaseMeasure(HALF, staircase(2)).mass_sum(3, {}) == 0
+
+
+def test_binfty_invariance_reads_one_cylinder_mass_per_record(monkeypatch):
+    calls = 0
+    original = BinftyMeasure.p
+
+    def counting(self, n, j):
+        nonlocal calls
+        calls += 1
+        return original(self, n, j)
+
+    monkeypatch.setattr(BinftyMeasure, "p", counting)
+    records = invariance_report(BinftyMeasure(Fraction(2, 3)), range(1, 9))
+    assert len(records) == 96 and all(r.ok for r in records)
+    assert calls == 96
+
+
 def test_restricted_mass_direct_equals_recursion():
     a, k = HALF, 2
     mu = BinftyMeasure(a)
     sub = staircase(k)
     mass = a ** (k - 1) / (a + 1) ** k
-    assert restricted_level_mass(mu.p, sub, 1) == mass
+    assert restricted_level_mass(mu, sub, 1) == mass
     for n in range(1, 9):
         catalan = Fraction(comb(2 * n, n), n + 1)
         nxt = mass - a ** (k + n) / (a + 1) ** (2 * n + k) * catalan
-        assert restricted_level_mass(mu.p, sub, n + 1) == nxt
+        assert restricted_level_mass(mu, sub, n + 1) == nxt
         mass = nxt
 
 
