@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, floor
+from itertools import accumulate
+from math import factorial, floor
 from typing import Callable, Mapping
 
 from .core import (
@@ -57,7 +58,9 @@ def closed_form_product_row(diagram: Diagram, n: int, m: int, v) -> dict:
     if m == 0:
         return {v: 1}
     if isinstance(diagram, BinftyDiagram):
-        return {j: comb(v - j + m - 1, m - 1) for j in range(1, v + 1)}
+        # entry j is C(k+m-1, m-1) with k = v-j, and k -> k+1 multiplies it by (k+m)/(k+1)
+        by_k = list(accumulate(range(v - 1), lambda c, k: c * (k + m) // (k + 1), initial=1))
+        return {j: by_k[v - j] for j in range(1, v + 1)}
     if isinstance(diagram, PascalDiagram):
         out = {}
         for s in _compositions(n, [c for c, _ in v], [mult for _, mult in v]):
@@ -160,14 +163,9 @@ def limit_along(diagram: Diagram, n: int, top_rule: Callable[[int, int], object]
         if prev is not None:
             distances.append(count_distance(*prev, counts, total, ranks))
         prev = counts, total
-        if len(distances) >= STABLE_STEPS:
-            recent = distances[-STABLE_STEPS:]
+        if len(distances) >= STABLE_STEPS and all(d < tol for d in distances[-STABLE_STEPS:]):
             sums = mass_sums[-(STABLE_STEPS + 1):]
-            rel = [
-                abs(a - b) / b if b else abs(a - b)
-                for a, b in zip(sums, sums[1:])
-            ]
-            if all(d < tol for d in recent) and all(r < tol for r in rel):
+            if all((abs(a - b) / b if b else abs(a - b)) < tol for a, b in zip(sums, sums[1:])):
                 converged = True
                 break
     return LimitResult(

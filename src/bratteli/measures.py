@@ -61,11 +61,13 @@ class TailInvariantMeasure:
         return sum((w * self.p(n, v) for v, w in weights.items()), Fraction(0))
 
     def successor_mass(self, n: int, w) -> Fraction:
-        """Sum of multiplicities times p_(n+1) over the successors of ``w``.
+        """Multiplicity-weighted sum of p_(n+1) over the successors of ``w``, checked as ``p`` checks."""
+        self.diagram.check_vertex(n, w)
+        return self._successor_mass(n, w)
 
-        The default walks the (finite) successor list; families with
-        infinitely many successors override this with an exact closed form.
-        """
+    def _successor_mass(self, n: int, w) -> Fraction:
+        """Unchecked; the default walks the (finite) successor list, and families
+        with infinitely many successors override it with an exact closed form."""
         return self.mass_sum(n + 1, self.diagram.successors(n, w))
 
     def level_support(self, n: int, bound: int | None = None) -> tuple:
@@ -140,8 +142,7 @@ class PascalMeasure(TailInvariantMeasure):
             mass *= self.d[c] ** mult
         return mass
 
-    def successor_mass(self, n: int, w) -> Fraction:
-        self.diagram.check_vertex(n, w)
+    def _successor_mass(self, n: int, w) -> Fraction:
         coords = set(self.d) | {c for c, _ in w}
         return self.mass_sum(n + 1, {key_add(w, c): 1 for c in coords})
 
@@ -189,7 +190,7 @@ class BinftyMeasure(TailInvariantMeasure):
         x = a / (a + 1)
         return x ** (j_from - 1) / (a + 1) ** (n - 1)
 
-    def successor_mass(self, n: int, w) -> Fraction:
+    def _successor_mass(self, n: int, w) -> Fraction:
         cut = w + self.EXPLICIT_TERMS
         partial = self.mass_sum(n + 1, dict.fromkeys(range(w, cut), 1))
         return partial + self.tail_from(n + 1, cut)
@@ -248,7 +249,7 @@ class StaircaseMeasure(TailInvariantMeasure):
         a, k = self.a, self.k
         return a ** (j - k) / (1 + a) ** (n + j - k) * self._t(n + k - j + 1)
 
-    def successor_mass(self, n: int, w) -> Fraction:
+    def _successor_mass(self, n: int, w) -> Fraction:
         top = self.k + n  # largest vertex of level n+1
         return self.mass_sum(n + 1, dict.fromkeys(range(w, top + 1), 1))
 

@@ -16,9 +16,12 @@ its anchor and its edges, so materializing and scanning a tail read its
 tail, family) combination the module either proves every tail edge
 extremal or locates the first non-extremal tail edge and materializes the
 prefix up to it; combinations with no such analysis raise
-``DeepenPrefixError`` instead of guessing.  Paths
-are validated at the public entry points; the step engine ``_step`` trusts its
-input, since a step maps valid paths to valid paths.
+``DeepenPrefixError`` instead of guessing.  Edges are normalized at the
+boundary: ``path_from_json`` builds tuples of ``(source, target, slot)``
+tuples and ``PathRep`` stores them as given.  Paths are validated once, at
+the public entry points, where ``validate_path`` also refuses any other
+edge container; the step engine ``_step`` trusts its input, since a step
+maps valid paths to valid paths.
 
 Extremal paths that no finite prefix-plus-tail can carry (multinomial paths
 whose support grows forever) are handled by ``PascalPathDescriptor``: the
@@ -30,6 +33,7 @@ the maximal side to the minimal side.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -158,21 +162,19 @@ class PascalConcentrating(_Tail):
 # path representation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathRep:
     """A finite path prefix plus a symbolic tail.
 
-    ``start`` is the level of the path's first vertex; ``edges`` lists
-    ``(source, target, slot)`` triples level by level, slots numbering
-    parallel edges from 1.
+    ``start`` is the level of the path's first vertex; ``edges`` is a tuple
+    of ``(source, target, slot)`` tuples, level by level, slots numbering
+    parallel edges from 1.  They are stored as given: ``path_from_json``
+    builds them, and ``validate_path`` refuses any other edge container.
     """
 
     start: int
     edges: tuple = ()
     tail: object = Unspecified()
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
 
     @property
     def end_level(self) -> int:
@@ -194,10 +196,13 @@ class PathRep:
 
 
 def validate_path(diagram: Diagram, path: PathRep) -> None:
-    """Check composition, membership, slot bounds, and tail admissibility."""
+    """Check edge shape, composition, membership, slot bounds, and tail admissibility."""
     diagram.check_level(path.start)
+    edges = path.edges
+    if not isinstance(edges, tuple) or not all(isinstance(e, tuple) and len(e) == 3 for e in edges):
+        raise DiagramError("path edges must be a tuple of (source, target, slot) tuples: %r" % (edges,))
     prev = None
-    for j, (w, v, slot) in enumerate(path.edges):
+    for j, (w, v, slot) in enumerate(edges):
         level = path.start + j + 1
         if prev is not None and w != prev:
             raise DiagramError("edges %d and %d of the path do not compose" % (j - 1, j))
@@ -402,25 +407,24 @@ class OrderedDiagram:
         self.order = make_order(self.order)
 
     def edges_into(self, level: int, v) -> tuple:
-        key = (level, v)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._cache[key] = self.order.edges_into(self.diagram, level, v)
-        return got
+        try:
+            return self._cache[level, v]
+        except KeyError:
+            got = self._cache[level, v] = self.order.edges_into(self.diagram, level, v)
+            return got
 
 
 # ---------------------------------------------------------------------------
 # extremality of single edges and extremal refills
 
 
-def _edge_is_extremal(od: OrderedDiagram, level: int, v, w, slot: int, side: str) -> bool:
-    seq = od.edges_into(level, v)
-    return seq[-1] == (w, slot) if side == "max" else seq[0] == (w, slot)
-
-
-def _first_nonextremal_index(od: OrderedDiagram, path: PathRep, side: str):
-    for j, (w, v, slot) in enumerate(path.edges):
-        if not _edge_is_extremal(od, path.start + j + 1, v, w, slot, side):
+def _first_nonextremal_index(od: OrderedDiagram, level: int, edges: Iterable, side: str):
+    """Index of the first of ``edges`` (entering levels ``level + 1`` on) not extremal on ``side``."""
+    edges_into = od.edges_into
+    end = -1 if side == "max" else 0
+    for j, (w, v, slot) in enumerate(edges):
+        level += 1
+        if edges_into(level, v)[end] != (w, slot):
             return j
     return None
 
@@ -434,15 +438,15 @@ def extremal_path_to(od: OrderedDiagram, level: int, vertex, side: str,
     stop = od.diagram.base_level if stop_level is None else stop_level
     if level < stop:
         raise DiagramError("vertex level %d below the stop level %d" % (level, stop))
+    edges_into = od.edges_into
+    end = 0 if side == "min" else -1
     edges = []
     u = vertex
     for lvl in range(level, stop, -1):
-        seq = od.edges_into(lvl, u)
-        w, slot = seq[0] if side == "min" else seq[-1]
+        w, slot = edges_into(lvl, u)[end]
         edges.append((w, u, slot))
         u = w
-    edges.reverse()
-    return tuple(edges)
+    return tuple(reversed(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +520,9 @@ def scan_tail(od: OrderedDiagram, path: PathRep, side: str):
     decision = _tail_decision(od, tail, _family_kind(od.diagram), level, anchor, side)
     if decision in ("all", "unknown"):
         return (decision, None)
-    for j, (w, v, slot) in enumerate(islice(tail.edges(od.diagram, level, anchor), decision), 1):
-        if not _edge_is_extremal(od, level + j, v, w, slot, side):
-            return ("found", j)
+    j = _first_nonextremal_index(od, level, islice(tail.edges(od.diagram, level, anchor), decision), side)
+    if j is not None:
+        return ("found", j + 1)
     raise DiagramError(
         "internal: tail scan cap %d exhausted for %r under %s" % (decision, tail, od.order.name)
     )
@@ -539,7 +543,7 @@ def materialize(od: OrderedDiagram, path: PathRep, depth: int) -> PathRep:
 
 def _step(od: OrderedDiagram, path: PathRep, side: str) -> PathRep:
     """One adic step; trusts ``path``, which the public entry points validate."""
-    m = _first_nonextremal_index(od, path, side)
+    m = _first_nonextremal_index(od, path.start, path.edges, side)
     if m is None:
         state, depth = scan_tail(od, path, side)
         if state == "unknown":
@@ -597,7 +601,7 @@ class ExtremalClass(enum.Enum):
 
 
 def _provably_extremal(od: OrderedDiagram, path: PathRep, side: str) -> bool:
-    if _first_nonextremal_index(od, path, side) is not None:
+    if _first_nonextremal_index(od, path.start, path.edges, side) is not None:
         return False
     state, _ = scan_tail(od, path, side)
     return state == "all"
@@ -950,8 +954,8 @@ def bijection_check(od: OrderedDiagram, depth: int, tops: Sequence | None = None
     for v, paths in groups.items():
         total += len(paths)
         keyed = {p.edges: p for p in paths}
-        maxes = [p for p in paths if _first_nonextremal_index(od, p, "max") is None]
-        mins = [p for p in paths if _first_nonextremal_index(od, p, "min") is None]
+        maxes = [p for p in paths if _first_nonextremal_index(od, stop, p.edges, "max") is None]
+        mins = [p for p in paths if _first_nonextremal_index(od, stop, p.edges, "min") is None]
         unique = len(maxes) == 1 and len(mins) == 1
         images = {}
         inverse_ok = True
@@ -1022,11 +1026,7 @@ def orbit(od: OrderedDiagram, path: PathRep, steps: int,
             e.args = ("step %d: %s" % (i, e.args[0]),) + e.args[1:]
             raise
         paths.append(cur)
-    visits: dict = {}
-    if visit_level is not None:
-        for p in paths:
-            u = p.vertex_at(visit_level)
-            visits[u] = visits.get(u, 0) + 1
+    visits = {} if visit_level is None else dict(Counter(p.vertex_at(visit_level) for p in paths))
     return OrbitResult(paths, visit_level, visits)
 
 

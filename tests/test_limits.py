@@ -82,6 +82,22 @@ def test_closed_form_product_rows_match_recursion():
                 )
 
 
+def test_binfty_closed_form_rows_follow_the_binomial_recurrence():
+    binfty = BinftyDiagram()
+    for v in range(1, 41):
+        for m in range(1, 41):
+            row = closed_form_product_row(binfty, 1, m, v)
+            assert list(row.items()) == [(j, comb(v - j + m - 1, m - 1)) for j in range(1, v + 1)]
+
+
+def test_binfty_ray_limit_is_the_same_by_closed_form_and_by_recursion():
+    binfty = BinftyDiagram()
+    closed = limit_along(binfty, 1, index_ray(1), m_max=60, method="closed")
+    recursion = limit_along(BinftyDiagram(), 1, index_ray(1), m_max=60, method="recursion")
+    assert closed.steps == 60 and not closed.converged
+    assert closed == recursion
+
+
 def test_binfty_transition_row_sums():
     binfty = BinftyDiagram()
     for m in (1, 2, 5):

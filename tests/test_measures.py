@@ -148,6 +148,23 @@ def test_staircase_measure_telescopes(a):
     assert report and all(r.ok for r in report)
 
 
+def test_staircase_successor_mass_refuses_a_vertex_beyond_the_level():
+    nu = StaircaseMeasure(HALF, staircase(2))  # level 2 is {2, 3}
+    with pytest.raises(DiagramError, match="99 is not a vertex of level 2"):
+        nu.successor_mass(2, 99)
+
+
+def test_staircase_successor_mass_names_the_level_asked_about():
+    nu = StaircaseMeasure(HALF, staircase(2))
+    with pytest.raises(DiagramError, match="1 is not a vertex of level 2"):
+        nu.successor_mass(2, 1)
+
+
+def test_binfty_successor_mass_refuses_level_zero():
+    with pytest.raises(DiagramError, match="no level 0"):
+        BinftyMeasure(HALF).successor_mass(0, 1)
+
+
 def test_staircase_determining_sequence_closed_form():
     a = Fraction(2, 5)
     nu = StaircaseMeasure(a, staircase())

@@ -611,7 +611,7 @@ def test_descriptor_prefix_agrees_with_path_classification():
     assert classify_extremal(od, path) is ExtremalClass.NOT_EXTREMAL  # no finite certificate
     from bratteli.vershik import _first_nonextremal_index
 
-    assert _first_nonextremal_index(od, path, "max") is None  # every known edge is maximal
+    assert _first_nonextremal_index(od, path.start, path.edges, "max") is None  # every known edge is maximal
 
 
 def test_descriptor_candidate_sets():
@@ -779,6 +779,47 @@ def test_every_orbit_step_keeps_the_path_valid_and_invertible(case):
         validate_path(od.diagram, p)
     for before, after in zip(result.paths, result.paths[1:]):
         assert vershik_inverse(od, after) == before
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_an_orbit_equals_chained_validated_steps(case):
+    od, start = _minimal_start(*ORBIT_CASES[case])
+    chained = [start]
+    for _ in range(300):
+        chained.append(vershik_step(od, chained[-1]))
+    od, start = _minimal_start(*ORBIT_CASES[case])
+    result = orbit(od, start, 300)
+    assert result.paths == chained
+    for p in result.paths:
+        assert type(p.edges) is tuple
+        assert all(type(e) is tuple and len(e) == 3 for e in p.edges)
+
+
+def test_validate_path_refuses_edges_that_are_not_tuples():
+    od = OrderedDiagram(BinftyDiagram(), "left-to-right")
+    for path in (PathRep(1, [(2, 3, 1)]), PathRep(1, ([2, 3, 1],)), PathRep(1, ((2, 3),))):
+        with pytest.raises(DiagramError, match="tuple"):
+            validate_path(od.diagram, path)
+        with pytest.raises(DiagramError, match="tuple"):
+            vershik_step(od, path)
+        with pytest.raises(DiagramError, match="tuple"):
+            orbit(od, path, 3)
+
+
+def test_the_binfty_benchmark_orbit_looks_up_each_step_order_a_bounded_number_of_times(monkeypatch):
+    calls = []
+    inner = OrderedDiagram.edges_into
+
+    def counted(self, level, v):
+        calls.append(level)
+        return inner(self, level, v)
+
+    monkeypatch.setattr(OrderedDiagram, "edges_into", counted)
+    od = OrderedDiagram(BinftyDiagram(), "left-to-right")
+    start = PathRep(1, ((1, 1, 1),) * 14 + ((1, 7, 1),))  # the benchmark's minimal path to 7
+    result = orbit(od, start, 8000, visit_level=8)
+    assert len(result.paths) == 8001
+    assert 0 < len(calls) <= 63192  # about 8 lookups per step on a depth-15 path
 
 
 def _count_predecessor_calls(monkeypatch, diagram):
