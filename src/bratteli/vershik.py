@@ -529,7 +529,7 @@ def scan_tail(od: OrderedDiagram, path: PathRep, side: str):
 
 
 def materialize(od: OrderedDiagram, path: PathRep, depth: int) -> PathRep:
-    """Append ``depth`` tail edges to the prefix, keeping the tail."""
+    """Append ``depth`` tail edges to the prefix, keeping the tail; trusts ``path`` as ``_step`` does."""
     if depth < 0:
         raise DiagramError("materialize depth must be >= 0")
     new = tuple(islice(path.tail.edges(od.diagram, path.end_level, path.end_vertex), depth))
