@@ -37,7 +37,6 @@ import click
 from . import __version__
 from .core import (
     FAMILIES,
-    BinftyDiagram,
     DiagramError,
     OdometerChainDiagram,
     TruncationIncompleteError,
@@ -320,13 +319,8 @@ def _pascal_measure(d_text, coords_text):
     return PascalMeasure(dict(zip(coords, masses)))
 
 
-def _staircase(k):
-    return build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k})
-
-
 def _staircase_measure(a_text, k_param):
-    a = _fraction(a_text, "slope")
-    return StaircaseMeasure(a, _staircase(k_param))
+    return StaircaseMeasure(_fraction(a_text, "slope"), k_param)
 
 
 def _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
@@ -342,21 +336,15 @@ def _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
     if measure_name == "staircase-nu":
         if a_text is None or k_param is None:
             raise DiagramError("staircase-nu needs --a and --k")
-        sub = _staircase(k_param)
-        return StaircaseMeasure(_fraction(a_text, "slope"), sub)
+        return StaircaseMeasure(_fraction(a_text, "slope"), k_param)
     if measure_name == "edge-binomial":
         if p_text is None or k_param is None:
             raise DiagramError("edge-binomial needs --p and --k")
-        sub = build_subdiagram(
-            BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k_param})
-        return BinomialEdgeMeasure(_fraction(p_text, "edge weight"), sub)
+        return BinomialEdgeMeasure(_fraction(p_text, "edge weight"), k_param)
     if measure_name == "odometer-column":
         if a_text is None:
             raise DiagramError("odometer-column needs --a (entry rule)")
-        ambient = OdometerChainDiagram(_entry_rule(a_text))
-        sub = build_subdiagram(
-            ambient, {"kind": "vertex", "rule": "constant", "vertex": column})
-        return OdometerColumnMeasure(sub)
+        return OdometerColumnMeasure(OdometerChainDiagram(_entry_rule(a_text)), column)
     raise DiagramError("unknown measure %r" % measure_name)
 
 
@@ -478,6 +466,7 @@ _ORDER_OPT = click.option(
     name="heights", inputs="diagram")
 def heights_cmd(source, level, window, vertex_text):
     """Path-count heights at a level, with closed forms when available."""
+    window = _at_least_one(window, "--window")
     diagram = source()
     values = heights(diagram, level, None if vertex_text is None else [_vertex(vertex_text)],
                      window)
@@ -506,6 +495,7 @@ def heights_cmd(source, level, window, vertex_text):
     inputs="diagram")
 def stochastic(source, level, window, vertex_text):
     """Height-normalized incidence rows; each row sums to exactly 1."""
+    window = _at_least_one(window, "--window")
     diagram = source()
     rows_map = stochastic_rows(diagram, level,
                                None if vertex_text is None else [_vertex(vertex_text)], window)
@@ -766,6 +756,9 @@ def extension(case_name, a_text, p_text, k_param, column, n_max):
     inputs="staircase-nu")
 def monotone(nu, orders, terms):
     """Complete monotonicity of the staircase determining sequence."""
+    if orders < 0:
+        raise DiagramError("--orders must be at least 0, got %d" % orders)
+    terms = _at_least_one(terms, "--terms")
     seq = [nu.determining_value(n) for n in range(1, terms + 1)]
     witness = completely_monotone_witness(seq, orders)
     table = difference_table(seq, orders)
@@ -915,6 +908,7 @@ def orbit_cmd(source, order_name, path_text, steps, visit_level):
     inputs="diagram")
 def continuity(source, level, window):
     """Rank-weighted row norms tracking continuity of the transpose action."""
+    window = _at_least_one(window, "--window")
     diagram = source()
     norms = continuity_profile(diagram, level, bound=window)
     payload = {

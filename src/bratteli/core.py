@@ -475,7 +475,8 @@ class OdometerChainDiagram(Diagram):
 
     def __init__(self, a, columns: Mapping[int, object] | None = None):
         self._default_rule = _parse_entry_rule(a)
-        self._column_rules = {int(i): _parse_entry_rule(r) for i, r in (columns or {}).items()}
+        self._column_rules = {as_int(i, "an odometer column"): _parse_entry_rule(r)
+                              for i, r in _object(columns or {}, "odometer columns").items()}
         super().__init__({"a": a, "columns": dict(columns or {})})
 
     def entry(self, level: int, column: int) -> int:
@@ -525,7 +526,7 @@ def _parse_entry_rule(a) -> Callable[[int], int]:
             raise DiagramError("odometer entries must be >= 2, got %d" % a)
         return lambda n: a
     if isinstance(a, (list, tuple)):
-        vals = [int(x) for x in a]
+        vals = [as_int(x, "an odometer entry") for x in a]
         if any(x < 2 for x in vals):
             raise DiagramError("odometer entries must be >= 2: %r" % (vals,))
 
@@ -656,8 +657,9 @@ class Subdiagram(Diagram):
                     raise DiagramError("constant subdiagram vertex %r not in the diagram" % (vtx,))
                 self._level_set = lambda n: (vtx,)
             elif rule == "explicit":
-                levels = {as_int(n, "a level"): tuple(vs)
-                          for n, vs in _spec_field(spec, "levels", "an explicit subdiagram").items()}
+                levels = _object(_spec_field(spec, "levels", "an explicit subdiagram"), "explicit levels")
+                levels = {as_int(n, "a level"): tuple(map(vertex_from_json, _list(vs, "an explicit level")))
+                          for n, vs in levels.items()}
                 if any(len(vs) == 0 for vs in levels.values()):
                     raise DiagramError("vertex subdiagram levels must be nonempty")
                 for n, vs in levels.items():
@@ -688,11 +690,12 @@ class Subdiagram(Diagram):
                     w: 1 for w in (v - 1, v) if ambient.level_contains(n - 1, w)
                 }
             elif rule == "explicit":
-                retained = {
-                    as_int(n, "a level"): {v: dict(srcs) for v, srcs in rows.items()}
-                    for n, rows in _spec_field(spec, "retained", "an explicit edge subdiagram").items()
-                }
-                seeds = tuple(_spec_field(spec, "seed", "an explicit edge subdiagram"))
+                rows = _object(_spec_field(spec, "retained", "an explicit edge subdiagram"), "retained rows")
+                retained = {as_int(n, "a level"): {v: _object(srcs, "a retained row")
+                                                   for v, srcs in _object(r, "a level's retained rows").items()}
+                            for n, r in rows.items()}
+                seeds = _list(_spec_field(spec, "seed", "an explicit edge subdiagram"), "an explicit seed")
+                seeds = tuple(map(vertex_from_json, seeds))
 
                 def level_set(n: int) -> tuple:
                     if n == self.base_level:
@@ -921,7 +924,10 @@ def build_subdiagram(diagram: Diagram, spec: Mapping) -> Subdiagram:
                   {"kind": "edge", "rule": "explicit", "seed": [...], "retained": {...}}
     """
     if isinstance(spec, str):
-        spec = json.loads(spec)
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError:
+            raise DiagramError("malformed JSON in a subdiagram spec: %r" % spec) from None
     if not isinstance(spec, Mapping):
         raise DiagramError("subdiagram spec must be a mapping or JSON string")
     kind = spec.get("kind")

@@ -145,15 +145,12 @@ DECAY_FLOOR = Fraction(97, 100)
 CEILING_FACTOR = 10
 
 
-def series_verdict(terms: Sequence[Fraction], *, ratio_window: int = RATIO_WINDOW,
-                   geometric_cap: Fraction = GEOMETRIC_CAP,
-                   decay_floor: Fraction = DECAY_FLOOR,
-                   ceiling_factor: int = CEILING_FACTOR) -> SeriesVerdict:
+def series_verdict(terms: Sequence[Fraction]) -> SeriesVerdict:
     """Judge a positive series from its first terms.
 
-    Finite when the last ``ratio_window`` term ratios stay below a bar r < 1
+    Finite when the last ``RATIO_WINDOW`` term ratios stay below a bar r < 1
     (tail bounded by the geometric series, assuming the bar persists);
-    Infinite when partial sums pass ``ceiling_factor`` times the first term
+    Infinite when partial sums pass ``CEILING_FACTOR`` times the first term
     while the recent ratios show no decay.  Anything else is Inconclusive.
     """
     terms = [Fraction(t) for t in terms]
@@ -167,12 +164,12 @@ def series_verdict(terms: Sequence[Fraction], *, ratio_window: int = RATIO_WINDO
     first = nonzero[0]
     partial = sum(terms)
     evidence: dict = {"terms_used": len(terms), "partial_sum": partial}
-    if len(nonzero) >= ratio_window + 1:
-        window = nonzero[-(ratio_window + 1):]
+    if len(nonzero) >= RATIO_WINDOW + 1:
+        window = nonzero[-(RATIO_WINDOW + 1):]
         ratios = [b / a for a, b in zip(window, window[1:])]
         bar = max(ratios)
         evidence["ratio_bound"] = bar
-        if bar < 1 and bar <= geometric_cap:
+        if bar < 1 and bar <= GEOMETRIC_CAP:
             tail_bound = nonzero[-1] * bar / (1 - bar)
             return SeriesVerdict(
                 FINITE,
@@ -184,12 +181,12 @@ def series_verdict(terms: Sequence[Fraction], *, ratio_window: int = RATIO_WINDO
                 ),
                 evidence=evidence,
             )
-        if min(ratios) >= decay_floor and partial >= ceiling_factor * first:
+        if min(ratios) >= DECAY_FLOOR and partial >= CEILING_FACTOR * first:
             return SeriesVerdict(
                 INFINITE,
                 "divergence-heuristic",
                 note="partial sums passed %dx the first term with non-decaying ratios"
-                % ceiling_factor,
+                % CEILING_FACTOR,
                 evidence=evidence,
             )
     return SeriesVerdict(INCONCLUSIVE, "undecided", evidence=evidence)
@@ -231,34 +228,20 @@ def restricted_mass_limit(a, k: int, n_check: int = 40) -> SeriesVerdict:
     )
 
 
-def staircase_extension(a, k: int, n_max: int = 60, **verdict_opts) -> SeriesVerdict:
+def staircase_extension(a, k: int, n_max: int = 60) -> SeriesVerdict:
     """Extension verdict for the staircase boundary measure with parameter ``a``."""
-    sub = build_subdiagram(
-        BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k}
-    )
-    nu = StaircaseMeasure(a, sub)
-    return series_verdict(staircase_terms(nu, n_max), **verdict_opts)
+    return series_verdict(staircase_terms(StaircaseMeasure(a, k), n_max))
 
 
-def edge_binomial_extension(prob, k: int, n_max: int = 60, **verdict_opts) -> SeriesVerdict:
+def edge_binomial_extension(prob, k: int, n_max: int = 60) -> SeriesVerdict:
     """Extension verdict for the binomial measure on the two-edge subdiagram."""
-    sub = build_subdiagram(
-        BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k}
-    )
-    nu = BinomialEdgeMeasure(prob, sub)
-    return series_verdict(edge_binomial_terms(nu, n_max), **verdict_opts)
+    return series_verdict(edge_binomial_terms(BinomialEdgeMeasure(prob, k), n_max))
 
 
-def odometer_column_extension(a, column: int = 1, n_max: int = 30,
-                              columns=None, **verdict_opts) -> SeriesVerdict:
+def odometer_column_extension(a, column: int = 1, n_max: int = 30) -> SeriesVerdict:
     """Extension verdict for the invariant measure on one odometer column."""
-    odo = OdometerChainDiagram(a, columns)
-    sub = build_subdiagram(
-        odo, {"kind": "vertex", "rule": "constant", "vertex": column}
-    )
-    m = OdometerColumnMeasure(sub)
-    terms = extension_terms(sub, m.p, n_max)
-    return series_verdict(terms, **verdict_opts)
+    m = OdometerColumnMeasure(OdometerChainDiagram(a), column)
+    return series_verdict(extension_terms(m.diagram, m.p, n_max))
 
 
 EXTENSION_CASES = {

@@ -101,14 +101,11 @@ def height(diagram: Diagram, level: int, v) -> int:
     return h
 
 
-def heights_closed_form(diagram: Diagram, level: int, vertices: Iterable | None = None,
-                        bound: int | None = None) -> dict:
-    """Closed-form heights for families that have one; DiagramError otherwise.
-
-    Vertices are taken as ``heights`` takes them: a window trusted, a list checked.
-    """
+def heights_closed_form(diagram: Diagram, level: int, vertices: Iterable) -> dict:
+    """Closed-form heights of ``vertices``, each checked as ``heights`` checks a list;
+    DiagramError for a family with no closed form."""
     out = {}
-    for v in _entry_vertices(diagram, level, vertices, bound):
+    for v in _entry_vertices(diagram, level, vertices, None):
         value = diagram.closed_form_height(level, v)
         if value is None:
             raise DiagramError("%s has no closed-form height" % diagram.family)

@@ -4,7 +4,8 @@ A tail-invariant measure assigns every path-cylinder through a level-``n``
 vertex ``v`` the same mass p_n(v), subject to the balance rule: p_n(w)
 equals the multiplicity-weighted sum of p_(n+1) over the successors of w.
 Tower masses q_n(v) = H_v p_n(v) then describe how much of the path space
-sits over each vertex.
+sits over each vertex.  Each measure is built from its parameters alone and
+builds its own diagram, or the subdiagram it lives on.
 
 Every number here is a ``fractions.Fraction``; invariance and probability
 checks are exact identities, with geometric or binomial-tail closed forms
@@ -33,6 +34,7 @@ from .core import (
     PascalDiagram,
     Subdiagram,
     _compositions,
+    build_subdiagram,
     key_add,
     support_key,
 )
@@ -105,11 +107,6 @@ def invariance_report(measure: TailInvariantMeasure, levels: Iterable[int],
     return out
 
 
-def is_invariant(measure: TailInvariantMeasure, levels: Iterable[int],
-                 bound: int | None = None) -> bool:
-    return all(r.ok for r in invariance_report(measure, levels, bound))
-
-
 class PascalMeasure(TailInvariantMeasure):
     """Product measure on a multinomial diagram with direction ``d``.
 
@@ -162,11 +159,11 @@ class BinftyMeasure(TailInvariantMeasure):
     #: how many successor terms are summed explicitly before the geometric tail
     EXPLICIT_TERMS = 25
 
-    def __init__(self, a, diagram: BinftyDiagram | None = None):
+    def __init__(self, a):
         self.a = Fraction(a)
         if self.a < 0:
             raise DiagramError("the slope parameter must be >= 0")
-        super().__init__(diagram or BinftyDiagram())
+        super().__init__(BinftyDiagram())
 
     def p(self, n: int, j) -> Fraction:
         self.diagram.check_vertex(n, j)
@@ -211,9 +208,10 @@ class BinftyMeasure(TailInvariantMeasure):
             Fraction(0),
         )
 
-    def level_mass(self, n: int, j_max: int = 40) -> Fraction:
-        weights = {j: height(self.diagram, n, j) for j in range(1, j_max + 1)}
-        return self.mass_sum(n, weights) + self.level_tail_mass(n, j_max)
+    def level_mass(self, n: int) -> Fraction:
+        """Exact sum of q_n(j) for j <= 40 plus ``level_tail_mass`` above 40."""
+        weights = {j: height(self.diagram, n, j) for j in range(1, 41)}
+        return self.mass_sum(n, weights) + self.level_tail_mass(n, 40)
 
     level_mass_method = "finite sum plus exact binomial tail"
 
@@ -221,7 +219,8 @@ class BinftyMeasure(TailInvariantMeasure):
 class StaircaseMeasure(TailInvariantMeasure):
     """The boundary measures on the staircase subdiagram of the triangle.
 
-    On levels W_n = {k, ..., k+n-1} the cylinder masses are
+    The measure builds its own subdiagram, the offset-``k`` staircase.  On
+    its levels W_n = {k, ..., k+n-1} the cylinder masses are
     p_n(j) = a^(j-k) / (1+a)^(n+j-k) * T(n+k-j+1), with the truncated
     geometric total T(s) = 1 + a + ... + a^(s-1).  Every level has total
     tower mass exactly 1, for every a > 0.
@@ -229,14 +228,12 @@ class StaircaseMeasure(TailInvariantMeasure):
 
     name = "staircase-nu"
 
-    def __init__(self, a, subdiagram: Subdiagram):
+    def __init__(self, a, k: int):
+        super().__init__(build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k}))
+        self.k = self.diagram.k
         self.a = Fraction(a)
         if self.a <= 0:
             raise DiagramError("the staircase parameter must be > 0")
-        if subdiagram.spec.get("rule") != "staircase":
-            raise DiagramError("this measure lives on staircase subdiagrams")
-        self.k = subdiagram.k
-        super().__init__(subdiagram)
 
     def _t(self, s: int) -> Fraction:
         a = self.a
@@ -261,21 +258,20 @@ class StaircaseMeasure(TailInvariantMeasure):
 class BinomialEdgeMeasure(TailInvariantMeasure):
     """Binomial measure on the two-edge (pascal) subdiagram of the triangle.
 
-    A cylinder through vertex ``i`` of level ``n`` (cone {k, ..., k+n-1})
-    has mass prob^(k+n-1-i) (1-prob)^(i-k): each level chooses the vertical
+    The measure builds its own subdiagram, the offset-``k`` two-edge cone.
+    A cylinder through vertex ``i`` of level ``n`` (cone {k, ..., k+n-1}) has
+    mass prob^(k+n-1-i) (1-prob)^(i-k): each level chooses the vertical
     edge with probability ``prob`` and the diagonal with ``1-prob``.
     """
 
     name = "edge-binomial"
 
-    def __init__(self, prob, subdiagram: Subdiagram):
+    def __init__(self, prob, k: int):
+        super().__init__(build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k}))
+        self.k = self.diagram.k
         self.prob = Fraction(prob)
         if not 0 < self.prob < 1:
             raise DiagramError("the edge weight must lie strictly between 0 and 1")
-        if subdiagram.spec.get("rule") != "pascal" or subdiagram.kind != "edge":
-            raise DiagramError("this measure lives on two-edge pascal subdiagrams")
-        self.k = subdiagram.k
-        super().__init__(subdiagram)
 
     def p(self, n: int, i) -> Fraction:
         self.diagram.check_vertex(n, i)
@@ -296,19 +292,18 @@ class BinomialEdgeMeasure(TailInvariantMeasure):
 class OdometerColumnMeasure(TailInvariantMeasure):
     """The unique invariant measure on one vertical column of an odometer chain.
 
-    On the constant subdiagram at column ``i`` the level-``L`` cylinder mass
-    is 1 / (a_0(i) a_1(i) ... a_(L-1)(i)); every level has tower mass 1.
+    The measure builds its own subdiagram, the constant column ``i`` of the
+    odometer chain ``ambient``.  There the level-``L`` cylinder mass is
+    1 / (a_0(i) a_1(i) ... a_(L-1)(i)); every level has tower mass 1.
     """
 
     name = "odometer-column"
 
-    def __init__(self, subdiagram: Subdiagram):
-        if subdiagram.spec.get("rule") != "constant":
-            raise DiagramError("this measure lives on constant-column subdiagrams")
-        if not isinstance(subdiagram.ambient, OdometerChainDiagram):
+    def __init__(self, ambient: OdometerChainDiagram, column: int):
+        if not isinstance(ambient, OdometerChainDiagram):
             raise DiagramError("the column measure needs an odometer-chain ambient")
-        self.column = subdiagram.spec["vertex"]
-        super().__init__(subdiagram)
+        super().__init__(build_subdiagram(ambient, {"kind": "vertex", "rule": "constant", "vertex": column}))
+        self.column = column
 
     def p(self, n: int, v) -> Fraction:
         self.diagram.check_vertex(n, v)

@@ -240,7 +240,7 @@ def test_criterion_06_staircase_telescoping_heights_and_differences():
     k = 2
     sub = staircase(k)
     for a in (F(1, 4), F(1, 2), F(3, 4)):
-        nu = StaircaseMeasure(a, sub)
+        nu = StaircaseMeasure(a, k)
         for n in range(1, 11):
             upper = sub.level_vertices(n + 1)
             for low in sub.level_vertices(n):
@@ -259,7 +259,7 @@ def test_criterion_06_staircase_telescoping_heights_and_differences():
                              - ambient_height(i - width, n + 1))
 
     for a in (F(1, 4), F(1, 2), F(3, 4)):
-        nu = StaircaseMeasure(a, sub)
+        nu = StaircaseMeasure(a, k)
         seq = [nu.determining_value(n) for n in range(1, 13)]
         table = difference_table(seq, 5)
         for order, row in enumerate(table):
@@ -287,10 +287,8 @@ def test_criterion_07_extension_verdict_quartet():
 
     diverging = edge_binomial_extension(F(1, 2), 3, n_max=60)
     assert diverging.verdict == "Infinite"
-    edge_sub = build_subdiagram(
-        BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": 3})
-    nu = BinomialEdgeMeasure(F(1, 2), edge_sub)
-    terms = extension_terms(edge_sub, nu.p, 60)
+    nu = BinomialEdgeMeasure(F(1, 2), 3)
+    terms = extension_terms(nu.diagram, nu.p, 60)
     first = next(t for t in terms if t > 0)
     assert sum(terms) > 10 * first
     tail = [t for t in terms if t > 0][-9:]

@@ -11,6 +11,8 @@ from math import comb
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bratteli.cli import cli, main
 
@@ -164,10 +166,26 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     {"family": "binfty", "truncation": {"bound": "x"}},
     {"family": "custom", "params": {"levels": {"0": [1], "1": [1]},
                                     "rows": {"1": {"1": {"2": 1}}}}},
+    {"family": "binfty", "sub": "staircase:2"},
+    {"family": "binfty", "sub": {"kind": "vertex", "rule": "explicit", "levels": [1, 2]}},
+    {"family": "binfty", "sub": {"kind": "vertex", "rule": "explicit", "levels": {"1": 3}}},
+    {"family": "binfty", "sub": {"kind": "edge", "rule": "explicit", "seed": [1], "retained": [1]}},
+    {"family": "binfty", "sub": {"kind": "edge", "rule": "explicit", "seed": [1], "retained": {"2": 5}}},
+    {"family": "binfty", "sub": {"kind": "edge", "rule": "explicit", "seed": [1],
+                                 "retained": {"2": {"1": 5}}}},
+    {"family": "binfty", "sub": {"kind": "edge", "rule": "explicit", "seed": [1],
+                                 "retained": {"2": {"1": [1, 2]}}}},
+    {"family": "binfty", "sub": {"kind": "edge", "rule": "explicit", "seed": 1, "retained": {}}},
+    {"family": "odometer-io", "params": {"a": 2, "columns": [1, 2]}},
+    {"family": "odometer-io", "params": {"a": [2, "x"]}},
 ], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
         "sub-not-an-object", "params-not-an-object", "custom-levels-a-list",
         "custom-malformed-row-key", "custom-level-not-a-list", "truncation-not-an-object",
-        "truncation-bound-not-an-integer", "custom-row-source-not-a-vertex"])
+        "truncation-bound-not-an-integer", "custom-row-source-not-a-vertex",
+        "sub-not-json", "explicit-levels-a-list", "explicit-level-not-a-list",
+        "retained-a-list", "retained-level-rows-an-integer", "retained-sources-an-integer",
+        "retained-sources-a-list", "seed-an-integer", "odometer-columns-a-list",
+        "odometer-entry-not-an-integer"])
 def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -181,6 +199,69 @@ def test_a_malformed_spec_file_is_a_domain_error_for_stochastic(spec, tmp_path, 
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert_domain_error(["stochastic", "--spec", str(path), "--level", "2"], capsys)
+
+
+# valid specs, one per family and per subdiagram kind and rule
+_SPEC_TEMPLATES = [
+    {"family": "pascal-n", "truncation": {"bound": 3}},
+    {"family": "pascal-k", "params": {"k": 2}},
+    {"family": "bounded-finite", "params": {"k": 1}},
+    {"family": "bounded-generalized", "params": {"k": 1}, "truncation": {"bound": 3}},
+    {"family": "odometer-io", "params": {"a": [2, 3], "columns": {"1": [2, 3]}}},
+    {"family": "custom", "params": {"base_level": 0, "levels": {"0": [1], "1": [1, [[1, 1]]]},
+                                    "rows": {"1": {"1": {"1": 1}, "[[1, 1]]": {"1": 2}}}}},
+    {"family": "binfty", "sub": {"kind": "vertex", "rule": "staircase", "k": 2}},
+    {"family": "odometer-io", "params": {"a": "pow2"},
+     "sub": {"kind": "vertex", "rule": "constant", "vertex": 1}},
+    {"family": "binfty", "sub": {"kind": "vertex", "rule": "explicit", "levels": {"1": [1, 2]}}},
+    {"family": "binfty", "sub": {"kind": "edge", "rule": "pascal", "k": 2}},
+    {"family": "binfty", "sub": {"kind": "edge", "rule": "explicit", "seed": [1],
+                                 "retained": {"2": {"1": {"1": 1}}}}},
+]
+
+# small integers only, so that no example builds a huge level
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3, 40)
+    | st.sampled_from(["", "x", "1", "pow2", "[1", "[[1, 1]]", "staircase:2", "vertex",
+                       "edge", "explicit", "constant", "pascal", "binfty"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["0", "1", "2", "k", "a", "x", "[[1, 1]]", "kind", "rule", "bound"]),
+        inner, max_size=3),
+    max_leaves=6)
+
+
+def _field_paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _with_field(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _with_field(obj[path[0]], path[1:], value)
+    return out
+
+
+@st.composite
+def _fuzzed_specs(draw):
+    spec = draw(st.sampled_from(_SPEC_TEMPLATES))
+    for _ in range(draw(st.integers(1, 2))):
+        spec = _with_field(spec, draw(st.sampled_from(list(_field_paths(spec)))), draw(_JSON))
+    return spec
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_fuzzed_specs())
+def test_any_spec_file_exits_with_a_documented_code(spec, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as info:
+        main(["heights", "--spec", str(path), "--level", "1", "--window", "2"])
+    assert info.value.code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("rows, missing", [
@@ -222,9 +303,16 @@ def test_stepping_past_a_provably_minimal_path_is_a_domain_error():
     ["measure", "--measure", "binfty-mu", "--a", "1/2", "--level", "2", "--window", "0"],
     ["measure", "--measure", "binfty-mu", "--a", "1/2", "--level", "2", "--window", "-3",
      "--vertex", "3"],
+    ["monotone", "--a", "1/2", "--terms", "0"],
+    ["monotone", "--a", "1/2", "--orders", "-1"],
+    ["heights", "--family", "binfty", "--level", "2", "--window", "0"],
+    ["stochastic", "--family", "binfty", "--level", "2", "--window", "0"],
+    ["continuity", "--family", "binfty", "--level", "2", "--window", "0"],
 ], ids=["invariance-levels-0", "invariance-levels-negative", "probability-levels-negative",
         "extension-n-max-0", "restricted-mass-n-max-0", "invariance-window-0",
-        "measure-window-0", "measure-window-negative"])
+        "measure-window-0", "measure-window-negative", "monotone-terms-0",
+        "monotone-orders-negative", "heights-window-0", "stochastic-window-0",
+        "continuity-window-0"])
 def test_an_empty_range_is_a_domain_error_not_a_vacuous_verdict(argv, capsys):
     assert_domain_error(argv, capsys)
 

@@ -4,13 +4,7 @@ from math import comb
 
 import pytest
 
-from bratteli.core import (
-    BinftyDiagram,
-    DiagramError,
-    OdometerChainDiagram,
-    Subdiagram,
-    build_subdiagram,
-)
+from bratteli.core import DiagramError, OdometerChainDiagram, Subdiagram
 from bratteli.extension import (
     FINITE,
     INCONCLUSIVE,
@@ -66,17 +60,9 @@ def test_series_verdict_edge_cases():
         series_verdict([Fraction(-1)])
 
 
-def staircase(k=2):
-    return build_subdiagram(
-        BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k}
-    )
-
-
 def test_staircase_extension_first_term_by_hand():
-    a = HALF
-    sub = staircase(2)
-    nu = StaircaseMeasure(a, sub)
-    terms = extension_terms(sub, nu.p, 1)
+    nu = StaircaseMeasure(HALF, 2)
+    terms = extension_terms(nu.diagram, nu.p, 1)
     assert terms == [Fraction(11, 9)]
 
 
@@ -98,9 +84,8 @@ def test_staircase_extension_diverges_at_one():
 @pytest.mark.parametrize("a", [Fraction(1, 3), HALF, Fraction(2, 3), Fraction(3, 4),
                                Fraction(3, 5), Fraction(1), Fraction(2), Fraction(5, 2)])
 def test_staircase_closed_form_terms_equal_the_generic_sum(a, k):
-    sub = staircase(k)
-    nu = StaircaseMeasure(a, sub)
-    assert staircase_terms(nu, 40) == extension_terms(sub, nu.p, 40)
+    nu = StaircaseMeasure(a, k)
+    assert staircase_terms(nu, 40) == extension_terms(nu.diagram, nu.p, 40)
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -125,9 +110,8 @@ def test_staircase_extension_reads_two_masses_per_term(monkeypatch):
 
 def test_edge_binomial_terms_match_direct_formula():
     prob, k = HALF, 3
-    sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k})
-    nu = BinomialEdgeMeasure(prob, sub)
-    terms = extension_terms(sub, nu.p, 12)
+    nu = BinomialEdgeMeasure(prob, k)
+    terms = extension_terms(nu.diagram, nu.p, 12)
     assert terms[:4] == [Fraction(3, 2), Fraction(5, 2), Fraction(35, 8), Fraction(63, 8)]
     for idx, t in enumerate(terms):
         n = idx + 1
@@ -142,9 +126,8 @@ def test_edge_binomial_terms_match_direct_formula():
 @pytest.mark.parametrize("prob", [Fraction(1, 4), Fraction(1, 3), HALF, Fraction(2, 3),
                                   Fraction(3, 4)])
 def test_edge_binomial_closed_form_terms_equal_the_generic_sum(prob, k):
-    sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k})
-    nu = BinomialEdgeMeasure(prob, sub)
-    assert edge_binomial_terms(nu, 40) == extension_terms(sub, nu.p, 40)
+    nu = BinomialEdgeMeasure(prob, k)
+    assert edge_binomial_terms(nu, 40) == extension_terms(nu.diagram, nu.p, 40)
 
 
 def test_edge_binomial_extension_reads_no_rows_and_no_single_masses(monkeypatch):
@@ -170,10 +153,8 @@ def test_edge_binomial_extension_diverges():
 
 def test_odometer_extension_terms_and_verdicts():
     entries = [2, 3, 4, 5, 2, 2, 3, 3, 2, 2, 2, 2]
-    odo = OdometerChainDiagram(entries)
-    sub = build_subdiagram(odo, {"kind": "vertex", "rule": "constant", "vertex": 1})
-    m = OdometerColumnMeasure(sub)
-    terms = extension_terms(sub, m.p, 10)
+    m = OdometerColumnMeasure(OdometerChainDiagram(entries), 1)
+    terms = extension_terms(m.diagram, m.p, 10)
     prod_a, prod_a1 = 1, 1
     for n, t in enumerate(terms):
         assert t == Fraction(prod_a1, prod_a * entries[n])
@@ -190,13 +171,9 @@ def test_odometer_extension_terms_and_verdicts():
 
 
 def test_odometer_extension_partial_sums_telescope():
-    sub = build_subdiagram(
-        OdometerChainDiagram("pow2"),
-        {"kind": "vertex", "rule": "constant", "vertex": 4},
-    )
-    m = OdometerColumnMeasure(sub)
+    m = OdometerColumnMeasure(OdometerChainDiagram("pow2"), 4)
     n_max = 12
-    terms = extension_terms(sub, m.p, n_max)
+    terms = extension_terms(m.diagram, m.p, n_max)
     prod = Fraction(1)
     for j in range(n_max):
         prod *= 1 + Fraction(1, 2 ** (j + 1))
@@ -223,10 +200,8 @@ def test_run_extension_case_dispatch():
 def test_extended_cylinder_masses_on_odometer_columns():
     n = 2
     for rule, entry_at in [(2, lambda s: 2), ("pow2", lambda s: 2 ** (s + 1))]:
-        odo = OdometerChainDiagram(rule)
-        sub = build_subdiagram(odo, {"kind": "vertex", "rule": "constant", "vertex": 1})
-        m = OdometerColumnMeasure(sub)
-        approx = extended_cylinder_masses(sub, m.p, n, 2, range(1, 9))
+        m = OdometerColumnMeasure(OdometerChainDiagram(rule), 1)
+        approx = extended_cylinder_masses(m.diagram, m.p, n, 2, range(1, 9))
         denom = 1
         for j in range(n):
             denom *= entry_at(j)
@@ -238,10 +213,8 @@ def test_extended_cylinder_masses_on_odometer_columns():
 
 
 def test_extended_cylinder_masses_on_staircase():
-    a = HALF
-    sub = staircase(2)
-    nu = StaircaseMeasure(a, sub)
-    approx = extended_cylinder_masses(sub, nu.p, 1, 1, [1, 2, 3, 6])
+    nu = StaircaseMeasure(HALF, 2)
+    approx = extended_cylinder_masses(nu.diagram, nu.p, 1, 1, [1, 2, 3, 6])
     values = [v for _, v in approx]
     assert all(v > 0 for v in values)
     assert values == sorted(values)

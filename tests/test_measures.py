@@ -23,7 +23,6 @@ from bratteli.measures import (
     completely_monotone_witness,
     difference_table,
     invariance_report,
-    is_invariant,
     restricted_level_mass,
     sample_paths,
 )
@@ -66,7 +65,7 @@ def test_pascal_measure_on_signed_coordinates():
     d = {0: HALF, -1: HALF}
     mu = PascalMeasure(d)
     assert mu.diagram.family == "pascal-z"
-    assert is_invariant(mu, range(0, 4))
+    assert all(r.ok for r in invariance_report(mu, range(0, 4)))
     assert mu.level_mass(3) == 1
     assert mu.p(2, support_key([(0, 1), (-1, 1)])) == Fraction(1, 4)
     assert mu.p(1, support_key([(5, 1)])) == 0
@@ -125,37 +124,31 @@ def test_binfty_differences_step_down_one_level():
             assert rows[k] == expect
 
 
-def staircase(k=2):
-    return build_subdiagram(
-        BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k}
-    )
-
-
 STAIR_PARAMS = [Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1), Fraction(2)]
 
 
 @pytest.mark.parametrize("a", STAIR_PARAMS)
 def test_staircase_measure_levels_are_probabilities(a):
-    nu = StaircaseMeasure(a, staircase())
+    nu = StaircaseMeasure(a, 2)
     for n in range(1, 11):
         assert nu.level_mass(n) == 1
 
 
 @pytest.mark.parametrize("a", STAIR_PARAMS)
 def test_staircase_measure_telescopes(a):
-    nu = StaircaseMeasure(a, staircase())
+    nu = StaircaseMeasure(a, 2)
     report = invariance_report(nu, range(1, 10))
     assert report and all(r.ok for r in report)
 
 
 def test_staircase_successor_mass_refuses_a_vertex_beyond_the_level():
-    nu = StaircaseMeasure(HALF, staircase(2))  # level 2 is {2, 3}
+    nu = StaircaseMeasure(HALF, 2)  # level 2 is {2, 3}
     with pytest.raises(DiagramError, match="99 is not a vertex of level 2"):
         nu.successor_mass(2, 99)
 
 
 def test_staircase_successor_mass_names_the_level_asked_about():
-    nu = StaircaseMeasure(HALF, staircase(2))
+    nu = StaircaseMeasure(HALF, 2)
     with pytest.raises(DiagramError, match="1 is not a vertex of level 2"):
         nu.successor_mass(2, 1)
 
@@ -167,14 +160,14 @@ def test_binfty_successor_mass_refuses_level_zero():
 
 def test_staircase_determining_sequence_closed_form():
     a = Fraction(2, 5)
-    nu = StaircaseMeasure(a, staircase())
+    nu = StaircaseMeasure(a, 2)
     for n in range(1, 12):
         assert nu.determining_value(n) == a ** (n - 1) / (1 + a) ** (2 * n - 2)
 
 
 def test_staircase_difference_closed_form():
     a = Fraction(1, 2)
-    nu = StaircaseMeasure(a, staircase())
+    nu = StaircaseMeasure(a, 2)
     seq = [nu.determining_value(n) for n in range(1, 16)]
     rows = difference_table(seq, 5)
     for l in range(6):
@@ -189,7 +182,7 @@ def test_staircase_difference_closed_form():
 
 
 def test_complete_monotonicity_of_determining_sequence():
-    nu = StaircaseMeasure(HALF, staircase())
+    nu = StaircaseMeasure(HALF, 2)
     seq = [nu.determining_value(n) for n in range(1, 16)]
     assert completely_monotone_witness(seq, 5) is None
 
@@ -219,8 +212,8 @@ def test_binfty_mass_sum_equals_the_sum_of_cylinder_masses(data, a):
 @given(data=st.data(), prob=st.sampled_from([Fraction(1, 4), Fraction(1, 3), HALF, Fraction(5, 7)]),
        k=st.integers(1, 4))
 def test_edge_binomial_mass_sum_equals_the_sum_of_cylinder_masses(data, prob, k):
-    sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": k})
-    nu = BinomialEdgeMeasure(prob, sub)
+    nu = BinomialEdgeMeasure(prob, k)
+    sub = nu.diagram
     n = data.draw(st.integers(1, 12))
     kept = sub.level_vertices(n)
     weights = _weights_at(data.draw, list(kept))
@@ -238,10 +231,9 @@ def test_binfty_support_is_cut_to_the_bound_given_even_zero():
 
 
 def test_mass_sum_of_no_weights_is_zero():
-    sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": 2})
     assert BinftyMeasure(HALF).mass_sum(3, {}) == 0
-    assert BinomialEdgeMeasure(HALF, sub).mass_sum(3, {}) == 0
-    assert StaircaseMeasure(HALF, staircase(2)).mass_sum(3, {}) == 0
+    assert BinomialEdgeMeasure(HALF, 2).mass_sum(3, {}) == 0
+    assert StaircaseMeasure(HALF, 2).mass_sum(3, {}) == 0
 
 
 def test_binfty_invariance_reads_one_cylinder_mass_per_record(monkeypatch):
@@ -262,7 +254,7 @@ def test_binfty_invariance_reads_one_cylinder_mass_per_record(monkeypatch):
 def test_restricted_mass_direct_equals_recursion():
     a, k = HALF, 2
     mu = BinftyMeasure(a)
-    sub = staircase(k)
+    sub = build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k})
     mass = a ** (k - 1) / (a + 1) ** k
     assert restricted_level_mass(mu, sub, 1) == mass
     for n in range(1, 9):
@@ -273,25 +265,33 @@ def test_restricted_mass_direct_equals_recursion():
 
 
 def test_odometer_column_measure():
-    odo = OdometerChainDiagram([2, 3, 4, 5, 2, 2])
-    sub = build_subdiagram(odo, {"kind": "vertex", "rule": "constant", "vertex": 3})
-    m = OdometerColumnMeasure(sub)
+    m = OdometerColumnMeasure(OdometerChainDiagram([2, 3, 4, 5, 2, 2]), 3)
     assert m.p(0, 3) == 1
     assert m.p(3, 3) == Fraction(1, 2 * 3 * 4)
     for n in range(0, 6):
         assert m.level_mass(n) == 1
-    assert is_invariant(m, range(0, 5))
+    assert all(r.ok for r in invariance_report(m, range(0, 5)))
 
 
 def test_odometer_column_measure_validation():
-    odo = OdometerChainDiagram(2)
-    stair = staircase()
-    with pytest.raises(DiagramError):
-        OdometerColumnMeasure(stair)
-    with pytest.raises(DiagramError):
-        StaircaseMeasure(HALF, build_subdiagram(
-            odo, {"kind": "vertex", "rule": "constant", "vertex": 1}
-        ))
+    with pytest.raises(DiagramError, match="odometer-chain ambient"):
+        OdometerColumnMeasure(BinftyDiagram(), 1)
+    with pytest.raises(DiagramError, match="not in the diagram"):
+        OdometerColumnMeasure(OdometerChainDiagram(2), 0)
+    assert OdometerColumnMeasure(OdometerChainDiagram(2), 4).diagram.level_vertices(3) == (4,)
+
+
+def test_subdiagram_measures_check_their_offset_before_their_weight():
+    for k in (0, "x"):
+        with pytest.raises(DiagramError, match="offset k"):
+            StaircaseMeasure(-1, k)
+        with pytest.raises(DiagramError, match="offset k"):
+            BinomialEdgeMeasure(2, k)
+    assert StaircaseMeasure(HALF, "3").k == BinomialEdgeMeasure(HALF, "3").k == 3
+    with pytest.raises(DiagramError, match="parameter must be > 0"):
+        StaircaseMeasure(0, 2)
+    with pytest.raises(DiagramError, match="strictly between 0 and 1"):
+        BinomialEdgeMeasure(1, 2)
 
 
 # -- path sampling -------------------------------------------------------------
