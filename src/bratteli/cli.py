@@ -42,9 +42,9 @@ from .core import (
     TruncationIncompleteError,
     as_int,
     build_diagram,
-    build_subdiagram,
+    read_json,
     step_polynomial_coefficients,
-    support_key,
+    vertex_from_text,
 )
 from .extension import EXTENSION_CASES, run_extension_case
 from .limits import (
@@ -113,40 +113,6 @@ def _int_list(text, what="list"):
         return [int(t.strip()) for t in str(text).split(",") if t.strip()]
     except ValueError as exc:
         raise DiagramError("bad %s %r: %s" % (what, text, exc))
-
-
-def _entry_rule(text):
-    """Odometer entry rule: 'pow2', a single integer, or a comma list."""
-    text = str(text).strip()
-    if text == "pow2":
-        return "pow2"
-    values = _int_list(text, "entry rule")
-    return values[0] if len(values) == 1 else values
-
-
-def _vertex(text):
-    """A vertex argument: an integer, or a JSON [[coord, mult], ...] key."""
-    text = str(text).strip()
-    if text.startswith("["):
-        try:
-            pairs = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DiagramError("bad vertex %r: %s" % (text, exc))
-        return support_key(pairs)
-    try:
-        return int(text)
-    except ValueError:
-        raise DiagramError(
-            "bad vertex %r: pass an integer or a JSON [[coord, mult], ...] key"
-            % text
-        )
-
-
-def _json_arg(text, what):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DiagramError("bad %s: %s" % (what, exc))
 
 
 def _at_least_one(value, option):
@@ -280,16 +246,7 @@ class _DiagramArgs(NamedTuple):
                     text = fh.read()
             except OSError as exc:
                 raise DiagramError("cannot read spec file %s: %s" % (self.spec_file, exc))
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise DiagramError("malformed JSON in %s: %s" % (self.spec_file, exc))
-            if not isinstance(obj, dict):
-                raise DiagramError("spec file %s must hold a JSON object" % self.spec_file)
-            diagram = build_diagram(obj)
-            if obj.get("sub"):
-                diagram = build_subdiagram(diagram, obj["sub"])
-            return diagram
+            return build_diagram(read_json(text, "spec file %s" % self.spec_file))
         family = self.family
         if family is None:
             raise DiagramError("pass --family or --spec FILE")
@@ -301,11 +258,9 @@ class _DiagramArgs(NamedTuple):
         if family == "odometer-io":
             if self.a_rule is None:
                 raise DiagramError("--family odometer-io needs --a (entry rule)")
-            params["a"] = _entry_rule(self.a_rule)
-        diagram = build_diagram({"family": family, "params": params})
-        if self.sub_text:
-            diagram = build_subdiagram(diagram, _sub_spec(self.sub_text))
-        return diagram
+            params["a"] = self.a_rule
+        return build_diagram({"family": family, "params": params,
+                              "sub": self.sub_text and _sub_spec(self.sub_text)})
 
 
 def _pascal_measure(d_text, coords_text):
@@ -344,7 +299,7 @@ def _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
     if measure_name == "odometer-column":
         if a_text is None:
             raise DiagramError("odometer-column needs --a (entry rule)")
-        return OdometerColumnMeasure(OdometerChainDiagram(_entry_rule(a_text)), column)
+        return OdometerColumnMeasure(OdometerChainDiagram(a_text), column)
     raise DiagramError("unknown measure %r" % measure_name)
 
 
@@ -468,7 +423,7 @@ def heights_cmd(source, level, window, vertex_text):
     """Path-count heights at a level, with closed forms when available."""
     window = _at_least_one(window, "--window")
     diagram = source()
-    values = heights(diagram, level, None if vertex_text is None else [_vertex(vertex_text)],
+    values = heights(diagram, level, None if vertex_text is None else [vertex_from_text(vertex_text)],
                      window)
     payload = {
         "family": diagram.family,
@@ -498,7 +453,7 @@ def stochastic(source, level, window, vertex_text):
     window = _at_least_one(window, "--window")
     diagram = source()
     rows_map = stochastic_rows(diagram, level,
-                               None if vertex_text is None else [_vertex(vertex_text)], window)
+                               None if vertex_text is None else [vertex_from_text(vertex_text)], window)
     payload = {
         "family": diagram.family,
         "level": level,
@@ -527,7 +482,7 @@ def stochastic(source, level, window, vertex_text):
 def product(source, level, m_steps, vertex_text, method):
     """Normalized m-step incidence row from a top vertex down to level n."""
     diagram = source()
-    top = _vertex(vertex_text)
+    top = vertex_from_text(vertex_text)
     row = normalized_product_row(diagram, level, m_steps, top, method=method)
     payload = {
         "family": diagram.family,
@@ -572,7 +527,7 @@ def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
             if source.a_rule is None:
                 raise DiagramError("--closed-form binfty needs --a")
             n = 1 if level is None else level
-            vector = binfty_limit_vector(_fraction(source.a_rule, "slope"), n, window)
+            vector = binfty_limit_vector(_fraction(source.a_rule, "slope"), window)
             rows = _vertex_rows(vector, key=None)
         else:
             if d_text is None or level is None:
@@ -595,7 +550,7 @@ def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
     if rule == "constant":
         if vertex_text is None:
             raise DiagramError("--rule constant needs --vertex")
-        top_rule = constant_top(_vertex(vertex_text))
+        top_rule = constant_top(vertex_from_text(vertex_text))
     elif rule == "ray":
         if slope is None:
             raise DiagramError("--rule ray needs --slope")
@@ -638,7 +593,7 @@ def measure(mu, level, window, vertex_text):
     """Cylinder and tower masses of a tail-invariant measure at a level."""
     window = _at_least_one(window, "--window")
     if vertex_text is not None:
-        vertices = (_vertex(vertex_text),)
+        vertices = (vertex_from_text(vertex_text),)
     else:
         vertices = mu.level_support(level, window)
     cylinders = {v: mu.p(level, v) for v in vertices}
@@ -716,7 +671,7 @@ _EXTENSION_ARGS = {
     "mu-a-pascal-edge": ("--a", "a", _slope, "k", "n_check"),
     "nu-a-staircase": ("--a", "a", _slope, "k", "n_max"),
     "nu-p-pascal-edge": ("--p", "prob", functools.partial(_fraction, what="edge weight"), "k", "n_max"),
-    "odometer-column": ("--a", "a", _entry_rule, "column", "n_max"),
+    "odometer-column": ("--a", "a", str, "column", "n_max"),
 }
 
 
@@ -759,6 +714,8 @@ def monotone(nu, orders, terms):
     if orders < 0:
         raise DiagramError("--orders must be at least 0, got %d" % orders)
     terms = _at_least_one(terms, "--terms")
+    if orders > terms - 1:
+        raise DiagramError("--orders must be at most --terms - 1 = %d, got %d" % (terms - 1, orders))
     seq = [nu.determining_value(n) for n in range(1, terms + 1)]
     witness = completely_monotone_witness(seq, orders)
     table = difference_table(seq, orders)
@@ -814,7 +771,7 @@ def sample(mu, depth, count, seed):
 def vershik(source, order_name, path_text, inverse):
     """One step of the adic transformation on an explicit path."""
     od = OrderedDiagram(source(), order_name)
-    path = path_from_json(_json_arg(path_text, "path"))
+    path = path_from_json(read_json(path_text, "--path"))
     result = vershik_inverse(od, path) if inverse else vershik_step(od, path)
     return {
         "direction": "inverse" if inverse else "forward",
@@ -837,7 +794,7 @@ def classify(source, order_name, path_text, descriptor_text, domain):
     if (path_text is None) == (descriptor_text is None):
         raise DiagramError("pass exactly one of --path or --descriptor")
     if descriptor_text is not None:
-        desc = descriptor_from_json(_json_arg(descriptor_text, "descriptor"))
+        desc = descriptor_from_json(read_json(descriptor_text, "--descriptor"))
         cls = classify_descriptor(desc, domain)
         payload = {
             "kind": "descriptor",
@@ -857,7 +814,7 @@ def classify(source, order_name, path_text, descriptor_text, domain):
                 payload["mirror_note"] = str(exc)
         return payload
     od = OrderedDiagram(source(), order_name)
-    path = path_from_json(_json_arg(path_text, "path"))
+    path = path_from_json(read_json(path_text, "--path"))
     cls = classify_extremal(od, path)
     payload = {
         "kind": "path",
@@ -886,7 +843,7 @@ def classify(source, order_name, path_text, descriptor_text, domain):
 def orbit_cmd(source, order_name, path_text, steps, visit_level):
     """Iterate the adic transformation and tally vertex visits."""
     od = OrderedDiagram(source(), order_name)
-    path = path_from_json(_json_arg(path_text, "path"))
+    path = path_from_json(read_json(path_text, "--path"))
     result = orbit(od, path, steps, visit_level=visit_level)
     payload = {
         "steps": steps,

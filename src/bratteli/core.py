@@ -466,8 +466,8 @@ class OdometerChainDiagram(Diagram):
     Every level is 1, 2, 3, ...; the vertex i at level n+1 receives a_n(i)
     edges from vertex i and one edge from vertex i+1 at level n.  Entry rules:
     an integer (stationary), an explicit list (level-indexed from 0), or the
-    name "pow2" (a_n = 2^(n+1)).  ``columns`` optionally overrides the rule
-    for individual columns.
+    name "pow2" (a_n = 2^(n+1)), each also as CLI text.  ``columns``
+    optionally overrides the rule for individual columns.
     """
 
     family = "odometer-io"
@@ -519,29 +519,29 @@ class OdometerChainDiagram(Diagram):
 
 
 def _parse_entry_rule(a) -> Callable[[int], int]:
-    if isinstance(a, bool):
-        raise DiagramError("odometer entries must be integers >= 2")
-    if isinstance(a, int):
+    """An odometer entry rule: an integer, a list, "pow2", or CLI text ("3", "2,3,4") for one of these."""
+    if a == "pow2":
+        return lambda n: 2 ** (n + 1)
+    if isinstance(a, str) and "," in a:
+        a = a.split(",")
+    if not isinstance(a, (list, tuple)):
+        a = as_int(a, "an odometer entry")
         if a < 2:
             raise DiagramError("odometer entries must be >= 2, got %d" % a)
         return lambda n: a
-    if isinstance(a, (list, tuple)):
-        vals = [as_int(x, "an odometer entry") for x in a]
-        if any(x < 2 for x in vals):
-            raise DiagramError("odometer entries must be >= 2: %r" % (vals,))
+    vals = [as_int(x, "an odometer entry") for x in a]
+    if any(x < 2 for x in vals):
+        raise DiagramError("odometer entries must be >= 2: %r" % (vals,))
 
-        def from_list(n: int) -> int:
-            if n >= len(vals):
-                raise TruncationIncompleteError(
-                    "odometer entry sequence exhausted at index %d" % n,
-                    missing=[("entry", n)],
-                )
-            return vals[n]
+    def from_list(n: int) -> int:
+        if n >= len(vals):
+            raise TruncationIncompleteError(
+                "odometer entry sequence exhausted at index %d" % n,
+                missing=[("entry", n)],
+            )
+        return vals[n]
 
-        return from_list
-    if a == "pow2":
-        return lambda n: 2 ** (n + 1)
-    raise DiagramError("unknown odometer entry rule: %r" % (a,))
+    return from_list
 
 
 class CustomDiagram(Diagram):
@@ -629,7 +629,8 @@ class Subdiagram(Diagram):
     per target).  Its own levels are the forward cone of the declared seed
     under retained edges; ``deleted_predecessors`` lists ambient sources per
     kept target with retained multiplicities subtracted, over the ambient
-    vertex sets.
+    vertex sets.  Explicit seeds and retained rows are checked against the
+    ambient diagram when the subdiagram is built, at every declared level.
     """
 
     def __init__(self, ambient: Diagram, kind: str, spec: Mapping):
@@ -652,20 +653,17 @@ class Subdiagram(Diagram):
                 self.k = k
                 self._level_set = lambda n: tuple(range(k, k + (n - self.base_level) + 1))
             elif rule == "constant":
-                vtx = _spec_field(spec, "vertex", "a constant subdiagram")
+                vtx = vertex_from_json(_spec_field(spec, "vertex", "a constant subdiagram"))
                 if not ambient.level_contains(ambient.base_level, vtx):
                     raise DiagramError("constant subdiagram vertex %r not in the diagram" % (vtx,))
                 self._level_set = lambda n: (vtx,)
             elif rule == "explicit":
-                levels = _object(_spec_field(spec, "levels", "an explicit subdiagram"), "explicit levels")
-                levels = {as_int(n, "a level"): tuple(map(vertex_from_json, _list(vs, "an explicit level")))
-                          for n, vs in levels.items()}
+                levels = _levels(_spec_field(spec, "levels", "an explicit subdiagram"))
                 if any(len(vs) == 0 for vs in levels.values()):
                     raise DiagramError("vertex subdiagram levels must be nonempty")
                 for n, vs in levels.items():
                     for v in vs:
                         ambient.check_vertex(n, v)
-                self._explicit_levels = levels
 
                 def lookup(n: int) -> tuple:
                     if n not in levels:
@@ -690,12 +688,21 @@ class Subdiagram(Diagram):
                     w: 1 for w in (v - 1, v) if ambient.level_contains(n - 1, w)
                 }
             elif rule == "explicit":
-                rows = _object(_spec_field(spec, "retained", "an explicit edge subdiagram"), "retained rows")
-                retained = {as_int(n, "a level"): {v: _object(srcs, "a retained row")
-                                                   for v, srcs in _object(r, "a level's retained rows").items()}
-                            for n, r in rows.items()}
+                retained = _rows(_spec_field(spec, "retained", "an explicit edge subdiagram"))
                 seeds = _list(_spec_field(spec, "seed", "an explicit edge subdiagram"), "an explicit seed")
                 seeds = tuple(map(vertex_from_json, seeds))
+                if not seeds:
+                    raise DiagramError("an explicit edge subdiagram needs a nonempty seed")
+                for v in seeds:
+                    ambient.check_vertex(self.base_level, v)
+                for n, level_rows in retained.items():  # so every retained edge is an ambient edge
+                    for v, srcs in level_rows.items():
+                        ambient_row = ambient.predecessors(n, v)
+                        for w, m in srcs.items():
+                            if not 1 <= m <= ambient_row.get(w, 0):
+                                raise DiagramError(
+                                    "retained multiplicity %d at %r is outside 1..%d, the ambient "
+                                    "edge count" % (m, (n, v, w), ambient_row.get(w, 0)))
 
                 def level_set(n: int) -> tuple:
                     if n == self.base_level:
@@ -716,26 +723,6 @@ class Subdiagram(Diagram):
             else:
                 raise DiagramError("unknown edge subdiagram rule: %r" % (rule,))
         super().__init__(spec)
-        self._validate_small_levels()
-
-    def _validate_small_levels(self):
-        for n in range(self.base_level, self.base_level + 3):
-            try:
-                vs = self._level_set(n)
-            except TruncationIncompleteError:
-                continue  # explicit data may cover fewer levels; fail on use instead
-            if not vs:
-                raise DiagramError("subdiagram level %d is empty" % n)
-            if self.kind == "edge":
-                for v in vs:
-                    if n == self.base_level:
-                        continue
-                    ambient_row = self.ambient.predecessors(n, v)
-                    for w, m in self._retained(n, v).items():
-                        if m > ambient_row.get(w, 0):
-                            raise DiagramError(
-                                "retained multiplicity exceeds the ambient edge count at %r" % ((n, v, w),)
-                            )
 
     # -- Diagram interface --------------------------------------------------
 
@@ -806,11 +793,9 @@ class Subdiagram(Diagram):
 
 
 def build_diagram(spec) -> Diagram:
-    """Build a diagram from a family name + params mapping (or a JSON string/dict)."""
-    if isinstance(spec, str):
-        spec = json.loads(spec)
-    if not isinstance(spec, Mapping):
-        raise DiagramError("diagram spec must be a mapping or JSON string")
+    """Build a diagram from a spec mapping or its JSON text: family, params,
+    an optional truncation and an optional ``sub`` block (see ``build_subdiagram``)."""
+    spec = _object(read_json(spec, "a diagram spec") if isinstance(spec, str) else spec, "a diagram spec")
     family = spec.get("family")
     params = _object(spec.get("params", {}), "a spec's params")
     if family == "pascal-n":
@@ -830,22 +815,8 @@ def build_diagram(spec) -> Diagram:
             raise DiagramError("odometer-io needs an entry rule 'a'")
         d = OdometerChainDiagram(params["a"], params.get("columns"))
     elif family == "custom":
-        levels = _object(_spec_field(params, "levels", "a custom spec"), "a custom spec's levels")
-        levels = {
-            as_int(n, "a level"): [vertex_from_json(v) for v in _list(vs, "a custom level's vertices")]
-            for n, vs in levels.items()
-        }
-        rows = _object(_spec_field(params, "rows", "a custom spec"), "a custom spec's rows")
-        rows = {
-            as_int(n, "a level"): {
-                _row_key(v): {
-                    _row_key(w): as_int(m, "a multiplicity")
-                    for w, m in _object(preds, "a row").items()
-                }
-                for v, preds in _object(level_rows, "a level's rows").items()
-            }
-            for n, level_rows in rows.items()
-        }
+        levels = _levels(_spec_field(params, "levels", "a custom spec"))
+        rows = _rows(_spec_field(params, "rows", "a custom spec"))
         d = CustomDiagram(levels, rows, base_level=as_int(params.get("base_level", 0), "base_level"))
     else:
         raise DiagramError("unknown family %r (expected one of %s)" % (family, ", ".join(FAMILIES)))
@@ -855,15 +826,30 @@ def build_diagram(spec) -> Diagram:
         if trunc.get("bound") is not None:
             trunc["bound"] = as_int(trunc["bound"], "a truncation bound")
         d.params["truncation"] = trunc
+    if spec.get("sub"):
+        d = build_subdiagram(d, spec["sub"])
     return d
 
 
 def as_int(value, what: str) -> int:
-    """``int(value)`` for a field of outside input; DiagramError if it is not an integer."""
+    """An integer field of outside input: an int, or the text of one (JSON object keys are text).
+
+    DiagramError for anything else, booleans and floats included.
+    """
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DiagramError("%s must be an integer, got %r" % (what, value))
+
+
+def read_json(text: str, what: str):
+    """The value ``text`` holds as JSON; DiagramError naming ``what`` if it is malformed."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DiagramError("%s must be an integer, got %r" % (what, value)) from None
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DiagramError("malformed JSON in %s: %s" % (what, exc)) from None
 
 
 def _spec_field(spec: Mapping, name: str, what: str):
@@ -887,22 +873,46 @@ def _list(value, what: str) -> list:
     return list(value)
 
 
-def _row_key(v):
-    """A vertex of a custom spec's rows: JSON, or the JSON text of an object key."""
-    if isinstance(v, str):
-        try:
-            v = json.loads(v)
-        except json.JSONDecodeError:
-            raise DiagramError("malformed vertex key %r in a custom spec" % v) from None
-    return vertex_from_json(v)
+def _levels(value) -> dict:
+    """A spec's ``{level: [vertex, ...]}`` object as ``{level: (vertex, ...)}``."""
+    return {as_int(n, "a level"): tuple(map(vertex_from_json, _list(vs, "a level's vertices")))
+            for n, vs in _object(value, "levels").items()}
+
+
+def _rows(value) -> dict:
+    """A spec's ``{level: {target: {source: multiplicity}}}`` object, its vertex keys read as text."""
+    return {
+        as_int(n, "a level"): {
+            vertex_from_text(v): {
+                vertex_from_text(w): as_int(m, "a multiplicity") for w, m in _object(srcs, "a row").items()
+            }
+            for v, srcs in _object(level_rows, "a level's rows").items()
+        }
+        for n, level_rows in _object(value, "rows").items()
+    }
 
 
 def vertex_from_json(v):
-    if isinstance(v, int):
+    """A vertex of parsed JSON: an integer, or a list of [coordinate, multiplicity] pairs."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, (list, tuple)):
         return support_key(v)
-    raise DiagramError("vertices must be integers or [coordinate, multiplicity] pair lists")
+    raise DiagramError("vertices must be integers or [coordinate, multiplicity] pair lists, got %r" % (v,))
+
+
+def vertex_from_text(v):
+    """A vertex written as text, on the command line or as a JSON object key.
+
+    The text is an integer or the JSON of a vertex; a value that is not text
+    is taken as already parsed.
+    """
+    if not isinstance(v, str):
+        return vertex_from_json(v)
+    try:
+        return int(v)
+    except ValueError:
+        return vertex_from_json(read_json(v, "vertex %r" % v))
 
 
 def vertex_window(diagram: Diagram, level: int, bound: int | None = None) -> tuple:
@@ -915,7 +925,7 @@ def vertex_window(diagram: Diagram, level: int, bound: int | None = None) -> tup
 
 
 def build_subdiagram(diagram: Diagram, spec: Mapping) -> Subdiagram:
-    """Build a vertex or edge subdiagram from a spec mapping.
+    """Build a vertex or edge subdiagram from a spec mapping or its JSON text.
 
     Vertex kinds: {"kind": "vertex", "rule": "staircase", "k": 2}
                   {"kind": "vertex", "rule": "constant", "vertex": 3}
@@ -923,13 +933,7 @@ def build_subdiagram(diagram: Diagram, spec: Mapping) -> Subdiagram:
     Edge kinds:   {"kind": "edge", "rule": "pascal", "k": 2}
                   {"kind": "edge", "rule": "explicit", "seed": [...], "retained": {...}}
     """
-    if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError:
-            raise DiagramError("malformed JSON in a subdiagram spec: %r" % spec) from None
-    if not isinstance(spec, Mapping):
-        raise DiagramError("subdiagram spec must be a mapping or JSON string")
+    spec = _object(read_json(spec, "a subdiagram spec") if isinstance(spec, str) else spec, "a subdiagram spec")
     kind = spec.get("kind")
     body = {k: v for k, v in spec.items() if k != "kind"}
     return Subdiagram(diagram, kind, body)

@@ -218,10 +218,10 @@ def pascal_ray(d: Mapping[int, Fraction]) -> Callable[[int, int], tuple]:
 # -- closed-form limit vectors ----------------------------------------------
 
 
-def binfty_limit_vector(a, n: int = 1, bound: int = 20) -> dict:
+def binfty_limit_vector(a, bound: int = 20) -> dict:
     """The limit of normalized rows along the slope-``a`` ray: y_j = a^(j-1)/(a+1)^j.
 
-    The same vector works at every level ``n``; entries are reported for
+    The same vector works at every level; entries are reported for
     j = 1..bound (the full vector has infinite support when a > 0 and total
     mass exactly 1).
     """

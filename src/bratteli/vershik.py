@@ -653,15 +653,17 @@ class PascalPathDescriptor:
     value_tail: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(int(i) for i in self.positions))
+        object.__setattr__(self, "positions", tuple(as_int(i, "a descriptor position") for i in self.positions))
         object.__setattr__(
-            self, "values", tuple(None if x is None else int(x) for x in self.values)
+            self, "values", tuple(None if x is None else as_int(x, "a descriptor value") for x in self.values)
         )
         if self.position_tail is not None:
-            s, d = self.position_tail
-            object.__setattr__(self, "position_tail", (int(s), int(d)))
+            tail = tuple(as_int(x, "a position tail entry") for x in self.position_tail)
+            if len(tail) != 2:
+                raise DiagramError("a position tail is [start, step], got %r" % (self.position_tail,))
+            object.__setattr__(self, "position_tail", tail)
         if self.value_tail is not None:
-            object.__setattr__(self, "value_tail", int(self.value_tail))
+            object.__setattr__(self, "value_tail", as_int(self.value_tail, "a descriptor value tail"))
 
 
 def classify_descriptor(desc: PascalPathDescriptor, domain: str = "z") -> ExtremalClass:
@@ -1101,14 +1103,8 @@ def descriptor_from_json(obj: Mapping) -> PascalPathDescriptor:
     if not isinstance(obj, Mapping) or not {"side", "positions", "values"} <= obj.keys():
         raise DiagramError(
             "a descriptor must be a JSON object with side, positions and values, got %r" % (obj,))
-    tail = obj.get("position_tail")
-    try:
-        return PascalPathDescriptor(
-            obj["side"],
-            tuple(obj["positions"]),
-            tuple(obj["values"]),
-            tuple(tail) if tail else None,
-            obj.get("value_tail"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DiagramError("malformed descriptor %r: %s" % (obj, exc)) from None
+    tail = obj.get("position_tail") or None
+    if any(not isinstance(x, list) for x in (obj["positions"], obj["values"], tail or [])):
+        raise DiagramError("a descriptor's positions, values and position_tail must be JSON arrays, "
+                           "got %r" % (obj,))
+    return PascalPathDescriptor(obj["side"], obj["positions"], obj["values"], tail, obj.get("value_tail"))

@@ -225,7 +225,7 @@ def test_criterion_05_binfty_measures_and_geometric_limit_vector():
         for n in range(1, 11):
             assert mu.level_mass(n) == 1
         assert "tail" in mu.level_mass_method  # closed-form tail, not cutoff
-    vector = binfty_limit_vector(1, 1)
+    vector = binfty_limit_vector(1)
     assert vector == {j: F(1, 2 ** j) for j in range(1, 21)}
     print("criterion 5 PASS: triangular measures invariant with unit mass "
           "(closed-form tails); slope-1 limit vector is 1/2, 1/4, 1/8, ...")

@@ -110,11 +110,13 @@ def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
     '{"start": 1, "edges": [[1,[["x",1]],1]]}',
     '{"start": 1, "edges": [[1,[1],1]]}',
     '{"start": 1, "edges": [[1,2,1]], "tail": {"kind": [1]}}',
+    '{"start": 1, "edges": [[1,2,1.9]]}',
+    '{"start": 1, "edges": [[true,2,1]]}',
 ], ids=["edges-do-not-compose", "slot-out-of-range", "tail-not-at-prefix-end",
         "tail-without-vertex", "not-an-object", "no-start", "two-field-edge",
         "non-integer-start", "non-integer-slot", "non-integer-diagonal-vertex",
         "non-integer-coordinate", "non-integer-key-vertex", "key-vertex-not-pairs",
-        "tail-kind-not-a-string"])
+        "tail-kind-not-a-string", "float-slot", "boolean-vertex"])
 @pytest.mark.parametrize("command", [
     ("orbit", "--steps", "3"),
     ("vershik",),
@@ -146,8 +148,9 @@ def assert_domain_error(argv, capsys):
     '{"side": "max", "positions": 5, "values": [1]}',
     '{"side": "max", "positions": [0], "values": [1], "position_tail": [1]}',
     '{"side": "max", "positions": [0], "values": [1], "position_tail": [1, 1], "value_tail": "x"}',
+    '{"side": "max", "positions": [2.7], "values": [null]}',
 ], ids=["not-an-object", "no-side", "non-integer-value", "positions-not-a-list",
-        "short-position-tail", "non-integer-value-tail"])
+        "short-position-tail", "non-integer-value-tail", "float-position"])
 def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     assert_domain_error(["classify", "--descriptor", descriptor], capsys)
 
@@ -178,6 +181,8 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     {"family": "binfty", "sub": {"kind": "edge", "rule": "explicit", "seed": 1, "retained": {}}},
     {"family": "odometer-io", "params": {"a": 2, "columns": [1, 2]}},
     {"family": "odometer-io", "params": {"a": [2, "x"]}},
+    {"family": "pascal-k", "params": {"k": 2.9}},
+    {"family": "binfty", "sub": {"kind": "vertex", "rule": "staircase", "k": 2.5}},
 ], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
         "sub-not-an-object", "params-not-an-object", "custom-levels-a-list",
         "custom-malformed-row-key", "custom-level-not-a-list", "truncation-not-an-object",
@@ -185,7 +190,7 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
         "sub-not-json", "explicit-levels-a-list", "explicit-level-not-a-list",
         "retained-a-list", "retained-level-rows-an-integer", "retained-sources-an-integer",
         "retained-sources-a-list", "seed-an-integer", "odometer-columns-a-list",
-        "odometer-entry-not-an-integer"])
+        "odometer-entry-not-an-integer", "pascal-k-float-k", "staircase-sub-float-k"])
 def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -264,6 +269,67 @@ def test_any_spec_file_exits_with_a_documented_code(spec, tmp_path):
     assert info.value.code in (0, 1, 2)
 
 
+def test_an_explicit_edge_subdiagram_can_come_from_a_spec_file(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "binfty", "sub": {
+        "kind": "edge", "rule": "explicit", "seed": [1],
+        "retained": {"2": {"1": {"1": 1}, "2": {"1": 1}}}}}))
+    data = run_json("heights", "--spec", str(path), "--level", "2")
+    assert data["heights"] == {"1": "1", "2": "1"}
+
+
+# (a command line, the text option fuzzed on it, a valid JSON value to mutate or None)
+_PATH = {"start": 1, "edges": [[1, 2, 1]], "tail": {"kind": "vertical", "vertex": 2}}
+_TEXT_OPTIONS = [
+    (["heights", "--family", "pascal-n", "--level", "2"], "--vertex", [[1, 1], [2, 1]]),
+    (["stochastic", "--family", "pascal-n", "--level", "2"], "--vertex", [[1, 2]]),
+    (["product", "--family", "pascal-n", "--level", "1", "--m", "1"], "--vertex", [[1, 1], [2, 1]]),
+    (["limits", "--family", "pascal-n", "--level", "1", "--rule", "constant", "--m-max", "3"],
+     "--vertex", [[1, 2]]),
+    (["measure", "--measure", "pascal-mu", "--d", "1/2,1/2", "--level", "2"], "--vertex", [[1, 2]]),
+    (["vershik", "--family", "binfty"], "--path", _PATH),
+    (["classify", "--family", "binfty"], "--path", _PATH),
+    (["orbit", "--family", "binfty", "--steps", "3"], "--path", _PATH),
+    (["classify"], "--descriptor",
+     {"side": "max", "positions": [1], "values": [1], "position_tail": [3, 2], "value_tail": 1}),
+    (["heights", "--family", "binfty", "--level", "2", "--window", "2"], "--sub", None),
+    (["heights", "--family", "odometer-io", "--level", "2", "--window", "2"], "--a", [2, 3]),
+    (["measure", "--measure", "pascal-mu", "--level", "2", "--window", "2"], "--d", None),
+    (["limits", "--family", "pascal-n", "--level", "1", "--rule", "pascal-ray", "--m-max", "3"],
+     "--d", None),
+    (["sample", "--depth", "3", "--count", "4", "--seed", "1"], "--d", None),
+    (["measure", "--measure", "binfty-mu", "--level", "2", "--window", "2"], "--a", None),
+    (["monotone", "--terms", "4", "--orders", "2"], "--a", None),
+    (["extension", "--case", "odometer-column", "--n-max", "4"], "--a", [2, 3]),
+    (["extension", "--case", "nu-a-staircase", "--n-max", "4"], "--a", None),
+]
+
+# short text: no number above 99999, so that no example builds a huge row
+_TEXT = (st.text(alphabet="0123456789-/.,:[]{}\" ", max_size=5)
+         | st.sampled_from(["pow2", "staircase:2", "pascal-edge:1", "constant:1", "true", "null",
+                            "1/2,1/2", "2,3", "[[1,1]]", "1e3", "nan"])
+         | _JSON.map(json.dumps))
+
+
+@st.composite
+def _fuzzed_options(draw):
+    argv, option, template = draw(st.sampled_from(_TEXT_OPTIONS))
+    if template is not None and draw(st.booleans()):
+        field = draw(st.sampled_from(list(_field_paths(template))))
+        return argv + [option, json.dumps(_with_field(template, field, draw(_JSON)))]
+    return argv + [option, draw(_TEXT)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fuzzed_options())
+def test_any_option_text_exits_with_a_documented_code(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rows, missing", [
     ({"1": {"2": {"1": 1}, "3": {"1": 1}}, "2": {"4": {"2": 1, "3": 1}}}, "vertex 5 at level 2"),
     ({"1": {"2": {"1": 1}}, "2": {"4": {"2": 1, "3": 1}, "5": {"3": 2}}}, "vertex 3 at level 1"),
@@ -305,14 +371,15 @@ def test_stepping_past_a_provably_minimal_path_is_a_domain_error():
      "--vertex", "3"],
     ["monotone", "--a", "1/2", "--terms", "0"],
     ["monotone", "--a", "1/2", "--orders", "-1"],
+    ["monotone", "--a", "1/2", "--terms", "2", "--orders", "5"],
     ["heights", "--family", "binfty", "--level", "2", "--window", "0"],
     ["stochastic", "--family", "binfty", "--level", "2", "--window", "0"],
     ["continuity", "--family", "binfty", "--level", "2", "--window", "0"],
 ], ids=["invariance-levels-0", "invariance-levels-negative", "probability-levels-negative",
         "extension-n-max-0", "restricted-mass-n-max-0", "invariance-window-0",
         "measure-window-0", "measure-window-negative", "monotone-terms-0",
-        "monotone-orders-negative", "heights-window-0", "stochastic-window-0",
-        "continuity-window-0"])
+        "monotone-orders-negative", "monotone-orders-beyond-terms", "heights-window-0",
+        "stochastic-window-0", "continuity-window-0"])
 def test_an_empty_range_is_a_domain_error_not_a_vacuous_verdict(argv, capsys):
     assert_domain_error(argv, capsys)
 

@@ -18,6 +18,7 @@ from bratteli.core import (
     PascalDiagram,
     TruncationIncompleteError,
     _compositions,
+    as_int,
     build_diagram,
     build_subdiagram,
     key_add,
@@ -183,6 +184,18 @@ def test_build_diagram_from_json():
         build_diagram({"family": "no-such-family"})
 
 
+def test_malformed_diagram_json_text_is_a_domain_error():
+    with pytest.raises(DiagramError, match="malformed JSON in a diagram spec"):
+        build_diagram("{bad")
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.9, None, "2.5", [2]])
+def test_as_int_refuses_what_is_not_an_integer(value):
+    with pytest.raises(DiagramError, match="must be an integer"):
+        as_int(value, "a field")
+    assert as_int("3", "a field") == as_int(3, "a field") == 3
+
+
 def test_build_diagram_custom_with_support_keys():
     spec = {
         "family": "custom",
@@ -241,6 +254,16 @@ def test_an_explicit_subdiagram_vertex_outside_the_ambient_level_is_refused():
         build_subdiagram(
             BinftyDiagram(), {"kind": "vertex", "rule": "explicit", "levels": {1: [1], 2: [1, 0]}}
         )
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_an_explicit_edge_row_beyond_the_ambient_is_refused_at_build(level):
+    retained = {n: {1: {1: 1}, 2: {1: 1, 2: 1}} for n in range(2, 6)}
+    spec = {"kind": "edge", "rule": "explicit", "seed": [1], "retained": retained}
+    assert build_subdiagram(BinftyDiagram(), spec).level_vertices(5) == (1, 2)
+    retained[level] = {1: {1: 1}, 2: {2: 5}}
+    with pytest.raises(DiagramError, match="ambient edge count"):
+        build_subdiagram(BinftyDiagram(), spec)
 
 
 def test_subdiagram_rejects_unknown_rules():

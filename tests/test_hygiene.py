@@ -11,6 +11,9 @@ A private name (one leading underscore) defined at module level by a
 ``def``, ``class`` or assignment counts as read when some module of the
 package loads it as a name or as an attribute.
 
+JSON text is read in one place: ``core.read_json``.  No other module may
+call ``json.loads``, so a malformed input always becomes a ``DiagramError``.
+
 Every layer callable the benchmark's tracer (``perfbench/shim.py``) hooks
 must exist under its listed name: the tracer looks each one up unguarded, so
 a renamed function would otherwise crash traced benchmark runs.  The test
@@ -96,6 +99,24 @@ def test_every_private_module_level_name_is_read(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     unread = sorted(set(_private_definitions(tree)) - loaded)
     assert unread == [], "%s defines %s but nothing in the package reads them" % (module.name, unread)
+
+
+def _reads_json_text(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "loads" and \
+                isinstance(node.value, ast.Name) and node.value.id == "json":
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "json" and \
+                any(alias.name == "loads" for alias in node.names):
+            return True
+    return False
+
+
+def test_only_core_reads_json_text():
+    assert _reads_json_text(ast.parse("import json\njson.loads('1')\n"))
+    assert _reads_json_text(ast.parse("from json import loads\n"))
+    readers = [p.name for p in ALL_MODULES if _reads_json_text(ast.parse(p.read_text()))]
+    assert readers == ["core.py"]
 
 
 def _traced_entries():

@@ -141,7 +141,7 @@ def test_limit_along_unit_slope_ray():
         binfty, 1, index_ray(1), tol=Fraction(1, 10**4), m_max=150
     )
     assert res.converged
-    target = binfty_limit_vector(1, 1, bound=8)
+    target = binfty_limit_vector(1, bound=8)
     for j in range(1, 7):
         assert abs(res.vector[j] - target[j]) < Fraction(2, 100)
 
@@ -231,14 +231,14 @@ def test_pascal_limit_vector_rejects_bad_directions():
 
 def test_binfty_limit_vector_values():
     assert binfty_limit_vector(0) == {1: Fraction(1)}
-    geo = binfty_limit_vector(1, 1, bound=8)
+    geo = binfty_limit_vector(1, bound=8)
     assert [geo[j] for j in (1, 2, 3)] == [
         Fraction(1, 2),
         Fraction(1, 4),
         Fraction(1, 8),
     ]
     a, bound = Fraction(1, 2), 12
-    partial = sum(binfty_limit_vector(a, 1, bound=bound).values())
+    partial = sum(binfty_limit_vector(a, bound=bound).values())
     assert partial == 1 - (a / (a + 1)) ** bound
 
 
