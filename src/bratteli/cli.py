@@ -28,6 +28,7 @@ import inspect
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -75,7 +76,7 @@ from .vershik import (
     descriptor_from_json,
     descriptor_to_json,
     mirror_descriptor,
-    orbit,
+    orbit_paths,
     path_from_json,
     path_to_json,
     succ_pred,
@@ -844,16 +845,22 @@ def orbit_cmd(source, order_name, path_text, steps, visit_level):
     """Iterate the adic transformation and tally vertex visits."""
     od = OrderedDiagram(source(), order_name)
     path = path_from_json(read_json(path_text, "--path"))
-    result = orbit(od, path, steps, visit_level=visit_level)
+    # only a level the start path covers is tallied; any other is refused after the steps, so step errors win
+    tally = visit_level is not None and path.start <= visit_level <= path.end_level
+    visits = Counter()
+    for seen, last in enumerate(orbit_paths(od, path, steps), 1):
+        if tally:
+            visits[last.vertex_at(visit_level)] += 1
     payload = {
         "steps": steps,
-        "first": path_to_json(result.paths[0]),
-        "last": path_to_json(result.paths[-1]),
-        "paths_seen": len(result.paths),
+        "first": path_to_json(path),
+        "last": path_to_json(last),
+        "paths_seen": seen,
     }
     if visit_level is not None:
+        path.vertex_at(visit_level)  # refuses a level the start path does not cover
         payload["visit_level"] = visit_level
-        payload["visits"] = {_vkey(v): n for v, n in result.visits.items()}
+        payload["visits"] = {_vkey(v): n for v, n in visits.items()}
     return payload
 
 

@@ -704,9 +704,11 @@ class Subdiagram(Diagram):
                                     "retained multiplicity %d at %r is outside 1..%d, the ambient "
                                     "edge count" % (m, (n, v, w), ambient_row.get(w, 0)))
 
+                known = {self.base_level: seeds}  # errors are not kept: they recur on every call
+
                 def level_set(n: int) -> tuple:
-                    if n == self.base_level:
-                        return seeds
+                    if n in known:
+                        return known[n]
                     prev = set(level_set(n - 1))
                     rows = retained.get(n)
                     if rows is None:
@@ -716,7 +718,7 @@ class Subdiagram(Diagram):
                     out = [v for v, srcs in rows.items() if any(w in prev for w in srcs)]
                     if not out:
                         raise DiagramError("edge subdiagram cone dies at level %d" % n)
-                    return tuple(out)
+                    return known.setdefault(n, tuple(out))
 
                 self._level_set = level_set
                 self._retained = lambda n, v: dict(retained.get(n, {}).get(v, {}))
@@ -896,8 +898,8 @@ def vertex_from_json(v):
     """A vertex of parsed JSON: an integer, or a list of [coordinate, multiplicity] pairs."""
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    if isinstance(v, (list, tuple)):
-        return support_key(v)
+    if isinstance(v, (list, tuple)) and all(isinstance(p, (list, tuple)) for p in v):
+        return support_key([[as_int(x, "a vertex entry") for x in p] for p in v])
     raise DiagramError("vertices must be integers or [coordinate, multiplicity] pair lists, got %r" % (v,))
 
 

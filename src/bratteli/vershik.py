@@ -21,7 +21,11 @@ boundary: ``path_from_json`` builds tuples of ``(source, target, slot)``
 tuples and ``PathRep`` stores them as given.  Paths are validated once, at
 the public entry points, where ``validate_path`` also refuses any other
 edge container; the step engine ``_step`` trusts its input, since a step
-maps valid paths to valid paths.
+maps valid paths to valid paths.  An ``OrderedDiagram`` memoizes each
+extremal refill, and an orbit hands each step the scan index the last one
+found, so a step costs amortized O(1) lookups plus its new edge tuple;
+``orbit_paths`` holds only the current path, so an orbit runs in constant
+memory.
 
 Extremal paths that no finite prefix-plus-tail can carry (multinomial paths
 whose support grows forever) are handled by ``PascalPathDescriptor``: the
@@ -402,6 +406,7 @@ class OrderedDiagram:
     diagram: Diagram
     order: EdgeOrder
     _cache: dict = field(default_factory=dict, repr=False)
+    _refills: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.order = make_order(self.order)
@@ -413,18 +418,26 @@ class OrderedDiagram:
             got = self._cache[level, v] = self.order.edges_into(self.diagram, level, v)
             return got
 
+    def refill(self, level: int, v, side: str, stop: int) -> tuple:
+        """Memoized ``extremal_path_to`` and the index of its first edge not extremal on the other side."""
+        key = (level, v, side, stop)
+        if key not in self._refills:
+            edges = extremal_path_to(self, level, v, side, stop)
+            other = "max" if side == "min" else "min"
+            self._refills[key] = (edges, _first_nonextremal_index(self, stop, edges, other))
+        return self._refills[key]
+
 
 # ---------------------------------------------------------------------------
 # extremality of single edges and extremal refills
 
 
-def _first_nonextremal_index(od: OrderedDiagram, level: int, edges: Iterable, side: str):
-    """Index of the first of ``edges`` (entering levels ``level + 1`` on) not extremal on ``side``."""
+def _first_nonextremal_index(od: OrderedDiagram, level: int, edges: Iterable, side: str, first: int = 0):
+    """Index of the first of ``edges[first:]`` not extremal on ``side``; ``edges[0]`` enters ``level + 1``."""
     edges_into = od.edges_into
     end = -1 if side == "max" else 0
-    for j, (w, v, slot) in enumerate(edges):
-        level += 1
-        if edges_into(level, v)[end] != (w, slot):
+    for j, (w, v, slot) in enumerate(islice(edges, first, None), first):
+        if edges_into(level + j + 1, v)[end] != (w, slot):
             return j
     return None
 
@@ -541,9 +554,11 @@ def materialize(od: OrderedDiagram, path: PathRep, depth: int) -> PathRep:
 # the adic step
 
 
-def _step(od: OrderedDiagram, path: PathRep, side: str) -> PathRep:
-    """One adic step; trusts ``path``, which the public entry points validate."""
-    m = _first_nonextremal_index(od, path.start, path.edges, side)
+def _step(od: OrderedDiagram, path: PathRep, side: str, m: int | None = -1) -> tuple:
+    """One adic step on a trusted ``path``; returns the image and its ``m``, the index of the first
+    edge not extremal on ``side`` (None if every prefix edge is).  ``m=-1`` makes the step scan for it."""
+    if m == -1:
+        m = _first_nonextremal_index(od, path.start, path.edges, side)
     if m is None:
         state, depth = scan_tail(od, path, side)
         if state == "unknown":
@@ -562,12 +577,13 @@ def _step(od: OrderedDiagram, path: PathRep, side: str) -> PathRep:
     level = path.start + m + 1
     seq = od.edges_into(level, v)
     pos = seq.index((w, slot))
-    new_w, new_slot = seq[pos + 1] if side == "max" else seq[pos - 1]
-    refill = extremal_path_to(
-        od, level - 1, new_w, "min" if side == "max" else "max", stop_level=path.start
-    )
-    edges = refill + ((new_w, v, new_slot),) + path.edges[m + 1:]
-    return PathRep(path.start, edges, path.tail)
+    new = seq[pos + 1] if side == "max" else seq[pos - 1]
+    refill, nxt = od.refill(level - 1, new[0], "min" if side == "max" else "max", path.start)
+    edges = refill + ((new[0], v, new[1]),) + path.edges[m + 1:]
+    if nxt is None:  # the refill is extremal on ``side`` too: the new edge, else the old suffix, decides
+        extremal = new == seq[-1 if side == "max" else 0]
+        nxt = _first_nonextremal_index(od, path.start, edges, side, m + 1) if extremal else m
+    return PathRep(path.start, edges, path.tail), nxt
 
 
 def vershik_step(od: OrderedDiagram, path: PathRep) -> PathRep:
@@ -578,13 +594,13 @@ def vershik_step(od: OrderedDiagram, path: PathRep) -> PathRep:
     decision.
     """
     validate_path(od.diagram, path)
-    return _step(od, path, "max")
+    return _step(od, path, "max")[0]
 
 
 def vershik_inverse(od: OrderedDiagram, path: PathRep) -> PathRep:
     """The adic predecessor of ``path`` (mirror of ``vershik_step``)."""
     validate_path(od.diagram, path)
-    return _step(od, path, "min")
+    return _step(od, path, "min")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1006,28 +1022,31 @@ class OrbitResult:
     visits: dict
 
 
-def orbit(od: OrderedDiagram, path: PathRep, steps: int,
-          visit_level: int | None = None) -> OrbitResult:
-    """Iterate the adic step ``steps`` times, collecting visited prefixes.
+def orbit_paths(od: OrderedDiagram, path: PathRep, steps: int) -> Iterator[PathRep]:
+    """Yield ``path`` and its first ``steps`` adic successors, holding only the current one.
 
-    Only the start path is validated: the step engine ``_step`` trusts its input.
-    Step errors propagate with the failing step index attached as
-    ``step_index``.  With a ``visit_level``, the result counts how often the
-    orbit sits over each vertex of that level.
-    """
+    Only ``path`` is validated; each step passes the next its scan index, and
+    a step error carries its step's index as ``step_index``."""
     if steps < 0:
         raise DiagramError("steps must be >= 0")
     validate_path(od.diagram, path)
-    paths = [path]
-    cur = path
+    yield path
+    m = -1
     for i in range(steps):
         try:
-            cur = _step(od, cur, "max")
+            path, m = _step(od, path, "max", m)
         except DiagramError as e:
             e.step_index = i
             e.args = ("step %d: %s" % (i, e.args[0]),) + e.args[1:]
             raise
-        paths.append(cur)
+        yield path
+
+
+def orbit(od: OrderedDiagram, path: PathRep, steps: int,
+          visit_level: int | None = None) -> OrbitResult:
+    """The paths of ``orbit_paths``, collected; with a ``visit_level``, also
+    how often the orbit sits over each vertex of that level."""
+    paths = list(orbit_paths(od, path, steps))
     visits = {} if visit_level is None else dict(Counter(p.vertex_at(visit_level) for p in paths))
     return OrbitResult(paths, visit_level, visits)
 

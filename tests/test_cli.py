@@ -84,14 +84,31 @@ def test_truncation_incomplete_exits_two():
     ("--family", "binfty", "--level", "1", "--vertex", "0"),
     ("--family", "pascal-n", "--level", "1", "--vertex", '[["x",1]]'),
     ("--family", "pascal-n", "--level", "1", "--vertex", "[1]"),
+    ("--family", "pascal-n", "--level", "2", "--vertex", '["12"]'),
 ], ids=["pascal-level-0", "odometer-negative", "binfty-no-level-0", "binfty-vertex-0",
-        "pascal-non-integer-key", "pascal-key-not-pairs"])
+        "pascal-non-integer-key", "pascal-key-not-pairs", "pascal-pair-written-as-text"])
 def test_heights_of_a_non_vertex_is_a_domain_error(args, capsys):
     with pytest.raises(SystemExit) as info:
         main(["heights", *args])
     assert info.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ("heights", "--family", "pascal-n", "--level", "1", "--vertex", "[[1.9, 1]]"),
+    ("heights", "--family", "pascal-n", "--level", "2", "--vertex", "[[1, 2.0]]"),
+    ("heights", "--family", "pascal-n", "--level", "1", "--vertex", "[[true, 1]]"),
+    ("vershik", "--family", "pascal-n", "--order", "natural", "--path",
+     '{"start": 0, "edges": [[[], [[2, 1]], 1], [[[2, 1]], [[1, 1], [2, 1.0]], 1]]}'),
+], ids=["float-coordinate", "integral-float-multiplicity", "boolean-coordinate", "pascal-path-vertex"])
+def test_a_vertex_entry_that_is_not_an_integer_is_refused(args, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(list(args))
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a vertex entry must be an integer")
     assert "Traceback" not in err
 
 
@@ -537,6 +554,18 @@ def test_orbit_walks_a_tower_and_tallies_visits():
                     "--steps", "2", "--visit-level", "3")
     assert data["paths_seen"] == 3
     assert sum(data["visits"].values()) == 3
+
+
+@pytest.mark.parametrize("path, code, message", [
+    ('{"start": 1, "edges": [[1,2,1],[2,3,1]]}', 1, "error: path covers levels 1..3, not 9"),
+    ('{"start": 1, "edges": [[2,2,1]]}', 2, "truncation-incomplete: step 0: every specified edge is maximal"),
+], ids=["steps-succeed", "a-step-fails"])
+def test_an_orbit_refuses_an_uncovered_visit_level_after_its_steps(path, code, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["orbit", "--family", "binfty", "--order", "left-to-right", "--steps", "2",
+              "--path", path, "--visit-level", "9"])
+    assert info.value.code == code
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_continuity_norms_shrink_with_the_target_index():

@@ -28,6 +28,7 @@ from bratteli.core import (
     vertex_window,
     zigzag,
 )
+from bratteli.linalg import heights
 
 
 def test_zigzag_enumeration():
@@ -264,6 +265,35 @@ def test_an_explicit_edge_row_beyond_the_ambient_is_refused_at_build(level):
     retained[level] = {1: {1: 1}, 2: {2: 5}}
     with pytest.raises(DiagramError, match="ambient edge count"):
         build_subdiagram(BinftyDiagram(), spec)
+
+
+def _level_set_calls(sub, level):
+    """Calls of an explicit edge subdiagram's level-set rule (recursive ones included) made by ``heights``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "level_set"
+
+    sys.setprofile(count)
+    try:
+        heights(sub, level)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_an_explicit_edge_subdiagram_works_out_each_level_once():
+    for top in (20, 40, 80):
+        retained = {n: {1: {1: 1}, 2: {1: 1, 2: 1}} for n in range(2, top + 1)}
+        sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "explicit", "seed": [1],
+                                                 "retained": retained})
+        # linear in the level (5 * top - 4 calls); 12,720 at level 80 while every call recomputed
+        assert _level_set_calls(sub, top) <= 5 * top
+        for _ in range(2):  # a missing level is not remembered: it is refused on every call
+            with pytest.raises(TruncationIncompleteError,
+                               match="no retained rows declared at level %d" % (top + 1)):
+                sub.level_vertices(top + 1)
 
 
 def test_subdiagram_rejects_unknown_rules():

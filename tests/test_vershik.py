@@ -1,10 +1,14 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratteli import vershik
+from bratteli.cli import _vkey, cli
 from bratteli.core import (
     BinftyDiagram,
     DiagramError,
@@ -781,18 +785,81 @@ def test_every_orbit_step_keeps_the_path_valid_and_invertible(case):
         assert vershik_inverse(od, after) == before
 
 
-@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
-def test_an_orbit_equals_chained_validated_steps(case):
-    od, start = _minimal_start(*ORBIT_CASES[case])
+def _diagonal_tail_start():
+    """A binfty path whose prefix turns all-maximal six times in 1,000 steps, so
+    the orbit materializes its diagonal tail partway through."""
+    return OrderedDiagram(BinftyDiagram(), "left-to-right"), PathRep(1, ((1, 2, 1),), DiagonalFrom(2))
+
+
+CHAINED_CASES = {
+    **{case: lambda case=case: _minimal_start(*ORBIT_CASES[case]) for case in ORBIT_CASES},
+    "binfty-ltr-diagonal-tail": _diagonal_tail_start,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAINED_CASES))
+def test_an_orbit_equals_chained_validated_steps(case, monkeypatch):
+    # vershik_step scans every path afresh; the orbit carries each step's scan index to the next
+    od, start = CHAINED_CASES[case]()
     chained = [start]
-    for _ in range(300):
+    for _ in range(1000):
         chained.append(vershik_step(od, chained[-1]))
-    od, start = _minimal_start(*ORBIT_CASES[case])
-    result = orbit(od, start, 300)
+    materialized = []
+    inner = vershik.materialize
+
+    def counted(od, path, depth):
+        materialized.append(depth)
+        return inner(od, path, depth)
+
+    monkeypatch.setattr(vershik, "materialize", counted)
+    od, start = CHAINED_CASES[case]()
+    result = orbit(od, start, 1000)
     assert result.paths == chained
+    assert len(materialized) == (6 if case == "binfty-ltr-diagonal-tail" else 0)
     for p in result.paths:
         assert type(p.edges) is tuple
         assert all(type(e) is tuple and len(e) == 3 for e in p.edges)
+
+
+ORBIT_CLI_ARGS = {
+    "odometer-column-ltr-30": ("--family", "odometer-io", "--a", "2", "--sub", "constant:1"),
+    "odometer-column-alternating-60": ("--family", "odometer-io", "--a", "2", "--sub", "constant:1"),
+    "binfty-ltr": ("--family", "binfty"),
+    "binfty-cyclic": ("--family", "binfty"),
+    "staircase-ltr": ("--family", "binfty", "--sub", "staircase:2"),
+    "pascal-n-natural": ("--family", "pascal-n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_the_orbit_command_folds_the_same_orbit(case):
+    order, level = ORBIT_CASES[case][1:3]
+    od, start = _minimal_start(*ORBIT_CASES[case])
+    visit_level = (od.diagram.base_level + level) // 2
+    result = orbit(od, start, 1000, visit_level=visit_level)
+    out = CliRunner().invoke(cli, [
+        "orbit", *ORBIT_CLI_ARGS[case], "--order", order, "--steps", "1000",
+        "--path", json.dumps(path_to_json(start)), "--visit-level", str(visit_level)])
+    assert out.exit_code == 0, out.output
+    data = json.loads(out.output)
+    assert data["first"] == path_to_json(result.paths[0])
+    assert data["last"] == path_to_json(result.paths[-1])
+    assert data["paths_seen"] == len(result.paths) == 1001
+    assert data["visits"] == {_vkey(w): n for w, n in result.visits.items()}
+
+
+def test_the_binfty_benchmark_cli_orbit_holds_no_visited_paths():
+    path = json.dumps({"start": 1, "edges": [[1, 1, 1]] * 14 + [[1, 7, 1]]})
+    argv = ["orbit", "--family", "binfty", "--order", "left-to-right", "--path", path, "--visit-level", "8"]
+    assert CliRunner().invoke(cli, [*argv, "--steps", "1"]).exit_code == 0  # warm the CLI's own caches
+    tracemalloc.start()
+    try:
+        out = CliRunner().invoke(cli, [*argv, "--steps", "8000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.exit_code == 0 and json.loads(out.output)["paths_seen"] == 8001
+    assert peak < 500_000  # the 8,001 paths alone took 3.4 MB while the command kept them all
 
 
 def test_validate_path_refuses_edges_that_are_not_tuples():
@@ -819,7 +886,7 @@ def test_the_binfty_benchmark_orbit_looks_up_each_step_order_a_bounded_number_of
     start = PathRep(1, ((1, 1, 1),) * 14 + ((1, 7, 1),))  # the benchmark's minimal path to 7
     result = orbit(od, start, 8000, visit_level=8)
     assert len(result.paths) == 8001
-    assert 0 < len(calls) <= 63192  # about 8 lookups per step on a depth-15 path
+    assert 0 < len(calls) <= 15204  # about 2 lookups per step: refills are memoized, scans resume
 
 
 def _count_predecessor_calls(monkeypatch, diagram):
