@@ -30,7 +30,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 import click
@@ -57,7 +57,7 @@ from .limits import (
     pascal_limit_vector,
     pascal_ray,
 )
-from .linalg import continuity_profile, heights, heights_closed_form, stochastic_rows
+from .linalg import _weighted_rows, continuity_profile, heights, heights_closed_form
 from .measures import (
     BinftyMeasure,
     BinomialEdgeMeasure,
@@ -138,10 +138,10 @@ def _vkey(v):
     return str(v)
 
 
-def _sums_to_one(row):
-    """Whether the ``Fraction``s of ``row`` sum to exactly 1, summed as integers over their lcm."""
-    big = lcm(*(f.denominator for f in row.values()))
-    return sum(f.numerator * (big // f.denominator) for f in row.values()) == big
+def _sums_to_one(pairs):
+    """Whether the reduced (numerator, denominator) ``pairs`` sum to exactly 1, as integers over their lcm."""
+    big = lcm(*(d for _, d in pairs))
+    return sum(n * (big // d) for n, d in pairs) == big
 
 
 def _by_key_repr(item):
@@ -453,21 +453,29 @@ def stochastic(source, level, window, vertex_text):
     """Height-normalized incidence rows; each row sums to exactly 1."""
     window = _at_least_one(window, "--window")
     diagram = source()
-    rows_map = stochastic_rows(diagram, level,
-                               None if vertex_text is None else [vertex_from_text(vertex_text)], window)
+    targets = None if vertex_text is None else [vertex_from_text(vertex_text)]
+    texts, sums_one = {}, True  # texts: v -> {w: str(Fraction(x, H_v))}, from the reduced integers
+    for v, weights, hv in _weighted_rows(diagram, level, targets, window):
+        if hv < 0:  # a negative multiplicity: Fraction keeps the sign in the numerator
+            weights, hv = {w: -x for w, x in weights.items()}, -hv
+        row, pairs = {}, []
+        for w, x in weights.items():
+            g = gcd(x, hv)
+            n, d = x // g, hv // g
+            pairs.append((n, d))
+            row[w] = "%d" % n if d == 1 else "%d/%d" % (n, d)
+        sums_one = sums_one and _sums_to_one(pairs)
+        texts[v] = row
     payload = {
         "family": diagram.family,
         "level": level,
-        "rows": {
-            _vkey(v): {_vkey(w): _fr(f) for w, f in row.items()}
-            for v, row in rows_map.items()
-        },
-        "row_sums_one": all(_sums_to_one(row) for row in rows_map.values()),
+        "rows": {_vkey(v): {_vkey(w): t for w, t in row.items()} for v, row in texts.items()},
+        "row_sums_one": sums_one,
     }
     return payload, ["target", "source", "weight"], lambda: [
-        [_vkey(v), _vkey(w), _fr(f)]
-        for v, row in rows_map.items()
-        for w, f in sorted(row.items(), key=_by_key_repr)
+        [_vkey(v), _vkey(w), t]
+        for v, row in texts.items()
+        for w, t in sorted(row.items(), key=_by_key_repr)
     ]
 
 
@@ -845,11 +853,11 @@ def orbit_cmd(source, order_name, path_text, steps, visit_level):
     """Iterate the adic transformation and tally vertex visits."""
     od = OrderedDiagram(source(), order_name)
     path = path_from_json(read_json(path_text, "--path"))
-    # only a level the start path covers is tallied; any other is refused after the steps, so step errors win
-    tally = visit_level is not None and path.start <= visit_level <= path.end_level
+    if visit_level is not None:
+        path.vertex_at(visit_level)  # refuses a level the start path does not cover, before any step
     visits = Counter()
     for seen, last in enumerate(orbit_paths(od, path, steps), 1):
-        if tally:
+        if visit_level is not None:
             visits[last.vertex_at(visit_level)] += 1
     payload = {
         "steps": steps,
@@ -858,7 +866,6 @@ def orbit_cmd(source, order_name, path_text, steps, visit_level):
         "paths_seen": seen,
     }
     if visit_level is not None:
-        path.vertex_at(visit_level)  # refuses a level the start path does not cover
         payload["visit_level"] = visit_level
         payload["visits"] = {_vkey(v): n for v, n in visits.items()}
     return payload

@@ -13,9 +13,11 @@ query walks down only through vertices the memo lacks.
 Validation happens once, at entry.  A whole window (``vertices`` or
 ``targets`` left ``None``, cut by ``bound``) is trusted, because
 ``vertex_window`` lists vertices; an explicit list is checked.
-``stochastic_rows`` reads each target row once and fills every source
-height with one ``_heights`` call; ``stochastic_row`` and the continuity
-profile read their rows from it.
+``_weighted_rows`` is the one row reader: it reads each target row once,
+fills every source height with one ``_heights`` call, and yields each row
+as integer weights f'_(v w) H_w over their total H_v.  ``Fraction``s appear
+only at the public ``stochastic_rows`` boundary; the continuity profile and
+the CLI work on the integers.
 
 ``height`` is the one closed-form-else-recursion route: the family's closed
 form when it has one, else ``heights``.  Closed forms are never written into
@@ -122,10 +124,20 @@ def stochastic_rows(diagram: Diagram, level: int, targets: Iterable | None = Non
                     bound: int | None = None) -> dict:
     """Stochastic rows for several targets at one level, the window by default.
 
+    Targets are taken, and rows read, as ``_weighted_rows`` does.  H_v is a
+    row's total weight, the sum of f'_(v w) H_w, so rows sum to exactly 1.
+    """
+    return {v: {w: Fraction(x, hv) for w, x in weights.items()}
+            for v, weights, hv in _weighted_rows(diagram, level, targets, bound)}
+
+
+def _weighted_rows(diagram: Diagram, level: int, targets: Iterable | None,
+                   bound: int | None):
+    """Yield (v, {w: f'_(v w) H_w}, H_v) for each target v at ``level``, one row at a time.
+
     An explicit target is checked as ``predecessors`` checks it; a window's
     targets are trusted.  Each row is read once, and one ``_heights`` call
-    fills the source heights of all of them.  H_v is a row's total weight,
-    the sum of f'_(v w) H_w, so rows sum to exactly 1.
+    fills the source heights of all of them.
     """
     diagram.check_level(level)
     read = diagram.predecessors
@@ -135,12 +147,9 @@ def stochastic_rows(diagram: Diagram, level: int, targets: Iterable | None = Non
             read = diagram._predecessors
     rows = {v: read(level, v) for v in targets}
     h = _heights(diagram, level - 1, set().union(*rows.values()))
-    out = {}
     for v, row in rows.items():
         weights = {w: m * h[w] for w, m in row.items()}
-        hv = sum(weights.values())
-        out[v] = {w: Fraction(x, hv) for w, x in weights.items()}
-    return out
+        yield v, weights, sum(weights.values())
 
 
 def simplex_distance(x: Mapping, y: Mapping, ranks: Mapping[object, int]) -> Fraction:
@@ -188,13 +197,17 @@ def continuity_profile(diagram: Diagram, level: int, targets: Iterable | None = 
                        bound: int | None = None) -> dict:
     """|g_v| for each target v at ``level`` (sources ranked at ``level - 1``).
 
-    Targets are taken, and rows read, as ``stochastic_rows`` does.
+    Targets are taken, and rows read, as ``_weighted_rows`` does.  With R the
+    largest source rank of a row, its norm is sum f'_(v w) H_w 2^(R - a(w))
+    over H_v 2^R: integer work and one ``Fraction``.
     """
     out = {}
     ranks: dict = {}
-    for v, row in stochastic_rows(diagram, level, targets, bound).items():
-        for w in row:
+    for v, weights, hv in _weighted_rows(diagram, level, targets, bound):
+        for w in weights:
             if w not in ranks:
                 ranks[w] = diagram.rank(level - 1, w)
-        out[v] = weighted_row_norm(row, ranks)
+        top = max((ranks[w] for w in weights), default=0)
+        num = sum(x << (top - ranks[w]) for w, x in weights.items())
+        out[v] = Fraction(num, hv << top) if weights else Fraction(0)
     return out

@@ -21,8 +21,10 @@ route; ``linalg.heights`` is the one recursion behind it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm, sqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -378,11 +380,12 @@ def sample_paths(measure: PascalMeasure, depth: int, count: int, seed: int) -> S
     """Draw ``count`` independent depth-``depth`` paths of a product measure.
 
     Each level adds one unit at coordinate c with probability d_c,
-    independently of the past.  The draws are integer-exact: a step compares
-    randrange(D) against cumulative numerators over the common denominator D
-    of the weights, so no floating point enters the sampling.  Every path
-    runs on its own generator seeded from the master stream, which makes any
-    single path reproducible independent of ``count``.
+    independently of the past.  The draws are integer-exact: a step draws
+    randrange(D), by randrange's own rejection of getrandbits, and bisects the
+    cumulative numerators over the common denominator D of the weights, so no
+    floating point enters the sampling.  Every path runs on its own generator
+    seeded from the master stream, which makes any single path reproducible
+    independent of ``count``.
     """
     if not isinstance(measure, PascalMeasure):
         raise DiagramError("path sampling is defined for product measures")
@@ -390,33 +393,23 @@ def sample_paths(measure: PascalMeasure, depth: int, count: int, seed: int) -> S
         raise DiagramError("sampling needs positive depth and count")
     coords = sorted(measure.d)
     denom = lcm(*(measure.d[c].denominator for c in coords))
-    thresholds = []
-    acc = 0
-    for c in coords:
-        acc += int(measure.d[c] * denom)
-        thresholds.append(acc)
+    thresholds = list(accumulate(int(measure.d[c] * denom) for c in coords))
+    bits = denom.bit_length()
     master = random.Random(seed)
-    totals = dict.fromkeys(coords, 0)
+    totals = [0] * len(coords)
     endpoints: dict = {}
     for _ in range(count):
-        rng = random.Random(master.getrandbits(64))
-        if len(coords) == 2:
-            t1 = thresholds[0]
-            first = sum(1 for _ in range(depth) if rng.randrange(denom) < t1)
-            counts = {coords[0]: first, coords[1]: depth - first}
-        else:
-            counts = dict.fromkeys(coords, 0)
-            for _ in range(depth):
-                r = rng.randrange(denom)
-                for c, t in zip(coords, thresholds):
-                    if r < t:
-                        counts[c] += 1
-                        break
-        end = support_key(tuple((c, m) for c, m in counts.items() if m))
+        draw = random.Random(master.getrandbits(64)).getrandbits
+        hits = [0] * len(coords)
+        for _ in range(depth):
+            r = draw(bits)
+            while r >= denom:  # randrange(denom)'s own rejection, so the stream is the same
+                r = draw(bits)
+            hits[bisect_right(thresholds, r)] += 1
+        end = support_key(tuple((c, m) for c, m in zip(coords, hits) if m))
         endpoints[end] = endpoints.get(end, 0) + 1
-        for c in coords:
-            totals[c] += counts[c]
-    means = {c: Fraction(totals[c], depth * count) for c in coords}
+        totals = [t + m for t, m in zip(totals, hits)]
+    means = {c: Fraction(t, depth * count) for c, t in zip(coords, totals)}
     stderrs = {
         c: sqrt(float(measure.d[c] * (1 - measure.d[c])) / depth / count) for c in coords
     }

@@ -5,6 +5,8 @@ Exercises the documented contract: deterministic JSON/CSV output, exact
 2 truncation-incomplete).
 """
 
+import csv
+import io
 import json
 from fractions import Fraction
 from math import comb
@@ -14,7 +16,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bratteli.cli import cli, main
+from bratteli.cli import _by_key_repr, _fr, _vkey, cli, main
+from bratteli.core import build_diagram, vertex_from_text
+from bratteli.linalg import stochastic_rows
 
 
 def run(*args):
@@ -435,6 +439,57 @@ def test_identical_invocations_produce_identical_bytes():
     assert run(*args).output == run(*args).output
 
 
+STOCHASTIC_CASES = [
+    pytest.param({"family": "pascal-n"}, ["--level", "4", "--window", "4"], id="pascal-n"),
+    pytest.param({"family": "pascal-z"}, ["--level", "3", "--window", "1"], id="pascal-z"),
+    pytest.param({"family": "binfty"}, ["--level", "6", "--window", "20"], id="binfty"),
+    pytest.param({"family": "bounded-finite", "params": {"k": 2}}, ["--level", "3"], id="bounded-finite"),
+    pytest.param({"family": "odometer-io", "params": {"a": "pow2"}}, ["--level", "4", "--window", "6"],
+                 id="odometer-io"),
+    pytest.param({"family": "binfty", "sub": {"kind": "vertex", "rule": "staircase", "k": 2}},
+                 ["--level", "5"], id="staircase"),
+    pytest.param({"family": "custom", "params": {
+        "levels": {"0": [1], "1": [1, 2], "2": [1, 2]},
+        "rows": {"1": {"1": {"1": 2}, "2": {"1": 1}}, "2": {"1": {"1": 1, "2": 3}, "2": {"2": 2}}},
+    }}, ["--level", "2"], id="custom"),
+    # a negative total: the text must move the sign to the numerator as str(Fraction) does
+    pytest.param({"family": "custom", "params": {
+        "levels": {"0": [1, 2], "1": [1, 2]},
+        "rows": {"1": {"1": {"1": -1}, "2": {"1": -2, "2": 4}}},
+    }}, ["--level", "1"], id="custom-negative-multiplicity"),
+    pytest.param({"family": "pascal-n"}, ["--level", "5", "--vertex", "[[1,2],[3,3]]"], id="pascal-n-vertex"),
+]
+
+
+@pytest.mark.parametrize("spec, args", STOCHASTIC_CASES)
+def test_stochastic_output_equals_that_of_the_fraction_rows(spec, args, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    opts = dict(zip(args[::2], args[1::2]))
+    diagram = build_diagram(spec)
+    rows = stochastic_rows(diagram, int(opts["--level"]),
+                           [vertex_from_text(opts["--vertex"])] if "--vertex" in opts else None,
+                           int(opts["--window"]) if "--window" in opts else None)
+    payload = {
+        "family": diagram.family,
+        "level": int(opts["--level"]),
+        "rows": {_vkey(v): {_vkey(w): _fr(f) for w, f in row.items()} for v, row in rows.items()},
+        "row_sums_one": all(sum(row.values()) == 1 for row in rows.values()),
+    }
+    result = run("stochastic", "--spec", str(path), *args)
+    assert result.exit_code == 0, result.output
+    assert result.output == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert payload["row_sums_one"] is True
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["target", "source", "weight"])
+    writer.writerows([_vkey(v), _vkey(w), _fr(f)]
+                     for v, row in rows.items() for w, f in sorted(row.items(), key=_by_key_repr))
+    result = run("stochastic", "--spec", str(path), *args, "--format", "csv")
+    assert result.exit_code == 0, result.output
+    assert result.output == buf.getvalue()
+
+
 def test_sampling_output_is_seeded_and_carries_float_precision():
     data = run_json("sample", "--d", "3/10,7/10", "--depth", "20",
                     "--count", "50", "--seed", "99")
@@ -558,9 +613,9 @@ def test_orbit_walks_a_tower_and_tallies_visits():
 
 @pytest.mark.parametrize("path, code, message", [
     ('{"start": 1, "edges": [[1,2,1],[2,3,1]]}', 1, "error: path covers levels 1..3, not 9"),
-    ('{"start": 1, "edges": [[2,2,1]]}', 2, "truncation-incomplete: step 0: every specified edge is maximal"),
+    ('{"start": 1, "edges": [[2,2,1]]}', 1, "error: path covers levels 1..2, not 9"),
 ], ids=["steps-succeed", "a-step-fails"])
-def test_an_orbit_refuses_an_uncovered_visit_level_after_its_steps(path, code, message, capsys):
+def test_an_orbit_refuses_an_uncovered_visit_level_before_its_steps(path, code, message, capsys):
     with pytest.raises(SystemExit) as info:
         main(["orbit", "--family", "binfty", "--order", "left-to-right", "--steps", "2",
               "--path", path, "--visit-level", "9"])

@@ -500,3 +500,45 @@ def test_stochastic_rows_at_the_base_level_are_refused(call):
 def test_stochastic_rows_refuse_non_vertices_and_levels_below_the_base(call, message):
     with pytest.raises(DiagramError, match=message):
         call()
+
+
+# -- the one row reader ---------------------------------------------------------
+
+ROW_WINDOWS = [
+    pytest.param(lambda: PascalDiagram("n"), 4, 4, id="pascal-n"),
+    pytest.param(lambda: PascalDiagram("z"), 3, 1, id="pascal-z"),
+    pytest.param(BinftyDiagram, 6, 20, id="binfty"),
+    pytest.param(lambda: BoundedDiagram(2, finite=True), 3, None, id="bounded-finite"),
+    pytest.param(lambda: OdometerChainDiagram("pow2"), 4, 6, id="odometer-io"),
+    pytest.param(lambda: build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": 2}),
+                 5, None, id="staircase"),
+    pytest.param(_custom, 3, None, id="custom"),
+]
+
+
+@pytest.mark.parametrize("make, level, bound", ROW_WINDOWS)
+def test_continuity_profile_equals_the_fraction_reference(make, level, bound):
+    d, ref = make(), make()
+    norms = continuity_profile(d, level, bound=bound)
+    assert list(norms) == list(vertex_window(ref, level, bound))
+    for v, norm in norms.items():
+        row = stochastic_row(ref, level, v)
+        assert norm == weighted_row_norm(row, {w: ref.rank(level - 1, w) for w in row})
+
+
+def test_an_empty_row_has_norm_zero():
+    d = CustomDiagram(levels={0: [1], 1: [1, 2]}, rows={1: {1: {1: 3}, 2: {}}})
+    assert continuity_profile(d, 1) == {1: Fraction(1, 2), 2: 0}
+    assert weighted_row_norm(stochastic_row(d, 1, 2), {}) == 0
+
+
+@pytest.mark.parametrize("call", [stochastic_rows, continuity_profile],
+                         ids=["stochastic", "continuity"])
+@pytest.mark.parametrize("targets, message, missing", [
+    (["f"], "no incidence row declared for vertex 'f' at level 4", [(4, "f")]),
+    (None, "custom diagram declares no level 4", [(4, None)]),
+], ids=["listed-target", "window"])
+def test_rows_beyond_a_custom_diagram_are_truncation_incomplete(call, targets, message, missing):
+    with pytest.raises(TruncationIncompleteError, match=message) as info:
+        call(_custom(), 4, targets)
+    assert info.value.missing == missing

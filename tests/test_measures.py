@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -13,6 +14,7 @@ from bratteli.core import (
     build_subdiagram,
     support_key,
 )
+from bratteli import measures
 from bratteli.limits import pascal_limit_vector
 from bratteli.measures import (
     BinftyMeasure,
@@ -335,6 +337,61 @@ def test_sampling_with_three_coordinates():
     assert sum(report.means.values()) == 1
     for c in (1, 2, 3):
         assert abs(float(report.means[c] - mu.d[c])) < 4 * report.stderrs[c]
+
+
+class _RecordingRandom(random.Random):
+    """A ``Random`` that keeps its seed and every ``getrandbits`` call it answers."""
+
+    made: list = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.seed0, self.calls = seed, []
+        _RecordingRandom.made.append(self)
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.calls.append((k, r))
+        return r
+
+
+@pytest.mark.parametrize("d", [
+    {1: Fraction(1)},
+    {1: HALF, 2: HALF},
+    {1: Fraction(1, 3), 2: Fraction(2, 3)},
+    {1: Fraction(1, 5), 2: Fraction(2, 5), 3: Fraction(2, 5)},
+    {1: HALF, 2: Fraction(1, 5), 3: Fraction(3, 10)},
+    {1: Fraction(1, 2**32 + 1), 2: Fraction(2**32, 2**32 + 1)},
+    {1: Fraction(2, 2**40 + 1), 2: Fraction(5, 2**40 + 1), 3: Fraction(2**40 - 6, 2**40 + 1)},
+], ids=["D=1", "D=2", "D=3", "D=5", "D=10", "D=2^32+1", "D=2^40+1"])
+@pytest.mark.parametrize("seed", [0, 7, 42, 20260817])
+def test_sampled_draws_are_randrange_draws(d, seed, monkeypatch):
+    monkeypatch.setattr(_RecordingRandom, "made", [])
+    monkeypatch.setattr(measures, "random", type("random", (), {"Random": _RecordingRandom}))
+    mu = PascalMeasure(d)
+    denom = max(x.denominator for x in mu.d.values())
+    depth, count = 40, 3
+    report = sample_paths(mu, depth, count, seed)
+    master, *paths = _RecordingRandom.made
+    oracle = random.Random(seed)
+    assert master.seed0 == seed
+    assert [p.seed0 for p in paths] == [oracle.getrandbits(64) for _ in range(count)]
+    totals = dict.fromkeys(mu.d, 0)
+    for path in paths:
+        rng = random.Random(path.seed0)
+        draws = [rng.randrange(denom) for _ in range(depth)]
+        # randrange(D)'s own stream: D's bit length per call, every value below D taken, no call more
+        assert {k for k, _ in path.calls} == {denom.bit_length()}
+        assert [r for _, r in path.calls if r < denom] == draws
+        assert path.getstate() == rng.getstate()
+        for r in draws:  # the first coordinate whose cumulative weight passes r
+            acc = 0
+            for c in sorted(mu.d):
+                acc += mu.d[c] * denom
+                if r < acc:
+                    totals[c] += 1
+                    break
+    assert report.means == {c: Fraction(t, depth * count) for c, t in totals.items()}
 
 
 def test_sampling_validates_arguments():
