@@ -30,6 +30,8 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -168,16 +170,61 @@ def _decimal(value, digits):
     return "%s%d.%0*d" % (sign, whole, digits, frac)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_text(payload):
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+    ``indent`` makes ``json`` use its pure-Python encoder.  Here every dict
+    or list whose items are all scalars goes through the C encoder instead,
+    with ",\\n" plus the indent as its item separator, and the levels above
+    are joined by hand in the order and layout ``json`` uses.  A dict with a
+    key that is not a string is left to ``json`` itself.
+    """
+    encoders = {}
+
+    def leaf(pad):
+        if pad not in encoders:
+            encoders[pad] = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                           None, ": ", ",\n" + pad, True, False, True)
+        return encoders[pad]
+
+    def render(obj, pad):
+        inner = pad + "  "
+        if not isinstance(obj, _CONTAINERS):
+            return "".join(leaf(inner)(obj, 0))
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            return "{}" if is_dict else "[]"
+        if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+            text = "".join(leaf(inner)(obj, 0))
+            return "%s\n%s%s\n%s%s" % (text[0], inner, text[1:-1], pad, text[-1])
+        if not is_dict:
+            parts = [render(v, inner) for v in obj]
+        elif all(isinstance(k, str) for k in obj):
+            parts = [encode_basestring_ascii(k) + ": " + render(v, inner) for k, v in sorted(obj.items())]
+        else:
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        return "%s\n%s%s\n%s%s" % ("{" if is_dict else "[", inner, (",\n" + inner).join(parts), pad,
+                                   "}" if is_dict else "]")
+
+    return render(payload, "")
+
+
 def _emit(out, fmt, precision, payload, header=None, rows=None,
           approx_fields=()):
     """Serialize ``payload`` deterministically to stdout or ``--out``.
 
-    ``rows`` is a zero-argument callable returning the CSV rows under
-    ``header``; it runs only for ``--format csv``.  ``approx_fields`` names
-    keys of ``payload`` holding {key: Fraction-string} maps; with
-    ``--precision`` each gains an ``approx_<name>`` companion.  A payload
-    that states its own ``precision_bits`` (``sample``'s float statistics)
-    keeps it and ignores ``--precision``.
+    JSON goes through ``_json_text``, which renders the scalar leaves with
+    the C encoder and keeps the bytes ``json.dumps(payload, indent=2,
+    sort_keys=True)`` prints.  ``rows`` is a zero-argument callable
+    returning the CSV rows under ``header``; it runs only for ``--format
+    csv``.  ``approx_fields`` names keys of ``payload`` holding
+    {key: Fraction-string} maps; with ``--precision`` each gains an
+    ``approx_<name>`` companion.  A payload that states its own
+    ``precision_bits`` (``sample``'s float statistics) keeps it and ignores
+    ``--precision``.
     """
     if precision is not None and "precision_bits" not in payload:
         if precision < 1:
@@ -199,7 +246,7 @@ def _emit(out, fmt, precision, payload, header=None, rows=None,
         writer.writerows(rows())
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     if out:
         try:
             with open(out, "w") as fh:
@@ -456,8 +503,6 @@ def stochastic(source, level, window, vertex_text):
     targets = None if vertex_text is None else [vertex_from_text(vertex_text)]
     texts, sums_one = {}, True  # texts: v -> {w: str(Fraction(x, H_v))}, from the reduced integers
     for v, weights, hv in _weighted_rows(diagram, level, targets, window):
-        if hv < 0:  # a negative multiplicity: Fraction keeps the sign in the numerator
-            weights, hv = {w: -x for w, x in weights.items()}, -hv
         row, pairs = {}, []
         for w, x in weights.items():
             g = gcd(x, hv)

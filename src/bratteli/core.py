@@ -819,7 +819,12 @@ def build_diagram(spec) -> Diagram:
     elif family == "custom":
         levels = _levels(_spec_field(params, "levels", "a custom spec"))
         rows = _rows(_spec_field(params, "rows", "a custom spec"))
-        d = CustomDiagram(levels, rows, base_level=as_int(params.get("base_level", 0), "base_level"))
+        base = as_int(params.get("base_level", 0), "base_level")
+        for n, level_rows in rows.items():  # every vertex above the base has an incoming edge
+            empty = [v for v, srcs in level_rows.items() if not srcs]
+            if n > base and empty:
+                raise DiagramError("custom row of %r at level %d is empty" % (empty[0], n))
+        d = CustomDiagram(levels, rows, base_level=base)
     else:
         raise DiagramError("unknown family %r (expected one of %s)" % (family, ", ".join(FAMILIES)))
     trunc = spec.get("truncation")
@@ -882,16 +887,27 @@ def _levels(value) -> dict:
 
 
 def _rows(value) -> dict:
-    """A spec's ``{level: {target: {source: multiplicity}}}`` object, its vertex keys read as text."""
+    """A spec's ``{level: {target: {source: multiplicity}}}`` object, its vertex keys read as text.
+
+    A multiplicity counts edges, so it is at least 1; an absent edge is omitted.
+    """
     return {
         as_int(n, "a level"): {
             vertex_from_text(v): {
-                vertex_from_text(w): as_int(m, "a multiplicity") for w, m in _object(srcs, "a row").items()
+                vertex_from_text(w): _multiplicity(m) for w, m in _object(srcs, "a row").items()
             }
             for v, srcs in _object(level_rows, "a level's rows").items()
         }
         for n, level_rows in _object(value, "rows").items()
     }
+
+
+def _multiplicity(value) -> int:
+    """An edge count of outside input: an integer of at least 1."""
+    m = as_int(value, "a multiplicity")
+    if m < 1:
+        raise DiagramError("a multiplicity counts edges and must be at least 1, got %d" % m)
+    return m
 
 
 def vertex_from_json(v):

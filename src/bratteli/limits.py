@@ -2,10 +2,14 @@
 
 ``product_row(diagram, n, m, v)`` counts the paths from each level-``n``
 vertex up to ``v`` at level ``n + m`` (the row of the m-fold incidence
-product).  Normalizing such a row gives a point of the level-``n`` simplex;
-following a sequence of top vertices upward and watching these points
-stabilize is the engine used to locate tail-invariant measures.  Iterates
-are exact rationals; only the stopping rule is heuristic, and results say so.
+product).  It descends with its own dict of counts and reads each row of the
+cone once.  It does not share ``linalg._cone_walk``: pushing counts through
+that walk's index rows measured 1.2-1.8 times slower on narrow cones, whose
+levels hold a few short rows, such as those of ray limits.  Normalizing such
+a row gives a point of the level-``n`` simplex; following a sequence of top
+vertices upward and watching these points stabilize is the engine used to
+locate tail-invariant measures.  Iterates are exact rationals; only the
+stopping rule is heuristic, and results say so.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ def product_row(diagram: Diagram, n: int, m: int, v) -> dict:
 
     Computed by descending through the predecessor lists, so it is exact for
     every family and subdiagram.  Only ``v`` is validated; the descent
-    reads rows unchecked through ``_predecessors``.
+    reads each row of the cone once, unchecked, through ``_predecessors``.
     """
     if m < 0:
         raise DiagramError("m must be >= 0")

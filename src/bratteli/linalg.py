@@ -5,10 +5,15 @@ Heights are computed by the downward cone recursion, so they are exact for
 every built-in family; ``heights_closed_form`` exposes the per-family closed
 forms so the two routes can be compared.
 
-``_heights`` is the one height recursion, and it checks nothing.  It stores
-what it computes in the diagram's height memo (level -> {vertex: H}, made in
-``Diagram.__init__``), so calls on one diagram instance share their cones: a
-query walks down only through vertices the memo lacks.
+``_heights`` is the one height recursion, and it checks nothing.  Its
+``_cone_walk`` reads each row of the cone once, unchecked, and keeps it as
+integer indices into the next level's source list (multiplicities only
+where some entry is not 1), so no row dict and no fresh key tuple outlives
+the level that read it; the heights are then filled upward by list
+indexing.  They are stored in the diagram's height memo (level -> {vertex:
+H}, made in ``Diagram.__init__``) only once the walk has succeeded, so
+calls on one diagram instance share their cones: a query walks down only
+through vertices the memo lacks.
 
 Validation happens once, at entry.  A whole window (``vertices`` or
 ``targets`` left ``None``, cut by ``bound``) is trusted, because
@@ -25,7 +30,10 @@ the memo, so ``heights`` stays an independent check on them.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from itertools import chain, count, filterfalse, islice, repeat
+from operator import mul
 from typing import Iterable, Mapping
 
 from .core import Diagram, DiagramError, TruncationIncompleteError, vertex_window
@@ -58,41 +66,81 @@ def _entry_vertices(diagram: Diagram, level: int, vertices: Iterable | None,
 def _heights(diagram: Diagram, level: int, vertices: Iterable) -> dict:
     """``heights`` unchecked: ``vertices`` must be vertices of ``level``.
 
-    The walk down stops at vertices the memo already holds, and the missing
-    heights are then filled level by level from the bottom, reading rows
-    unchecked through ``_predecessors``.  Nothing is stored until the walk
-    has succeeded, so a call that raises (for example
+    ``_cone_walk`` reads each missing row once, and the heights are then
+    filled upward by list indexing.  Nothing is stored until the walk has
+    succeeded, so a call that raises (for example
     ``TruncationIncompleteError`` where declared data runs out) leaves the
-    memo as it was and raises again the same way.  When several rows of a
-    level are missing, the error names the first in ``repr`` order, so it
-    does not depend on the hash seed.
+    memo as it was and raises again the same way.
     """
     memo = diagram._height_memo
-    todo = set(vertices).difference(memo.get(level, ()))
-    need = {level: todo}
-    lowest = level
-    while todo and lowest > diagram.base_level:
-        below: set = set()
-        try:
-            for v in todo:
-                below.update(diagram._predecessors(lowest, v))
-        except TruncationIncompleteError:
-            for v in sorted(todo, key=repr):  # raises at the first missing row
-                diagram._predecessors(lowest, v)
-            raise
-        lowest -= 1
-        todo = below.difference(memo.get(lowest, ()))
-        need[lowest] = todo
-    for lvl in range(lowest, level + 1):
+    held = memo.get(level, {})
+    steps, bottom = _cone_walk(diagram, level, list(filterfalse(held.__contains__, dict.fromkeys(vertices))))
+    lvl = level - len(steps)  # the base level, or one where the memo holds every source
+    held = memo.setdefault(lvl, {})
+    if lvl == diagram.base_level:
+        held.update(dict.fromkeys(bottom, 1))
+        h = [1] * len(bottom)
+    else:
+        h = list(map(held.__getitem__, bottom))
+    while steps:
+        src, keys, flat, lens, mults = steps.pop()
+        lvl += 1
+        terms = map(h.__getitem__, flat)
+        if mults is not None:
+            terms = map(mul, terms, mults)
+        h = list(map(sum, map(islice, repeat(terms), lens)))  # each row sums the next len terms
         filled = memo.setdefault(lvl, {})
-        if lvl == diagram.base_level:
-            filled.update(dict.fromkeys(need.pop(lvl), 1))
-            continue
-        h = memo.get(lvl - 1, {})
-        for v in need.pop(lvl):
-            filled[v] = sum(m * h[w] for w, m in diagram._predecessors(lvl, v).items())
+        filled.update(zip(keys, h))
+        if keys is not src:  # some sources were held: align with the rows above
+            h = list(map(filled.__getitem__, src))
     h = memo[level]
-    return {v: h[v] for v in vertices}
+    return dict(zip(vertices, map(h.__getitem__, vertices)))
+
+
+_UNIT = frozenset((1,))
+_CHUNK = 64  # rows read at once: enough to amortize the bookkeeping, few dicts alive
+
+
+def _cone_walk(diagram: Diagram, level: int, keys: list):
+    """Read the rows of ``keys`` at ``level``, then those of their sources, down to the base level.
+
+    Each row is read once, unchecked, and kept as indices into the next
+    level's source list, with the level's multiplicities only when one is
+    not 1; no row of a vertex the height memo holds is read.  Returns
+    ``(steps, bottom)``: per level from the top, ``(src, keys, flat, lens,
+    mults)``, where the rows of ``keys`` (``src``, or its members the memo
+    lacks) lie one after another in ``flat`` with lengths ``lens``;
+    ``bottom`` is the source list of the last.  A missing row raises
+    ``TruncationIncompleteError`` naming the level's first missing row in
+    ``repr`` order, so not one that depends on the hash seed.
+    """
+    read, memo = diagram._predecessors, diagram._height_memo
+    values, flatten = dict.values, chain.from_iterable
+    steps: list = []
+    src = keys
+    while keys and level > diagram.base_level:
+        index = defaultdict(count().__next__)  # a new source gets the next index
+        at = index.__getitem__
+        flat, lens, mults = [], [], []
+        parts = ([keys] if len(keys) <= _CHUNK
+                 else [keys[i:i + _CHUNK] for i in range(0, len(keys), _CHUNK)])
+        for part in parts:
+            try:
+                rows = list(map(read, repeat(level), part))
+            except TruncationIncompleteError:
+                for v in sorted(keys, key=repr):  # raises at the first missing row
+                    read(level, v)
+                raise
+            flat += map(at, flatten(rows))
+            lens += map(len, rows)
+            mults += flatten(map(values, rows))
+        steps.append((src, keys, flat, lens, None if _UNIT.issuperset(mults) else mults))
+        level -= 1
+        src = keys = list(index)
+        held = memo.get(level)
+        if held:
+            keys = list(filterfalse(held.__contains__, src))
+    return steps, src
 
 
 def height(diagram: Diagram, level: int, v) -> int:

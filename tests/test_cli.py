@@ -220,7 +220,14 @@ def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
 
 @pytest.mark.parametrize("spec", [
     {"family": "pascal-n", "truncation": {"bound": "x"}},
-], ids=["truncation-bound-not-an-integer"])
+    # a multiplicity counts edges: below 1 there is no Bratteli diagram
+    {"family": "custom", "params": {"levels": {"0": [1, 2], "1": [1, 2]},
+                                    "rows": {"1": {"1": {"1": -1}, "2": {"1": -2, "2": 4}}}}},
+    {"family": "custom", "params": {"levels": {"0": [1, 2], "1": [1, 2, 3]},
+                                    "rows": {"1": {"1": {"1": 0}, "2": {"1": -1}, "3": {"1": 1, "2": 1}}}}},
+    {"family": "custom", "params": {"levels": {"0": [1, 2], "1": [1, 2]},
+                                    "rows": {"1": {"1": {"1": 1}, "2": {}}}}},
+], ids=["truncation-bound-not-an-integer", "negative-multiplicity", "zero-multiplicity", "empty-row"])
 def test_a_malformed_spec_file_is_a_domain_error_for_stochastic(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -452,11 +459,6 @@ STOCHASTIC_CASES = [
         "levels": {"0": [1], "1": [1, 2], "2": [1, 2]},
         "rows": {"1": {"1": {"1": 2}, "2": {"1": 1}}, "2": {"1": {"1": 1, "2": 3}, "2": {"2": 2}}},
     }}, ["--level", "2"], id="custom"),
-    # a negative total: the text must move the sign to the numerator as str(Fraction) does
-    pytest.param({"family": "custom", "params": {
-        "levels": {"0": [1, 2], "1": [1, 2]},
-        "rows": {"1": {"1": {"1": -1}, "2": {"1": -2, "2": 4}}},
-    }}, ["--level", "1"], id="custom-negative-multiplicity"),
     pytest.param({"family": "pascal-n"}, ["--level", "5", "--vertex", "[[1,2],[3,3]]"], id="pascal-n-vertex"),
 ]
 

@@ -37,8 +37,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bratteli.cli import cli
+from bratteli.cli import _emit, cli
 
 CORPUS = json.loads(Path(__file__).with_name("golden_readme.json").read_text())
 ORBITS = json.loads(Path(__file__).with_name("golden_orbit.json").read_text())
@@ -114,3 +116,42 @@ def test_help_precision_and_format_output_is_unchanged(case):
 @pytest.mark.parametrize("case", SERIES, ids=_rendered_id)
 def test_series_output_is_unchanged(case):
     _assert_unchanged(case)
+
+
+# -- the JSON renderer ----------------------------------------------------------
+
+JSON_OUTPUTS = [case for corpus in (CORPUS, ORBITS, RENDERED, CONVENTIONS, SERIES)
+                for case in corpus if case["stdout"].startswith("{")]
+
+
+def _emitted(payload, tmp_path, capsys):
+    """What ``_emit`` prints for ``payload``, after checking that ``--out`` gets the same bytes."""
+    _emit(None, "json", None, payload)
+    text = capsys.readouterr().out
+    out = tmp_path / "payload.json"
+    _emit(str(out), "json", None, payload)
+    assert out.read_bytes() == text.encode("utf-8")
+    return text
+
+
+@pytest.mark.parametrize("case", JSON_OUTPUTS, ids=_rendered_id)
+def test_every_golden_json_payload_renders_to_its_stored_bytes(case, tmp_path, capsys):
+    assert _emitted(json.loads(case["stdout"]), tmp_path, capsys) == case["stdout"]
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 300)
+            | st.floats() | st.text(max_size=6))
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.dictionaries(st.integers(-9, 9), inner, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=st.dictionaries(st.text(max_size=6), _PAYLOADS, max_size=5))
+def test_any_payload_renders_as_json_dumps_does(payload, tmp_path, capsys):
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert _emitted(payload, tmp_path, capsys) == expected

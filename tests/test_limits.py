@@ -202,6 +202,42 @@ def test_a_missing_custom_row_is_truncation_incomplete_in_heights_and_product_ro
     assert exc.value.missing == [(1, "c")]
 
 
+def test_a_height_walk_names_the_first_missing_row_in_repr_order_and_a_product_row_the_first_read():
+    d = CustomDiagram(levels={0: ["a"], 1: ["c", "b"], 2: ["d"]}, rows={2: {"d": {"c": 1, "b": 1}}})
+    with pytest.raises(TruncationIncompleteError) as exc:
+        heights(d, 2, ["d"])
+    assert exc.value.missing == [(1, "b")]
+    with pytest.raises(TruncationIncompleteError) as exc:
+        product_row(d, 0, 2, "d")
+    assert exc.value.missing == [(1, "c")]
+
+
+@pytest.mark.parametrize("make, n, m, v", [
+    (lambda: PascalDiagram("n"), 1, 5, ((1, 2), (2, 2), (3, 2))),
+    (BinftyDiagram, 2, 5, 6),
+    (lambda: OdometerChainDiagram(2, {1: 3}), 1, 5, 2),
+], ids=["pascal-n", "binfty", "odometer-columns"])
+def test_product_rows_read_each_cone_row_once(make, n, m, v, monkeypatch):
+    d = make()
+    reads = Counter()
+    original = type(d)._predecessors
+
+    def counting(self, level, u):
+        reads[level, u] += 1
+        return original(self, level, u)
+
+    monkeypatch.setattr(type(d), "_predecessors", counting)
+    row = product_row(d, n, m, v)
+    monkeypatch.undo()
+    cone, frontier = Counter(), {v}
+    for level in range(n + m, n, -1):
+        cone.update((level, u) for u in frontier)
+        frontier = {w for u in frontier for w in d.predecessors(level, u)}
+    assert reads == cone
+    assert set(row) == frontier
+    assert row == {w: oracles.transition_count(d, n, m, v, w) for w in frontier}
+
+
 def test_product_rows_do_not_descend_below_the_base_level():
     with pytest.raises(DiagramError):
         product_row(BinftyDiagram(), 0, 2, 3)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -344,21 +345,20 @@ def test_heights_at_an_undeclared_custom_level_are_truncation_incomplete():
         heights(_custom(), 4, ["f"])
 
 
-def test_stochastic_rows_visit_each_cone_vertex_at_most_twice(monkeypatch):
-    calls = 0
+def test_stochastic_rows_visit_each_cone_vertex_once(monkeypatch):
+    calls = Counter()
     original = PascalDiagram.predecessors
 
     def counting(self, level, v):
-        nonlocal calls
-        calls += 1
+        calls[level, v] += 1
         return original(self, level, v)
 
     monkeypatch.setattr(PascalDiagram, "predecessors", counting)
     d = PascalDiagram("n")
-    stochastic_rows(d, 6, d.level_vertices(6, 6))
-    # every key of levels 0..6 over coordinates 1..6 is in the cone
-    cone_entries = sum(comb(n + 5, 5) for n in range(7))
-    assert calls <= 2 * cone_entries
+    targets = d.level_vertices(6, 6)
+    stochastic_rows(d, 6, targets)
+    # the checked read serves the listed targets, once each; the walk below reads unchecked
+    assert calls == Counter((6, v) for v in targets)
 
 
 def test_continuity_profile_ranks_each_source_once(monkeypatch):
@@ -393,22 +393,22 @@ def test_height_is_the_closed_form_else_the_memoized_recursion(make, level, v):
     assert (v in d._height_memo.get(level, {})) is not has_closed_form
 
 
-def test_stochastic_rows_read_each_cone_row_at_most_twice(monkeypatch):
-    # counts every row read, checked or not: the height recursion reads
+def test_stochastic_rows_read_each_cone_row_once(monkeypatch):
+    # counts every row read, checked or not: the height walk reads
     # rows through the unchecked _predecessors
-    calls = 0
+    calls = Counter()
     original = PascalDiagram._predecessors
 
     def counting(self, level, v):
-        nonlocal calls
-        calls += 1
+        calls[level, v] += 1
         return original(self, level, v)
 
     monkeypatch.setattr(PascalDiagram, "_predecessors", counting)
     d = PascalDiagram("n")
     stochastic_rows(d, 6, d.level_vertices(6, 6))
-    cone_entries = sum(comb(n + 5, 5) for n in range(7))
-    assert calls <= 2 * cone_entries
+    # every key of levels 1..6 over coordinates 1..6 is in the cone; level 0 has no row
+    assert set(calls.values()) == {1}
+    assert len(calls) == sum(comb(n + 5, 5) for n in range(1, 7))
 
 
 def test_count_distance_agrees_with_simplex_distance():
@@ -461,8 +461,34 @@ def test_stochastic_rows_of_a_window_read_each_row_once_and_check_nothing(row_re
     assert not checks
     top = {v: n for (level, v), n in reads.items() if level == 7}
     assert set(top) == set(rows) and set(top.values()) == {1}
-    cone_below = sum(comb(n + 7, 7) for n in range(7))
-    assert sum(n for (level, _), n in reads.items() if level < 7) <= 2 * cone_below
+    below = [n for (level, _), n in reads.items() if level < 7]
+    assert set(below) == {1}
+    assert len(below) == sum(comb(n + 7, 7) for n in range(1, 7))
+
+
+def test_a_whole_window_of_heights_reads_each_cone_row_once(row_reads):
+    reads, _ = row_reads
+    heights(PascalDiagram("n"), 8, bound=8)
+    # levels 1..8 over coordinates 1..8: 12,869 rows, the base vertex has none
+    assert len(reads) == sum(comb(n + 7, 7) for n in range(1, 9)) == 12869
+    assert set(reads.values()) == {1}
+
+
+# 1.25 x 3,217,188 bytes, the tracemalloc peak of the read-once walk below
+# (CPython 3.11); the recursion that read each row twice peaked at 2,398,784
+PEAK_BOUND = 4_022_000
+
+
+def test_a_whole_window_of_heights_stays_within_its_memory_bound():
+    heights(PascalDiagram("n"), 8, bound=8)  # module caches, such as Pascal ranks, fill first
+    d = PascalDiagram("n")
+    tracemalloc.start()
+    try:
+        heights(d, 8, bound=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND
 
 
 def test_continuity_profile_reads_each_target_row_once(row_reads):
