@@ -73,12 +73,14 @@ from .measures import (
 )
 from .vershik import (
     OrderedDiagram,
+    PathRep,
+    _vertex_at,
     classify_descriptor,
     classify_extremal,
     descriptor_from_json,
     descriptor_to_json,
     mirror_descriptor,
-    orbit_paths,
+    orbit_walk,
     path_from_json,
     path_to_json,
     succ_pred,
@@ -439,7 +441,8 @@ def _command(*opts, name=None, inputs=None):
                 result = fn(*given, **kwargs)
                 _emit(out, fmt, precision, *(result if isinstance(result, tuple) else (result,)))
             except TruncationIncompleteError as exc:
-                click.echo("truncation-incomplete: %s" % exc, err=True)
+                missing = " (missing: %s)" % json.dumps(exc.missing) if exc.missing else ""
+                click.echo("truncation-incomplete: %s%s" % (exc, missing), err=True)
                 sys.exit(2)
             except DiagramError as exc:
                 click.echo("error: %s" % exc, err=True)
@@ -901,13 +904,13 @@ def orbit_cmd(source, order_name, path_text, steps, visit_level):
     if visit_level is not None:
         path.vertex_at(visit_level)  # refuses a level the start path does not cover, before any step
     visits = Counter()
-    for seen, last in enumerate(orbit_paths(od, path, steps), 1):
+    for seen, (edges, tail) in enumerate(orbit_walk(od, path, steps), 1):  # one live edge list
         if visit_level is not None:
-            visits[last.vertex_at(visit_level)] += 1
+            visits[_vertex_at(path.start, edges, tail, visit_level)] += 1
     payload = {
         "steps": steps,
         "first": path_to_json(path),
-        "last": path_to_json(last),
+        "last": path_to_json(PathRep(path.start, tuple(edges), tail)),
         "paths_seen": seen,
     }
     if visit_level is not None:

@@ -664,6 +664,8 @@ class Subdiagram(Diagram):
                 for n, vs in levels.items():
                     for v in vs:
                         ambient.check_vertex(n, v)
+                        if n - 1 in levels and ambient.predecessors(n, v).keys().isdisjoint(levels[n - 1]):
+                            raise DiagramError("kept vertex %r at level %d has no kept source" % (v, n))
 
                 def lookup(n: int) -> tuple:
                     if n not in levels:

@@ -21,11 +21,11 @@ boundary: ``path_from_json`` builds tuples of ``(source, target, slot)``
 tuples and ``PathRep`` stores them as given.  Paths are validated once, at
 the public entry points, where ``validate_path`` also refuses any other
 edge container; the step engine ``_step`` trusts its input, since a step
-maps valid paths to valid paths.  An ``OrderedDiagram`` memoizes each
-extremal refill, and an orbit hands each step the scan index the last one
-found, so a step costs amortized O(1) lookups plus its new edge tuple;
-``orbit_paths`` holds only the current path, so an orbit runs in constant
-memory.
+maps valid paths to valid paths.  ``_step`` rewrites an edge list in place,
+only the refill below the first non-extremal edge and that edge; refills are
+memoized and an orbit hands each step the scan index the last one found, so
+a step costs amortized O(1) lookups plus the edges it changes.
+``orbit_walk`` steps one live list, so an orbit runs in constant memory.
 
 Extremal paths that no finite prefix-plus-tail can carry (multinomial paths
 whose support grows forever) are handled by ``PascalPathDescriptor``: the
@@ -194,9 +194,14 @@ class PathRep:
             raise DiagramError(
                 "path covers levels %d..%d, not %d" % (self.start, self.end_level, level)
             )
-        if level == self.start:
-            return self.edges[0][0] if self.edges else self.end_vertex
-        return self.edges[level - self.start - 1][1]
+        return _vertex_at(self.start, self.edges, self.tail, level)
+
+
+def _vertex_at(start: int, edges: Sequence, tail, level: int):
+    """The vertex at a covered ``level`` of a path; an empty prefix sits at its tail's anchor."""
+    if level == start:
+        return edges[0][0] if edges else tail.anchor
+    return edges[level - start - 1][1]
 
 
 def validate_path(diagram: Diagram, path: PathRep) -> None:
@@ -420,12 +425,13 @@ class OrderedDiagram:
 
     def refill(self, level: int, v, side: str, stop: int) -> tuple:
         """Memoized ``extremal_path_to`` and the index of its first edge not extremal on the other side."""
-        key = (level, v, side, stop)
-        if key not in self._refills:
+        try:
+            return self._refills[level, v, side, stop]
+        except KeyError:
             edges = extremal_path_to(self, level, v, side, stop)
-            other = "max" if side == "min" else "min"
-            self._refills[key] = (edges, _first_nonextremal_index(self, stop, edges, other))
-        return self._refills[key]
+            got = self._refills[level, v, side, stop] = (
+                edges, _first_nonextremal_index(self, stop, edges, "max" if side == "min" else "min"))
+            return got
 
 
 # ---------------------------------------------------------------------------
@@ -554,53 +560,58 @@ def materialize(od: OrderedDiagram, path: PathRep, depth: int) -> PathRep:
 # the adic step
 
 
-def _step(od: OrderedDiagram, path: PathRep, side: str, m: int | None = -1) -> tuple:
-    """One adic step on a trusted ``path``; returns the image and its ``m``, the index of the first
-    edge not extremal on ``side`` (None if every prefix edge is).  ``m=-1`` makes the step scan for it."""
+def _step(od: OrderedDiagram, start: int, edges: list, tail, side: str, m: int | None = -1) -> tuple:
+    """One adic step on the trusted edge list ``edges`` of a path from ``start`` with ``tail``, in place:
+    it writes ``edges[:m + 1]`` (after materializing any tail it needs onto the list), and raises a
+    refusal before any write.  Returns the new tail and the image's ``m``, the index of its first edge
+    not extremal on ``side`` (None if every prefix edge is); ``m=-1`` makes the step scan for it."""
     if m == -1:
-        m = _first_nonextremal_index(od, path.start, path.edges, side)
+        m = _first_nonextremal_index(od, start, edges, side)
     if m is None:
+        path = PathRep(start, tuple(edges), tail)
         state, depth = scan_tail(od, path, side)
+        extreme = "maximal" if side == "max" else "minimal"
         if state == "unknown":
-            raise DeepenPrefixError(
-                "every specified edge is %s; extend the prefix beyond level %d"
-                % ("maximal" if side == "max" else "minimal", path.end_level),
-                missing=[("prefix-level", path.end_level + 1)],
-            )
+            raise DeepenPrefixError("every specified edge is %s; extend the prefix beyond level %d"
+                                    % (extreme, path.end_level), missing=[("prefix-level", path.end_level + 1)])
         if state == "all":
-            if side == "max":
-                raise MaximalPathError("the path is maximal: every edge, tail included, is maximal")
-            raise MinimalPathError("the path is minimal: every edge, tail included, is minimal")
-        path = materialize(od, path, depth)
-        m = len(path.edges) - 1
-    w, v, slot = path.edges[m]
-    level = path.start + m + 1
+            raise (MaximalPathError if side == "max" else MinimalPathError)(
+                "the path is %s: every edge, tail included, is %s" % (extreme, extreme))
+        grown = materialize(od, path, depth)
+        edges += grown.edges[len(edges):]
+        tail, m = grown.tail, len(edges) - 1
+    w, v, slot = edges[m]
+    level = start + m + 1
     seq = od.edges_into(level, v)
     pos = seq.index((w, slot))
     new = seq[pos + 1] if side == "max" else seq[pos - 1]
-    refill, nxt = od.refill(level - 1, new[0], "min" if side == "max" else "max", path.start)
-    edges = refill + ((new[0], v, new[1]),) + path.edges[m + 1:]
+    refill, nxt = od.refill(level - 1, new[0], "min" if side == "max" else "max", start)
+    edges[:m] = refill
+    edges[m] = (new[0], v, new[1])
     if nxt is None:  # the refill is extremal on ``side`` too: the new edge, else the old suffix, decides
         extremal = new == seq[-1 if side == "max" else 0]
-        nxt = _first_nonextremal_index(od, path.start, edges, side, m + 1) if extremal else m
-    return PathRep(path.start, edges, path.tail), nxt
+        nxt = _first_nonextremal_index(od, start, edges, side, m + 1) if extremal else m
+    return tail, nxt
+
+
+def _stepped(od: OrderedDiagram, path: PathRep, side: str) -> PathRep:
+    validate_path(od.diagram, path)
+    edges = list(path.edges)
+    tail = _step(od, path.start, edges, path.tail, side)[0]
+    return PathRep(path.start, tuple(edges), tail)
 
 
 def vershik_step(od: OrderedDiagram, path: PathRep) -> PathRep:
-    """The adic successor of ``path``.
+    """The adic successor of ``path`` as a new ``PathRep``, leaving ``path`` as it is.
 
-    Raises ``MaximalPathError`` when the path is provably maximal and
-    ``DeepenPrefixError`` when the explicit prefix is exhausted without a
-    decision.
-    """
-    validate_path(od.diagram, path)
-    return _step(od, path, "max")[0]
+    Raises ``MaximalPathError`` when the path is provably maximal and ``DeepenPrefixError``
+    when the explicit prefix is exhausted without a decision."""
+    return _stepped(od, path, "max")
 
 
 def vershik_inverse(od: OrderedDiagram, path: PathRep) -> PathRep:
     """The adic predecessor of ``path`` (mirror of ``vershik_step``)."""
-    validate_path(od.diagram, path)
-    return _step(od, path, "min")[0]
+    return _stepped(od, path, "min")
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +628,7 @@ class ExtremalClass(enum.Enum):
 
 
 def _provably_extremal(od: OrderedDiagram, path: PathRep, side: str) -> bool:
-    if _first_nonextremal_index(od, path.start, path.edges, side) is not None:
-        return False
-    state, _ = scan_tail(od, path, side)
-    return state == "all"
+    return _first_nonextremal_index(od, path.start, path.edges, side) is None and scan_tail(od, path, side)[0] == "all"
 
 
 def classify_extremal(od: OrderedDiagram, path: PathRep) -> ExtremalClass:
@@ -964,51 +972,30 @@ def bijection_check(od: OrderedDiagram, depth: int, tops: Sequence | None = None
     the inverse undoes it, and iterating from the minimal prefix walks the
     whole tower before running out.
     """
-    d = od.diagram
-    stop = d.base_level if stop_level is None else stop_level
-    groups = enumerate_prefixes(od, depth, tops, stop)
+    stop = od.diagram.base_level if stop_level is None else stop_level
     towers = []
-    total = 0
-    for v, paths in groups.items():
-        total += len(paths)
+    for v, paths in enumerate_prefixes(od, depth, tops, stop).items():
         keyed = {p.edges: p for p in paths}
         maxes = [p for p in paths if _first_nonextremal_index(od, stop, p.edges, "max") is None]
         mins = [p for p in paths if _first_nonextremal_index(od, stop, p.edges, "min") is None]
         unique = len(maxes) == 1 and len(mins) == 1
-        images = {}
-        inverse_ok = True
-        for p in paths:
-            if p in maxes:
-                continue
-            y = vershik_step(od, p)
-            images[p.edges] = y
-            if y.edges not in keyed:
-                inverse_ok = False
-                continue
-            back = vershik_inverse(od, y)
-            if back.edges != p.edges:
-                inverse_ok = False
-        distinct = {y.edges for y in images.values()}
+        images = [(p, vershik_step(od, p)) for p in paths if p not in maxes]
+        inverse_ok = all(y.edges in keyed and vershik_inverse(od, y).edges == p.edges for p, y in images)
+        distinct = {y.edges for _, y in images}
         expected = set(keyed) - {mins[0].edges} if unique else None
         bijective = unique and len(distinct) == len(images) and distinct == expected
         cycle_ok = False
-        if unique:
-            seen = [mins[0]]
-            cur = mins[0]
+        if unique:  # the walk from the minimal prefix must run out exactly at the maximal one
+            seen = set()
             try:
-                for _ in range(len(paths) - 1):
-                    cur = vershik_step(od, cur)
-                    seen.append(cur)
-                vershik_step(od, cur)
+                for edges, _ in orbit_walk(od, mins[0], len(paths)):
+                    seen.add(tuple(edges))
             except DeepenPrefixError:
-                cycle_ok = (
-                    len({p.edges for p in seen}) == len(paths)
-                    and cur.edges == maxes[0].edges
-                )
-            except (MaximalPathError, DiagramError):
+                cycle_ok = len(seen) == len(paths) and tuple(edges) == maxes[0].edges
+            except DiagramError:
                 cycle_ok = False
         towers.append(TowerCheck(v, len(paths), unique, bijective, inverse_ok, cycle_ok))
-    return BijectionReport(depth, stop, towers, total)
+    return BijectionReport(depth, stop, towers, sum(t.paths for t in towers))
 
 
 # ---------------------------------------------------------------------------
@@ -1022,29 +1009,37 @@ class OrbitResult:
     visits: dict
 
 
-def orbit_paths(od: OrderedDiagram, path: PathRep, steps: int) -> Iterator[PathRep]:
-    """Yield ``path`` and its first ``steps`` adic successors, holding only the current one.
+def orbit_walk(od: OrderedDiagram, path: PathRep, steps: int) -> Iterator[tuple]:
+    """Yield ``(edges, tail)`` for ``path`` and each of its first ``steps`` adic successors.
 
-    Only ``path`` is validated; each step passes the next its scan index, and
-    a step error carries its step's index as ``step_index``."""
+    ``edges`` is one live list, the same object on every yield, which each step rewrites in
+    place: copy it to keep a path, and never change it.  Only ``path`` is validated; each step
+    passes the next its scan index, and a failed step leaves the list at the last path yielded
+    and carries its step's index as ``step_index``."""
     if steps < 0:
         raise DiagramError("steps must be >= 0")
     validate_path(od.diagram, path)
-    yield path
-    m = -1
+    start, edges, tail, m = path.start, list(path.edges), path.tail, -1
+    yield edges, tail
     for i in range(steps):
         try:
-            path, m = _step(od, path, "max", m)
+            tail, m = _step(od, start, edges, tail, "max", m)
         except DiagramError as e:
             e.step_index = i
             e.args = ("step %d: %s" % (i, e.args[0]),) + e.args[1:]
             raise
-        yield path
+        yield edges, tail
+
+
+def orbit_paths(od: OrderedDiagram, path: PathRep, steps: int) -> Iterator[PathRep]:
+    """``orbit_walk`` as a stream of ``PathRep`` snapshots: each yielded path is a
+    new immutable value that later steps do not change."""
+    return (PathRep(path.start, tuple(edges), tail) for edges, tail in orbit_walk(od, path, steps))
 
 
 def orbit(od: OrderedDiagram, path: PathRep, steps: int,
           visit_level: int | None = None) -> OrbitResult:
-    """The paths of ``orbit_paths``, collected; with a ``visit_level``, also
+    """The ``orbit_paths`` snapshots of ``orbit_walk``, collected; with a ``visit_level``, also
     how often the orbit sits over each vertex of that level."""
     paths = list(orbit_paths(od, path, steps))
     visits = {} if visit_level is None else dict(Counter(p.vertex_at(visit_level) for p in paths))

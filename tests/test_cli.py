@@ -176,6 +176,11 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     assert_domain_error(["classify", "--descriptor", descriptor], capsys)
 
 
+# vertex 1 at level 2 keeps no source: its height would be 0, and stochastic rows divide by it
+KEPT_VERTEX_WITHOUT_SOURCE = {"family": "binfty", "sub": {"kind": "vertex", "rule": "explicit",
+                                                          "levels": {"1": [2], "2": [1], "3": [1]}}}
+
+
 @pytest.mark.parametrize("spec", [
     {"family": "pascal-k", "params": {"k": "x"}},
     {"family": "custom", "params": {"levels": {"0": [1], "1": [1]}}},
@@ -204,6 +209,7 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     {"family": "odometer-io", "params": {"a": [2, "x"]}},
     {"family": "pascal-k", "params": {"k": 2.9}},
     {"family": "binfty", "sub": {"kind": "vertex", "rule": "staircase", "k": 2.5}},
+    KEPT_VERTEX_WITHOUT_SOURCE,
 ], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
         "sub-not-an-object", "params-not-an-object", "custom-levels-a-list",
         "custom-malformed-row-key", "custom-level-not-a-list", "truncation-not-an-object",
@@ -211,7 +217,8 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
         "sub-not-json", "explicit-levels-a-list", "explicit-level-not-a-list",
         "retained-a-list", "retained-level-rows-an-integer", "retained-sources-an-integer",
         "retained-sources-a-list", "seed-an-integer", "odometer-columns-a-list",
-        "odometer-entry-not-an-integer", "pascal-k-float-k", "staircase-sub-float-k"])
+        "odometer-entry-not-an-integer", "pascal-k-float-k", "staircase-sub-float-k",
+        "kept-vertex-without-source"])
 def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -227,11 +234,20 @@ def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
                                     "rows": {"1": {"1": {"1": 0}, "2": {"1": -1}, "3": {"1": 1, "2": 1}}}}},
     {"family": "custom", "params": {"levels": {"0": [1, 2], "1": [1, 2]},
                                     "rows": {"1": {"1": {"1": 1}, "2": {}}}}},
-], ids=["truncation-bound-not-an-integer", "negative-multiplicity", "zero-multiplicity", "empty-row"])
+    KEPT_VERTEX_WITHOUT_SOURCE,
+], ids=["truncation-bound-not-an-integer", "negative-multiplicity", "zero-multiplicity", "empty-row",
+        "kept-vertex-without-source"])
 def test_a_malformed_spec_file_is_a_domain_error_for_stochastic(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert_domain_error(["stochastic", "--spec", str(path), "--level", "2"], capsys)
+
+
+@pytest.mark.parametrize("command", ["heights", "stochastic", "continuity"])
+def test_a_kept_vertex_without_a_kept_source_is_refused(command, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(KEPT_VERTEX_WITHOUT_SOURCE))
+    assert_domain_error([command, "--spec", str(path), "--level", "3"], capsys)
 
 
 # valid specs, one per family and per subdiagram kind and rule
@@ -359,8 +375,10 @@ def test_any_option_text_exits_with_a_documented_code(argv, capsys):
 
 
 @pytest.mark.parametrize("rows, missing", [
-    ({"1": {"2": {"1": 1}, "3": {"1": 1}}, "2": {"4": {"2": 1, "3": 1}}}, "vertex 5 at level 2"),
-    ({"1": {"2": {"1": 1}}, "2": {"4": {"2": 1, "3": 1}, "5": {"3": 2}}}, "vertex 3 at level 1"),
+    ({"1": {"2": {"1": 1}, "3": {"1": 1}}, "2": {"4": {"2": 1, "3": 1}}},
+     "vertex 5 at level 2 (missing: [[2, 5]])"),
+    ({"1": {"2": {"1": 1}}, "2": {"4": {"2": 1, "3": 1}, "5": {"3": 2}}},
+     "vertex 3 at level 1 (missing: [[1, 3]])"),
 ], ids=["target-row", "source-row"])
 def test_a_custom_spec_whose_rows_run_out_is_truncation_incomplete_for_stochastic(
         rows, missing, tmp_path, capsys):
@@ -372,6 +390,26 @@ def test_a_custom_spec_whose_rows_run_out_is_truncation_incomplete_for_stochasti
     assert info.value.code == 2
     assert capsys.readouterr().err == (
         "truncation-incomplete: no incidence row declared for %s\n" % missing)
+
+
+def test_an_orbit_that_runs_out_of_prefix_names_the_level_it_needs(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["orbit", "--family", "odometer-io", "--a", "2", "--sub", "constant:1", "--order", "left-to-right",
+              "--steps", "32", "--path", json.dumps({"start": 0, "edges": [[1, 1, 1]] * 5})])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        "truncation-incomplete: step 31: every specified edge is maximal; extend the prefix beyond "
+        'level 5 (missing: [["prefix-level", 6]])\n')
+
+
+def test_a_limit_that_does_not_converge_names_no_missing_data(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["limits", "--family", "pascal-n", "--level", "1", "--rule", "pascal-ray", "--d", "1/2,1/2",
+              "--m-max", "10"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("truncation-incomplete: no convergence within 10 steps (last distance ")
+    assert err.endswith("); raise --m-max or loosen --tol\n")
 
 
 @pytest.mark.parametrize("sub", ["staircase:x", "pascal-edge:1.5", "constant:x"])

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -44,6 +45,8 @@ from bratteli.vershik import (
     materialize,
     mirror_descriptor,
     orbit,
+    orbit_paths,
+    orbit_walk,
     path_from_json,
     path_to_json,
     succ_pred,
@@ -860,6 +863,100 @@ def test_the_binfty_benchmark_cli_orbit_holds_no_visited_paths():
         tracemalloc.stop()
     assert out.exit_code == 0 and json.loads(out.output)["paths_seen"] == 8001
     assert peak < 500_000  # the 8,001 paths alone took 3.4 MB while the command kept them all
+
+
+GOLDEN_ORBITS = json.loads(Path(__file__).with_name("golden_orbit.json").read_text())
+
+
+def _golden_orbit_index(case):
+    """The index of the ``golden_orbit.json`` entry that runs ``case``'s family and order."""
+    order = ORBIT_CASES[case][1]
+    for i, entry in enumerate(GOLDEN_ORBITS):
+        argv = entry["argv"]
+        at = argv.index("--order")
+        if tuple(argv[1:at]) == ORBIT_CLI_ARGS[case] and argv[at + 1] == order:
+            return i
+    raise LookupError(case)
+
+
+def _golden_orbit_start(case):
+    argv = GOLDEN_ORBITS[_golden_orbit_index(case)]["argv"]
+    make, order = ORBIT_CASES[case][:2]
+    return OrderedDiagram(make(), order), path_from_json(json.loads(argv[argv.index("--path") + 1]))
+
+
+def test_every_golden_orbit_has_its_case():
+    assert sorted(map(_golden_orbit_index, ORBIT_CASES)) == list(range(len(GOLDEN_ORBITS)))
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_a_golden_orbit_streams_iterated_steps_and_inverse_steps_walk_it_back(case):
+    od, start = _golden_orbit_start(case)
+    streamed = list(orbit_paths(od, start, 299))
+    stepped = [start]
+    for _ in range(299):
+        stepped.append(vershik_step(od, stepped[-1]))
+    assert streamed == stepped
+    back = [streamed[-1]]
+    for _ in range(299):
+        back.append(vershik_inverse(od, back[-1]))
+    assert back[::-1] == streamed
+
+
+def test_an_orbit_walk_rewrites_one_live_list():
+    od, start = _golden_orbit_start("binfty-ltr")
+    edges_before = start.edges
+    walk = orbit_walk(od, start, 200)
+    live, _ = next(walk)
+    seen = [tuple(live)]
+    for edges, _ in walk:
+        assert edges is live
+        seen.append(tuple(edges))
+    assert seen == [p.edges for p in orbit_paths(od, start, 200)]
+    assert len(set(seen)) == 201
+    assert start.edges is edges_before
+
+
+def test_a_failed_orbit_step_leaves_the_live_list_at_the_last_path():
+    od = OrderedDiagram(odometer_column(2), "left-to-right")
+    start = PathRep(0, tuple((1, 1, 1) for _ in range(5)))
+    last = orbit(od, start, 31).paths[-1]
+    with pytest.raises(DeepenPrefixError) as info:
+        for edges, tail in orbit_walk(od, start, 32):
+            pass
+    assert info.value.step_index == 31
+    assert info.value.missing == [("prefix-level", 6)]
+    assert tuple(edges) == last.edges and tail == last.tail
+
+
+@pytest.mark.parametrize("path, side, error", [
+    (PathRep(1, ((3, 3, 1),)), "max", DeepenPrefixError),
+    (PathRep(1, ((1, 3, 1),)), "min", DeepenPrefixError),
+    (PathRep(1, ((5, 5, 1),), VerticalAt(5)), "max", MaximalPathError),
+    (PathRep(1, ((1, 1, 1),), VerticalAt(1)), "min", MinimalPathError),
+], ids=["deepen-max", "deepen-min", "maximal", "minimal"])
+def test_a_refused_step_writes_nothing(path, side, error):
+    od = OrderedDiagram(BinftyDiagram(), "left-to-right")
+    validate_path(od.diagram, path)
+    edges = list(path.edges)
+    with pytest.raises(error):
+        vershik._step(od, path.start, edges, path.tail, side)
+    assert edges == list(path.edges)
+
+
+def test_a_step_leaves_its_input_path_as_it_was():
+    od, start = _diagonal_tail_start()
+    paths = [PathRep(1, (), DiagonalFrom(1)), PathRep(1, ((3, 3, 1), (3, 4, 1))), *orbit_paths(od, start, 60)]
+    for path in paths:
+        edges, tail = path.edges, path.tail
+        kept = PathRep(path.start, tuple(edges), tail)
+        for step in (vershik_step, vershik_inverse):
+            try:
+                image = step(od, path)
+            except DiagramError:
+                continue
+            assert type(image.edges) is tuple and image != path
+            assert path == kept and path.edges is edges and path.tail is tail
 
 
 def test_validate_path_refuses_edges_that_are_not_tuples():
