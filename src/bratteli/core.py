@@ -109,30 +109,25 @@ def _coord_rank(coord: int, signed: bool) -> int:
     return zigzag(coord) if signed else coord
 
 
-def _coords_with_rank_upto(r: int, signed: bool) -> list[int]:
-    """The coordinates whose enumeration rank is <= r, in rank order."""
-    if not signed:
-        return list(range(1, r + 1))
-    out = []
-    i = 0
-    while True:
-        for c in ((i,) if i == 0 else (i, -i)):
-            if zigzag(c) <= r:
-                out.append(c)
-        i += 1
-        if zigzag(i) > r and zigzag(-i) > r:
-            break
-    return sorted(out, key=zigzag)
+def _pascal_keys(level: int, top: int, signed: bool) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The level-``level`` keys whose coordinates have enumeration rank <= ``top``, in rank order.
 
-
-def _pascal_sort_triple(key: tuple[tuple[int, int], ...], signed: bool):
-    """(largest coordinate, support size, lex pairs); signed coords compare by zig-zag."""
-    if not key:
-        return (0, 0, ())
-    if signed:
-        ranked = tuple(sorted((zigzag(c), m) for c, m in key))
-        return (ranked[-1][0], len(key), ranked)
-    return (key[-1][0], len(key), tuple(key))
+    The order is the largest coordinate rank, then the support size, then the
+    (rank, multiplicity) pairs lexicographically.  Keys of one largest rank are
+    grown one lower pair at a time from heads already in order, so no sort is
+    needed; signed keys are then re-sorted by coordinate.
+    """
+    if level == 0:
+        yield ()
+        return
+    for t in range(1, top + 1):
+        heads = [((), 0, 0)]  # (pairs of rank below t, their total, their last rank)
+        while heads:
+            keys = [head + ((t, level - used),) for head, used, _ in heads]
+            yield from (tuple(sorted((-(r // 2) if r % 2 else r // 2, m) for r, m in key))
+                        for key in keys) if signed else keys
+            heads = [(head + ((r, m),), used + m, r) for head, used, last in heads
+                     for r in range(last + 1, t) for m in range(1, level - used)]
 
 
 def _compositions(total: int, coords: Sequence[int],
@@ -166,12 +161,7 @@ def _pascal_positions(level: int, r: int, signed: bool) -> dict:
     so this finite slice is a prefix of the whole level and positions in it
     are the global ranks.
     """
-    domain = _coords_with_rank_upto(r, signed)
-    keys = sorted(
-        _compositions(level, domain),
-        key=lambda k: _pascal_sort_triple(k, signed),
-    )
-    return {k: i + 1 for i, k in enumerate(keys)}
+    return {k: i for i, k in enumerate(_pascal_keys(level, r, signed), 1)}
 
 
 def _pascal_rank(key: tuple[tuple[int, int], ...], level: int, signed: bool) -> int:
@@ -319,10 +309,7 @@ class PascalDiagram(Diagram):
 
     def level_vertices(self, level: int, bound: int | None = None) -> tuple:
         self.check_level(level)
-        domain = self._coord_domain(bound)
-        keys = list(_compositions(level, domain))
-        keys.sort(key=lambda k: _pascal_sort_triple(k, self.signed))
-        return tuple(keys)
+        return tuple(_pascal_keys(level, len(self._coord_domain(bound)), self.signed))
 
     def rank(self, level: int, v) -> int:
         self.check_vertex(level, v)

@@ -2,20 +2,22 @@
 
 ``product_row(diagram, n, m, v)`` counts the paths from each level-``n``
 vertex up to ``v`` at level ``n + m`` (the row of the m-fold incidence
-product).  It descends with its own dict of counts and reads each row of the
-cone once.  It does not share ``linalg._cone_walk``: pushing counts through
-that walk's index rows measured 1.2-1.8 times slower on narrow cones, whose
-levels hold a few short rows, such as those of ray limits.  Normalizing such
-a row gives a point of the level-``n`` simplex; following a sequence of top
-vertices upward and watching these points stabilize is the engine used to
-locate tail-invariant measures.  Iterates are exact rationals; only the
+product).  One-shot, it descends with its own dict of counts and reads each
+row of the cone once: pushing one row's counts through ``linalg._cone_walk``
+measured 1.2-1.8 times slower on narrow cones.  Normalizing such a row gives
+a point of the level-``n`` simplex; following a sequence of top vertices
+upward and watching these points stabilize is the engine used to locate
+tail-invariant measures.  On the recursion route an iteration shares one
+memo of rows (``_memo_product_row``), filled through ``_cone_walk``, so it
+reads each cone row once in all.  Iterates are exact rationals; only the
 stopping rule is heuristic, and results say so.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain, islice
 from math import factorial, floor
 from typing import Callable, Mapping
 
@@ -30,15 +32,15 @@ from .core import (
     step_polynomial_coefficients,
     support_key,
 )
-from .linalg import count_distance, heights
+from .linalg import _cone_walk, _heights, count_distance
 
 
 def product_row(diagram: Diagram, n: int, m: int, v) -> dict:
     """Path counts from each level-``n`` vertex to ``v`` at level ``n + m``.
 
     Computed by descending through the predecessor lists, so it is exact for
-    every family and subdiagram.  Only ``v`` is validated; the descent
-    reads each row of the cone once, unchecked, through ``_predecessors``.
+    every family and subdiagram.  Only ``v`` is validated; the one-shot descent
+    reads each cone row once, unchecked, into its own dict, not ``_cone_walk``.
     """
     if m < 0:
         raise DiagramError("m must be >= 0")
@@ -84,25 +86,57 @@ def closed_form_product_row(diagram: Diagram, n: int, m: int, v) -> dict:
     raise DiagramError("%s has no closed-form transition counts" % diagram.family)
 
 
-def _transition_row(diagram: Diagram, n: int, m: int, v, method: str = "auto") -> dict:
+def _memo_product_row(diagram: Diagram, n: int, m: int, v, memo: dict) -> dict:
+    """``product_row`` (m >= 1) through ``memo``: level -> {vertex: its row down to level ``n``}.
+
+    ``v`` and ``n`` are checked as ``product_row`` checks them.  ``_cone_walk``
+    then reads only the rows of cone vertices the memo lacks, and their rows
+    are summed upward from their sources' and kept; do not change them.
+    """
+    diagram.check_vertex(n + m, v)
+    diagram.check_level(n)
+    lvl = n + m
+    steps, bottom = _cone_walk(diagram, lvl, [] if v in memo.get(lvl, ()) else [v], memo, n)
+    lvl -= len(steps)
+    below = [{w: 1} for w in bottom] if lvl == n else list(map(memo[lvl].__getitem__, bottom))
+    while steps:
+        src, keys, flat, lens, mults = steps.pop()
+        lvl += 1
+        sources = map(below.__getitem__, flat)
+        if mults is not None:
+            sources = ({w: c * k for w, c in s.items()} if k > 1 else s for s, k in zip(sources, mults))
+        filled = memo.setdefault(lvl, {})
+        for key, length in zip(keys, lens):
+            filled[key] = row = {}
+            get = row.get
+            for w, c in chain.from_iterable(map(dict.items, islice(sources, length))):
+                row[w] = get(w, 0) + c
+        below = list(map(filled.__getitem__, src))
+    return memo[n + m][v]
+
+
+def _transition_row(diagram: Diagram, n: int, m: int, v, method: str = "auto",
+                    recursion: Callable | None = None) -> dict:
     """The transition counts from ``v`` down to level ``n`` by ``method``.
 
     "closed" and "recursion" pick ``closed_form_product_row`` or
-    ``product_row``; "auto" uses the closed form when the family has one.
+    ``recursion`` (``product_row`` when None, looked up at the call);
+    "auto" uses the closed form when the family has one.
     """
     if method == "closed":
         return closed_form_product_row(diagram, n, m, v)
     if method == "recursion":
-        return product_row(diagram, n, m, v)
+        return (recursion or product_row)(diagram, n, m, v)
     try:
         return closed_form_product_row(diagram, n, m, v)
     except DiagramError:
-        return product_row(diagram, n, m, v)
+        return (recursion or product_row)(diagram, n, m, v)
 
 
-def _path_counts(diagram: Diagram, n: int, m: int, v, method: str) -> tuple[dict, int]:
+def _path_counts(diagram: Diagram, n: int, m: int, v, method: str,
+                 recursion: Callable | None = None) -> tuple[dict, int]:
     """The nonzero transition counts from ``v`` down to level ``n``, and their total."""
-    row = _transition_row(diagram, n, m, v, method)
+    row = _transition_row(diagram, n, m, v, method, recursion)
     total = sum(row.values())
     if total == 0:
         raise DiagramError("no paths reach level %d from %r" % (n, v))
@@ -148,9 +182,11 @@ def limit_along(diagram: Diagram, n: int, top_rule: Callable[[int, int], object]
     m >= 1.  Stops once the last ``STABLE_STEPS`` successive simplex distances
     fall below ``tol`` and the mass sums are relatively stable at the same
     scale, or at ``m_max``.  Iterates stay integer path counts and their
-    total; only the last becomes a vector of fractions.
+    total; only the last becomes a vector of fractions.  Recursion rows share
+    one memo for the call, so each cone row is read once over the iteration.
     """
     tol = Fraction(tol)
+    recursion = partial(_memo_product_row, memo={})  # the iterates share the cone rows read so far
     prev = None
     distances: list = []
     mass_sums: list = []
@@ -158,11 +194,11 @@ def limit_along(diagram: Diagram, n: int, top_rule: Callable[[int, int], object]
     converged = False
     for m in range(1, m_max + 1):
         v = top_rule(m, n + m)
-        counts, total = _path_counts(diagram, n, m, v, method)
+        counts, total = _path_counts(diagram, n, m, v, method, recursion)
         for w in counts:
             if w not in ranks:
                 ranks[w] = diagram.rank(n, w)
-        hs = heights(diagram, n, counts)
+        hs = _heights(diagram, n, counts)
         mass_sums.append(Fraction(sum(c * hs[w] for w, c in counts.items()), total))
         if prev is not None:
             distances.append(count_distance(*prev, counts, total, ranks))

@@ -10,7 +10,9 @@ forms so the two routes can be compared.
 integer indices into the next level's source list (multiplicities only
 where some entry is not 1), so no row dict and no fresh key tuple outlives
 the level that read it; the heights are then filled upward by list
-indexing.  They are stored in the diagram's height memo (level -> {vertex:
+indexing.  The walk stops at the vertices of a given memo and at a given
+floor level, so ``limits.limit_along`` fills its per-call memo of count
+rows through it too.  They are stored in the diagram's height memo (level -> {vertex:
 H}, made in ``Diagram.__init__``) only once the walk has succeeded, so
 calls on one diagram instance share their cones: a query walks down only
 through vertices the memo lacks.
@@ -74,7 +76,8 @@ def _heights(diagram: Diagram, level: int, vertices: Iterable) -> dict:
     """
     memo = diagram._height_memo
     held = memo.get(level, {})
-    steps, bottom = _cone_walk(diagram, level, list(filterfalse(held.__contains__, dict.fromkeys(vertices))))
+    steps, bottom = _cone_walk(diagram, level, list(filterfalse(held.__contains__, dict.fromkeys(vertices))),
+                               memo, diagram.base_level)
     lvl = level - len(steps)  # the base level, or one where the memo holds every source
     held = memo.setdefault(lvl, {})
     if lvl == diagram.base_level:
@@ -101,12 +104,13 @@ _UNIT = frozenset((1,))
 _CHUNK = 64  # rows read at once: enough to amortize the bookkeeping, few dicts alive
 
 
-def _cone_walk(diagram: Diagram, level: int, keys: list):
-    """Read the rows of ``keys`` at ``level``, then those of their sources, down to the base level.
+def _cone_walk(diagram: Diagram, level: int, keys: list, memo: Mapping, floor: int):
+    """Read the rows of ``keys`` at ``level``, then those of their sources, down to level ``floor``.
 
     Each row is read once, unchecked, and kept as indices into the next
     level's source list, with the level's multiplicities only when one is
-    not 1; no row of a vertex the height memo holds is read.  Returns
+    not 1; no row of a vertex that ``memo`` (level -> {vertex: value}) holds
+    is read.  Returns
     ``(steps, bottom)``: per level from the top, ``(src, keys, flat, lens,
     mults)``, where the rows of ``keys`` (``src``, or its members the memo
     lacks) lie one after another in ``flat`` with lengths ``lens``;
@@ -114,11 +118,11 @@ def _cone_walk(diagram: Diagram, level: int, keys: list):
     ``TruncationIncompleteError`` naming the level's first missing row in
     ``repr`` order, so not one that depends on the hash seed.
     """
-    read, memo = diagram._predecessors, diagram._height_memo
+    read = diagram._predecessors
     values, flatten = dict.values, chain.from_iterable
     steps: list = []
     src = keys
-    while keys and level > diagram.base_level:
+    while keys and level > floor:
         index = defaultdict(count().__next__)  # a new source gets the next index
         at = index.__getitem__
         flat, lens, mults = [], [], []

@@ -595,7 +595,7 @@ def _step(od: OrderedDiagram, start: int, edges: list, tail, side: str, m: int |
 
 
 def _stepped(od: OrderedDiagram, path: PathRep, side: str) -> PathRep:
-    validate_path(od.diagram, path)
+    """The step of the trusted ``path`` on ``side``, on a copy of its edges."""
     edges = list(path.edges)
     tail = _step(od, path.start, edges, path.tail, side)[0]
     return PathRep(path.start, tuple(edges), tail)
@@ -606,11 +606,13 @@ def vershik_step(od: OrderedDiagram, path: PathRep) -> PathRep:
 
     Raises ``MaximalPathError`` when the path is provably maximal and ``DeepenPrefixError``
     when the explicit prefix is exhausted without a decision."""
+    validate_path(od.diagram, path)
     return _stepped(od, path, "max")
 
 
 def vershik_inverse(od: OrderedDiagram, path: PathRep) -> PathRep:
     """The adic predecessor of ``path`` (mirror of ``vershik_step``)."""
+    validate_path(od.diagram, path)
     return _stepped(od, path, "min")
 
 
@@ -979,8 +981,8 @@ def bijection_check(od: OrderedDiagram, depth: int, tops: Sequence | None = None
         maxes = [p for p in paths if _first_nonextremal_index(od, stop, p.edges, "max") is None]
         mins = [p for p in paths if _first_nonextremal_index(od, stop, p.edges, "min") is None]
         unique = len(maxes) == 1 and len(mins) == 1
-        images = [(p, vershik_step(od, p)) for p in paths if p not in maxes]
-        inverse_ok = all(y.edges in keyed and vershik_inverse(od, y).edges == p.edges for p, y in images)
+        images = [(p, _stepped(od, p, "max")) for p in paths if p not in maxes]  # built, so trusted
+        inverse_ok = all(y.edges in keyed and _stepped(od, y, "min").edges == p.edges for p, y in images)
         distinct = {y.edges for _, y in images}
         expected = set(keyed) - {mins[0].edges} if unique else None
         bijective = unique and len(distinct) == len(images) and distinct == expected

@@ -2,7 +2,7 @@
 
 Everything here favours transparency over speed: heights and transition
 counts come from explicit path enumeration, multinomial rows from rebuilding
-each key pair by pair, polynomial coefficients from
+each key pair by pair, Pascal levels from sorting every composition, polynomial coefficients from
 sympy expansion or the from-scratch convolution loop, adic successors from sorting complete path lists, and the
 endpoint law of a product measure from summing every coordinate sequence.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
 import sympy
@@ -77,6 +77,26 @@ def key_sub(key, coord):
 def pascal_row(key):
     """The multinomial predecessor row of ``key``: one unit removed at each coordinate, ascending."""
     return {key_sub(key, c): 1 for c, _ in key}
+
+
+def sorted_compositions(level, coords, signed):
+    """Every level-``level`` support key over ``coords``, in the Pascal enumeration order.
+
+    Each multiset of ``level`` coordinates is one key; the keys are sorted by
+    largest coordinate rank, then support size, then their (rank,
+    multiplicity) pairs lexicographically, where a signed coordinate c ranks
+    2c for c > 0, 1 - 2c for c <= 0 (0, 1, -1, 2, -2, ... rank 1, 2, 3, ...).
+    """
+    def rank(c):
+        return (2 * c if c > 0 else 1 - 2 * c) if signed else c
+
+    def order(key):
+        ranked = sorted((rank(c), m) for c, m in key)
+        return (ranked[-1][0] if ranked else 0, len(ranked), ranked)
+
+    keys = [tuple(sorted(Counter(picks).items()))
+            for picks in combinations_with_replacement(sorted(coords), level)]
+    return sorted(keys, key=order)
 
 
 def multinomial_height(key):

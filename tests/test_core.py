@@ -332,6 +332,25 @@ def test_capped_compositions_keep_the_uncapped_order(total, caps):
     assert all(key_level(key) == total for key in capped)
 
 
+@pytest.mark.parametrize("coords", ["n", "z", 3, 5], ids=lambda c: "pascal-%s" % c)
+def test_a_pascal_level_comes_out_in_the_sorted_composition_order(coords):
+    d = PascalDiagram(coords)
+    for bound in range(1, 7):
+        domain = (range(-bound, bound + 1) if coords == "z"
+                  else range(1, (bound if coords == "n" else min(coords, bound)) + 1))
+        for level in range(8):
+            assert list(d.level_vertices(level, bound)) == oracles.sorted_compositions(level, domain, d.signed)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_pascal_positions_number_the_sorted_compositions(signed):
+    for r in range(8):
+        domain = [c for c in range(-r, r + 1) if 1 <= (zigzag(c) if signed else c) <= r]
+        for level in range(7):
+            keys = oracles.sorted_compositions(level, domain, signed)
+            assert core._pascal_positions(level, r, signed) == {k: i for i, k in enumerate(keys, 1)}
+
+
 @pytest.fixture
 def fresh_step_powers(monkeypatch):
     """An empty step-polynomial cache for one test; the module's own is restored after."""

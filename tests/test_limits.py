@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -236,6 +237,52 @@ def test_product_rows_read_each_cone_row_once(make, n, m, v, monkeypatch):
     assert reads == cone
     assert set(row) == frontier
     assert row == {w: oracles.transition_count(d, n, m, v, w) for w in frontier}
+
+
+@pytest.mark.parametrize("n, m_max, tol, rows", [
+    (1, 60, Fraction(1, 1000), 881),  # the benchmark's 60-step run: 18,992 reads through product_row
+    (0, 200, Fraction(1, 10**6), 14),  # the default level-0 run, 6 steps: 41 reads through product_row
+], ids=["level-1-60-steps", "level-0-default"])
+def test_a_recursion_limit_reads_each_cone_row_once(n, m_max, tol, rows, monkeypatch):
+    d = PascalDiagram("n")
+    reads = Counter()
+    original = type(d)._predecessors
+
+    def counting(self, level, u):
+        reads[level, u] += 1
+        return original(self, level, u)
+
+    monkeypatch.setattr(type(d), "_predecessors", counting)
+    rule = pascal_ray({1: Fraction(1, 3), 2: Fraction(2, 3)})
+    result = limit_along(d, n, rule, tol=tol, m_max=m_max, method="recursion")
+    monkeypatch.undo()
+    assert sum(reads.values()) == len(reads) == rows
+    closed = limit_along(PascalDiagram("n"), n, rule, tol=tol, m_max=m_max, method="closed")
+    assert (result.vector, result.distances, result.mass_sums) == (closed.vector, closed.distances, closed.mass_sums)
+
+
+def test_a_limit_whose_rows_run_out_mid_iteration_names_the_first_missing_row_in_repr_order():
+    tiers = ["t", "c", "b"]
+    d = CustomDiagram(
+        levels={0: ["a"], 1: tiers, 2: tiers, 3: tiers},
+        rows={1: {v: {"a": 1} for v in tiers}, 2: {"t": {"t": 1}}, 3: {"t": {"c": 1, "b": 1}}})
+    for method in ("recursion", "auto"):
+        with pytest.raises(TruncationIncompleteError) as exc:
+            limit_along(d, 0, constant_top("t"), m_max=5, method=method)
+        assert exc.value.missing == [(2, "b")]
+        assert str(exc.value) == "no incidence row declared for vertex 'b' at level 2"
+
+
+def test_a_binfty_recursion_limit_keeps_its_cone_rows_within_bounds():
+    # the memo holds about m^3/6 counts on binfty, whose rows are long
+    tracemalloc.start()
+    try:
+        result = limit_along(BinftyDiagram(), 1, index_ray(1), m_max=60, method="recursion")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.steps == 60
+    assert peak <= 10 * 2**20
 
 
 def test_product_rows_do_not_descend_below_the_base_level():

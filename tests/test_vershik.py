@@ -380,6 +380,20 @@ def test_bijection_report_on_towers():
     assert report.total_paths == sum(hs.values())
 
 
+def test_a_bijection_check_validates_each_tower_once(monkeypatch):
+    calls = []
+    checked = vershik.validate_path
+
+    def counted(diagram, path):
+        calls.append(path)
+        return checked(diagram, path)
+
+    monkeypatch.setattr(vershik, "validate_path", counted)
+    report = bijection_check(OrderedDiagram(BinftyDiagram(), "left-to-right"), 5, tops=[1, 2, 3, 4])
+    assert report.ok and report.total_paths == 84
+    assert len(calls) == 4  # one per tower walk, none per step
+
+
 def test_enumerate_prefixes_requires_positive_depth():
     od = OrderedDiagram(staircase(2), "left-to-right")
     with pytest.raises(DiagramError):
