@@ -223,14 +223,16 @@ def _emit(out, fmt, precision, payload, header=None, rows=None,
     sort_keys=True)`` prints.  ``rows`` is a zero-argument callable
     returning the CSV rows under ``header``; it runs only for ``--format
     csv``.  ``approx_fields`` names keys of ``payload`` holding
-    {key: Fraction-string} maps; with ``--precision`` each gains an
-    ``approx_<name>`` companion.  A payload that states its own
+    {key: Fraction-string} maps; with ``--precision`` (JSON only: CSV refuses
+    it) each gains an ``approx_<name>`` companion.  A payload that states its own
     ``precision_bits`` (``sample``'s float statistics) keeps it and ignores
     ``--precision``.
     """
     if precision is not None and "precision_bits" not in payload:
         if precision < 1:
             raise DiagramError("--precision must be a positive bit count")
+        if fmt == "csv":
+            raise DiagramError("--precision has no CSV form; use --format json")
         payload = dict(payload)
         payload["precision_bits"] = precision
         digits = _digits(precision)

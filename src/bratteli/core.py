@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import accumulate, chain
 from math import comb, factorial
+from operator import sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 FAMILIES = (
@@ -364,8 +366,8 @@ class BinftyDiagram(Diagram):
 class BoundedDiagram(Diagram):
     """Integer levels with steps of size at most k.
 
-    ``finite=True``: level n is {-nk..nk} (single root 0), heights are the
-    central polynomial coefficients of (x^-k + ... + x^k)^n.
+    ``finite=True``: level n is {-nk..nk} (single root 0), and the height of
+    v is the coefficient of x^v in (x^-k + ... + x^k)^n; only v = 0 is central.
     ``finite=False``: every level is all signed integers, heights (2k+1)^n.
     """
 
@@ -425,7 +427,7 @@ def step_polynomial_coefficients(k: int, power: int) -> dict[int, int]:
     Built from the largest power already cached for ``k`` by one
     ``_step_convolve`` per missing power, so ascending calls for 1..m cost m
     convolutions in all.  Every dict has the key order of the from-scratch
-    loop, because each step is that loop's body.
+    loop, ascending, which is the order each step writes its window sums in.
     """
     cached = _step_powers.setdefault(k, {})
     coeffs = cached.get(power)
@@ -439,12 +441,14 @@ def step_polynomial_coefficients(k: int, power: int) -> dict[int, int]:
 
 
 def _step_convolve(coeffs: dict[int, int], k: int) -> dict[int, int]:
-    """``coeffs`` times x^-k + ... + x^k: the next power's coefficients."""
-    new: dict[int, int] = {}
-    for e, c in coeffs.items():
-        for d in range(-k, k + 1):
-            new[e + d] = new.get(e + d, 0) + c
-    return new
+    """``coeffs`` times x^-k + ... + x^k: the next power's coefficients.
+
+    The keys of ``coeffs`` ascend with no gaps, so each is a window sum: a
+    difference of prefix sums, keyed ascending as the from-scratch loop keyed them.
+    """
+    lo, pad = next(iter(coeffs)), (0,) * (2 * k)
+    sums = list(accumulate(chain(pad, coeffs.values(), pad), initial=0))
+    return dict(zip(range(lo - k, lo + len(coeffs) + k), map(sub, sums[2 * k + 1:], sums)))
 
 
 class OdometerChainDiagram(Diagram):
