@@ -443,8 +443,7 @@ def step_polynomial_coefficients(k: int, power: int) -> dict[int, int]:
 def _step_convolve(coeffs: dict[int, int], k: int) -> dict[int, int]:
     """``coeffs`` times x^-k + ... + x^k: the next power's coefficients.
 
-    The keys of ``coeffs`` ascend with no gaps, so each is a window sum: a
-    difference of prefix sums, keyed ascending as the from-scratch loop keyed them.
+    The keys of ``coeffs`` ascend with no gaps, so each is a window sum, taken as a difference of prefix sums.
     """
     lo, pad = next(iter(coeffs)), (0,) * (2 * k)
     sums = list(accumulate(chain(pad, coeffs.values(), pad), initial=0))

@@ -127,14 +127,21 @@ def step_poly_from_scratch(k, power):
     The from-scratch loop the library once ran for every power; its dicts
     set the key order that closed-form product rows print in.
     """
+    *_, coeffs = step_poly_powers(k, power)
+    return coeffs
+
+
+def step_poly_powers(k, top):
+    """The from-scratch loop's dicts for every power 0..top, in one run of it."""
     coeffs = {0: 1}
-    for _ in range(power):
+    yield coeffs
+    for _ in range(top):
         new = {}
         for e, c in coeffs.items():
             for d in range(-k, k + 1):
                 new[e + d] = new.get(e + d, 0) + c
         coeffs = new
-    return coeffs
+        yield coeffs
 
 
 def adic_sort_key(path, order):

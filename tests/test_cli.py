@@ -16,6 +16,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from bratteli.cli import _by_key_repr, _fr, _vkey, cli, main
 from bratteli.core import build_diagram, vertex_from_text
 from bratteli.linalg import stochastic_rows
@@ -557,6 +559,22 @@ def test_commands_without_a_tabular_form_refuse_csv():
     assert result.exit_code == 1
 
 
+def test_csv_output_refuses_precision_instead_of_dropping_it():
+    for args in (("bk-decay", "--k", "2", "--m-max", "3"),
+                 ("measure", "--measure", "pascal-mu", "--d", "1/3,2/3", "--level", "1")):
+        assert run(*args, "--format", "csv").exit_code == 0
+        result = run(*args, "--precision", "8", "--format", "csv")
+        assert result.exit_code == 1
+        assert result.output.startswith("error:") and "--precision" in result.output
+
+
+def test_sample_keeps_its_own_precision_under_csv():
+    args = ("sample", "--d", "3/10,7/10", "--depth", "20", "--count", "50", "--seed", "99")
+    plain = run(*args, "--format", "csv")
+    assert plain.exit_code == 0
+    assert run(*args, "--precision", "8", "--format", "csv").output == plain.output
+
+
 def test_precision_flag_appends_exact_decimal_approximations():
     data = run_json("measure", "--measure", "pascal-mu", "--d", "1/3,2/3",
                     "--level", "1", "--precision", "10")
@@ -569,6 +587,20 @@ def test_precision_flag_appends_exact_decimal_approximations():
 # ---------------------------------------------------------------------------
 # per-command behavior
 # ---------------------------------------------------------------------------
+
+def test_bk_decay_ratios_are_the_oracle_central_coefficients_over_the_width_powers():
+    data = run_json("bk-decay", "--k", "4", "--m-max", "40")
+    powers = list(oracles.step_poly_powers(4, 40))
+    assert data["ratios"] == {str(m): _fr(Fraction(powers[m][0], 9 ** m)) for m in range(1, 41)}
+
+
+@pytest.mark.parametrize("v", [0, 1, -7, 45, 89, -90])
+def test_a_deep_bounded_finite_height_agrees_with_its_closed_form(v):
+    data = run_json("heights", "--family", "bounded-finite", "--k", "3", "--level", "30",
+                    "--vertex", str(v))
+    assert data["closed_form_agrees"] is True
+    assert data["heights"] == {str(v): str(oracles.step_poly_from_scratch(3, 30)[v])}
+
 
 def test_product_rows_are_normalized():
     data = run_json("product", "--family", "pascal-n", "--level", "1",

@@ -385,3 +385,21 @@ def test_ascending_step_polynomial_powers_cost_one_convolution_each(fresh_step_p
     for m in range(1, 81):
         step_polynomial_coefficients(2, m)
     assert calls == {2: 80}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_prefix_sum_powers_up_to_120_in_shuffled_order_match_the_from_scratch_loop(k, fresh_step_powers):
+    expected = list(oracles.step_poly_powers(k, 120))
+    powers = list(range(121))
+    random.Random(100 + k).shuffle(powers)
+    for power in powers:
+        assert list(step_polynomial_coefficients(k, power).items()) == list(expected[power].items())
+
+
+def test_a_lower_step_polynomial_power_asked_after_a_higher_one_is_that_power(fresh_step_powers):
+    for k in (1, 2, 4):
+        for high, low in ((40, 7), (9, 8), (25, 1), (12, 0)):
+            step_polynomial_coefficients(k, high)
+            got = step_polynomial_coefficients(k, low)
+            assert list(got.items()) == list(oracles.step_poly_from_scratch(k, low).items())
+            assert sum(got.values()) == (2 * k + 1) ** low
