@@ -40,6 +40,7 @@ import click
 from . import __version__
 from .core import (
     FAMILIES,
+    BinftyDiagram,
     DiagramError,
     OdometerChainDiagram,
     TruncationIncompleteError,
@@ -321,6 +322,9 @@ def _pascal_measure(d_text, coords_text):
         coords = _int_list(coords_text, "coordinates")
         if len(coords) != len(masses):
             raise DiagramError("--coords and --d must have equal length")
+        repeated = [c for c, count in Counter(coords).items() if count > 1]
+        if repeated:
+            raise DiagramError("coordinate %d is repeated in --coords" % repeated[0])
     else:
         coords = list(range(1, len(masses) + 1))
     return PascalMeasure(dict(zip(coords, masses)))
@@ -581,19 +585,20 @@ def product(source, level, m_steps, vertex_text, method):
 def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
            window, tol, m_max, method):
     """Limits of normalized incidence products along a march of tops."""
+    window, m_max = _at_least_one(window, "--window"), _at_least_one(m_max, "--m-max")
     if closed_form is not None:
         if closed_form == "binfty":
             if source.a_rule is None:
                 raise DiagramError("--closed-form binfty needs --a")
             n = 1 if level is None else level
+            BinftyDiagram().check_level(n)
             vector = binfty_limit_vector(_fraction(source.a_rule, "slope"), window)
             rows = _vertex_rows(vector, key=None)
         else:
             if d_text is None or level is None:
                 raise DiagramError("--closed-form pascal needs --d and --level")
             n = level
-            masses = _fraction_list(d_text, "direction")
-            vector = pascal_limit_vector(dict(enumerate(masses, start=1)), n)
+            vector = pascal_limit_vector(_pascal_measure(d_text, None).d, n)
             rows = _vertex_rows(vector)
         payload = {
             "closed_form": closed_form,
@@ -617,8 +622,7 @@ def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
     else:
         if d_text is None:
             raise DiagramError("--rule pascal-ray needs --d")
-        masses = _fraction_list(d_text, "direction")
-        top_rule = pascal_ray(dict(enumerate(masses, start=1)))
+        top_rule = pascal_ray(_pascal_measure(d_text, None).d)
     result = limit_along(diagram, n, top_rule,
                          tol=_fraction(tol, "tolerance"), m_max=m_max,
                          method=method)

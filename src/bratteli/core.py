@@ -137,21 +137,19 @@ def _compositions(total: int, coords: Sequence[int],
     """Support keys of level ``total`` over ``coords``, each multiplicity within its ``caps`` entry.
 
     Capping keeps the uncapped order: at each coordinate, multiplicity 0 first, then 1, 2, ...
+    The walk is depth-first on an explicit stack, not recursive, so any number of
+    coordinates can be walked; multiplicity 0 is pushed last so that it is taken first.
     """
     coords = list(coords)
-
-    def rec(i: int, remaining: int, acc: list[tuple[int, int]]):
+    stack = [(0, total, ())]
+    while stack:
+        i, remaining, acc = stack.pop()
         if remaining == 0:
             yield tuple(sorted(acc))
-            return
-        if i == len(coords):
-            return
-        yield from rec(i + 1, remaining, acc)
-        top = remaining if caps is None else min(caps[i], remaining)
-        for m in range(1, top + 1):
-            yield from rec(i + 1, remaining - m, acc + [(coords[i], m)])
-
-    yield from rec(0, total, [])
+        elif i < len(coords):
+            top = remaining if caps is None else min(caps[i], remaining)
+            stack.extend((i + 1, remaining - m, acc + ((coords[i], m),)) for m in range(top, 0, -1))
+            stack.append((i + 1, remaining, acc))
 
 
 @lru_cache(maxsize=None)
@@ -701,16 +699,18 @@ class Subdiagram(Diagram):
                 def level_set(n: int) -> tuple:
                     if n in known:
                         return known[n]
-                    prev = set(level_set(n - 1))
-                    rows = retained.get(n)
-                    if rows is None:
-                        raise TruncationIncompleteError(
-                            "no retained rows declared at level %d" % n, missing=[(n, None)]
-                        )
-                    out = [v for v, srcs in rows.items() if any(w in prev for w in srcs)]
-                    if not out:
-                        raise DiagramError("edge subdiagram cone dies at level %d" % n)
-                    return known.setdefault(n, tuple(out))
+                    for lvl in range(max(known) + 1, n + 1):  # upward from the highest known level
+                        prev = set(known[lvl - 1])
+                        rows = retained.get(lvl)
+                        if rows is None:
+                            raise TruncationIncompleteError(
+                                "no retained rows declared at level %d" % lvl, missing=[(lvl, None)]
+                            )
+                        out = [v for v, srcs in rows.items() if any(w in prev for w in srcs)]
+                        if not out:
+                            raise DiagramError("edge subdiagram cone dies at level %d" % lvl)
+                        known[lvl] = tuple(out)
+                    return known[n]
 
                 self._level_set = level_set
                 self._retained = lambda n, v: dict(retained.get(n, {}).get(v, {}))

@@ -203,10 +203,8 @@ def restricted_mass_limit(a, k: int, n_check: int = 40) -> SeriesVerdict:
     closed form is validated against the step recursion for ``n_check``
     levels before being returned.
     """
-    a = Fraction(a)
-    if a < 0 or k < 1:
-        raise DiagramError("need a >= 0 and k >= 1")
     mu = BinftyMeasure(a)
+    a = mu.a
     sub = build_subdiagram(
         BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": k}
     )

@@ -33,6 +33,7 @@ from .core import (
     support_key,
 )
 from .linalg import _cone_walk, _heights, count_distance
+from .measures import BinftyMeasure, PascalMeasure
 
 
 def product_row(diagram: Diagram, n: int, m: int, v) -> dict:
@@ -234,13 +235,12 @@ def index_ray(slope) -> Callable[[int, int], int]:
 def pascal_ray(d: Mapping[int, Fraction]) -> Callable[[int, int], tuple]:
     """Support keys tracking the direction ``d`` by largest-remainder rounding.
 
-    ``d`` maps coordinates to positive rationals summing to 1; the top at
-    ``level`` is the level-``level`` key whose multiplicities apportion
-    ``level`` among the coordinates proportionally to ``d``.
+    ``d`` maps coordinates to positive rationals summing to 1, as
+    ``PascalMeasure`` checks it; the top at ``level`` is the level-``level``
+    key whose multiplicities apportion ``level`` among the coordinates
+    proportionally to ``d``.
     """
-    d = {int(c): Fraction(x) for c, x in d.items()}
-    if sum(d.values()) != 1 or any(x <= 0 for x in d.values()):
-        raise DiagramError("direction weights must be positive and sum to 1")
+    d = PascalMeasure(d).d
     coords = sorted(d)
 
     def rule(m: int, level: int) -> tuple:
@@ -261,38 +261,26 @@ def pascal_ray(d: Mapping[int, Fraction]) -> Callable[[int, int], tuple]:
 def binfty_limit_vector(a, bound: int = 20) -> dict:
     """The limit of normalized rows along the slope-``a`` ray: y_j = a^(j-1)/(a+1)^j.
 
-    The same vector works at every level; entries are reported for
-    j = 1..bound (the full vector has infinite support when a > 0 and total
-    mass exactly 1).
+    These are the nonzero cylinder masses ``BinftyMeasure(a).p(1, j)`` for
+    j = 1..bound.  Like every ``limit_along`` iterate they are normalized
+    path counts: the iterates tend to p_n/sum(p_n), which on binfty is this
+    vector at every level n (it equals the tower masses q_n only at level 1,
+    where every height is 1).  The full vector has infinite support when
+    a > 0 and total mass exactly 1.
     """
-    a = Fraction(a)
-    if a < 0:
-        raise DiagramError("the ray parameter must be >= 0")
-    out = {}
-    for j in range(1, bound + 1):
-        val = a ** (j - 1) / (a + 1) ** j
-        if val:
-            out[j] = val
-    if a == 0:
-        out = {1: Fraction(1)}
-    return out
+    mu = BinftyMeasure(a)
+    return {j: x for j in range(1, bound + 1) if (x := mu.p(1, j))}
 
 
 def pascal_limit_vector(d: Mapping[int, Fraction], n: int) -> dict:
-    """Tower masses of the direction-``d`` limit at level ``n``.
+    """Tower masses q_n = H * p_n of the direction-``d`` product measure at level ``n``.
 
-    Entries are multinomial(key) * prod d_c^(mult_c) over the level-``n``
-    keys supported inside supp(d); they sum to exactly 1.
+    Entries are ``PascalMeasure(d).q(n, key)``, multinomial(key) * prod
+    d_c^(mult_c), over the level-``n`` keys supported inside supp(d); they
+    sum to exactly 1.  These are not normalized path counts: a
+    ``limit_along`` iterate tends to p_n/sum(p_n), which agrees with q_n only
+    where every height is 1, at levels 0 and 1.
     """
-    d = {int(c): Fraction(x) for c, x in d.items()}
-    if sum(d.values()) != 1 or any(x <= 0 for x in d.values()):
-        raise DiagramError("direction weights must be positive and sum to 1")
-    out = {}
-    for key in _compositions(n, sorted(d)):
-        weight = factorial(n)
-        prob = Fraction(1)
-        for c, mult in key:
-            weight //= factorial(mult)
-            prob *= d[c] ** mult
-        out[key] = weight * prob
-    return out
+    mu = PascalMeasure(d)
+    mu.diagram.check_level(n)
+    return {key: mu.q(n, key) for key in mu.level_support(n)}

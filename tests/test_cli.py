@@ -323,6 +323,19 @@ def test_an_explicit_edge_subdiagram_can_come_from_a_spec_file(tmp_path):
     assert data["heights"] == {"1": "1", "2": "1"}
 
 
+def test_an_explicit_edge_spec_asked_far_past_its_rows_names_the_first_missing_level(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "binfty", "sub": {
+        "kind": "edge", "rule": "explicit", "seed": [1],
+        "retained": {"2": {"1": {"1": 1}, "2": {"1": 1}}}}}))
+    for _ in range(2):  # refused alike on every call
+        with pytest.raises(SystemExit) as info:
+            main(["heights", "--spec", str(path), "--level", "5000"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            "truncation-incomplete: no retained rows declared at level 3 (missing: [[3, null]])\n")
+
+
 # (a command line, the text option fuzzed on it, a valid JSON value to mutate or None)
 _PATH = {"start": 1, "edges": [[1, 2, 1]], "tail": {"kind": "vertical", "vertex": 2}}
 _TEXT_OPTIONS = [
@@ -442,11 +455,16 @@ def test_stepping_past_a_provably_minimal_path_is_a_domain_error():
     ["heights", "--family", "binfty", "--level", "2", "--window", "0"],
     ["stochastic", "--family", "binfty", "--level", "2", "--window", "0"],
     ["continuity", "--family", "binfty", "--level", "2", "--window", "0"],
+    ["limits", "--closed-form", "binfty", "--a", "1", "--level", "-3"],
+    ["limits", "--closed-form", "pascal", "--d", "1/3,2/3", "--level", "-1"],
+    ["limits", "--closed-form", "binfty", "--a", "1", "--window", "0"],
+    ["limits", "--family", "binfty", "--rule", "ray", "--slope", "1", "--m-max", "0"],
 ], ids=["invariance-levels-0", "invariance-levels-negative", "probability-levels-negative",
         "extension-n-max-0", "restricted-mass-n-max-0", "invariance-window-0",
         "measure-window-0", "measure-window-negative", "monotone-terms-0",
         "monotone-orders-negative", "monotone-orders-beyond-terms", "heights-window-0",
-        "stochastic-window-0", "continuity-window-0"])
+        "stochastic-window-0", "continuity-window-0", "binfty-closed-form-level-negative",
+        "pascal-closed-form-level-negative", "binfty-closed-form-window-0", "limits-m-max-0"])
 def test_an_empty_range_is_a_domain_error_not_a_vacuous_verdict(argv, capsys):
     assert_domain_error(argv, capsys)
 
@@ -602,6 +620,15 @@ def test_a_deep_bounded_finite_height_agrees_with_its_closed_form(v):
     assert data["heights"] == {str(v): str(oracles.step_poly_from_scratch(3, 30)[v])}
 
 
+def test_a_repeated_coordinate_is_refused_by_name(capsys):
+    assert_domain_error(["measure", "--measure", "pascal-mu", "--d", "1/2,1/2", "--coords", "1,1",
+                         "--level", "1"], capsys)
+    with pytest.raises(SystemExit):
+        main(["invariance", "--measure", "pascal-mu", "--d", "1/4,1/4,1/2", "--coords", "2,5,2",
+              "--levels", "2"])
+    assert capsys.readouterr().err == "error: coordinate 2 is repeated in --coords\n"
+
+
 def test_product_rows_are_normalized():
     data = run_json("product", "--family", "pascal-n", "--level", "1",
                     "--m", "2", "--vertex", "[[1,2],[2,1]]")
@@ -616,6 +643,9 @@ def test_limit_closed_forms_match_the_known_vectors():
     data = run_json("limits", "--closed-form", "pascal", "--d", "1/2,1/2",
                     "--level", "2")
     assert sum(Fraction(x) for x in data["vector"].values()) == 1
+    # the pascal closed form reports tower masses q_2 = H * p_2, not the iterates' limit p_2 / sum(p_2)
+    data = run_json("limits", "--closed-form", "pascal", "--d", "1/3,2/3", "--level", "2")
+    assert data["vector"] == {"[[1,2]]": "1/9", "[[1,1],[2,1]]": "4/9", "[[2,2]]": "4/9"}
 
 
 def test_limit_iteration_converges_at_a_loose_tolerance():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -284,11 +285,11 @@ def _level_set_calls(sub, level):
 
 
 def test_an_explicit_edge_subdiagram_works_out_each_level_once():
-    for top in (20, 40, 80):
+    for top in (20, 40, 80, 1200):  # 1200 levels lie deeper than the recursion limit
         retained = {n: {1: {1: 1}, 2: {1: 1, 2: 1}} for n in range(2, top + 1)}
         sub = build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "explicit", "seed": [1],
                                                  "retained": retained})
-        # linear in the level (5 * top - 4 calls); 12,720 at level 80 while every call recomputed
+        # linear in the level (2 * top - 1 calls); 12,720 at level 80 while every call recomputed
         assert _level_set_calls(sub, top) <= 5 * top
         for _ in range(2):  # a missing level is not remembered: it is refused on every call
             with pytest.raises(TruncationIncompleteError,
@@ -330,6 +331,21 @@ def test_capped_compositions_keep_the_uncapped_order(total, caps):
     ]
     assert capped == bounded
     assert all(key_level(key) == total for key in capped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-1, 7), st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=0, max_size=5),
+       st.booleans())
+def test_compositions_list_multiplicity_vectors_in_lexicographic_order(total, caps, capped):
+    # multiplicity 0 first at every coordinate is the lexicographic order of (m_1, ..., m_r)
+    coords = [3 * i - 4 for i in range(len(caps))]
+    caps = [total if c is None else c for c in caps] if capped else None
+    tops = [max(total, 0)] * len(coords) if caps is None else caps
+    expected = [
+        tuple((c, m) for c, m in zip(coords, ms) if m)
+        for ms in itertools.product(*(range(top + 1) for top in tops)) if sum(ms) == total
+    ]
+    assert list(_compositions(total, coords, caps)) == expected
 
 
 @pytest.mark.parametrize("coords", ["n", "z", 3, 5], ids=lambda c: "pascal-%s" % c)

@@ -1,7 +1,7 @@
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -28,6 +28,7 @@ from bratteli.limits import (
     pascal_ray,
     product_row,
 )
+from bratteli.measures import PascalMeasure
 
 import oracles
 
@@ -160,6 +161,20 @@ def test_limit_along_pascal_ray_reaches_product_masses():
     target = pascal_limit_vector(d, 2)
     for key, mass in target.items():
         assert abs(q.get(key, Fraction(0)) - mass) < Fraction(2, 100)
+
+
+def test_pascal_iterates_tend_to_normalized_cylinder_masses_not_to_the_closed_form_tower_masses():
+    d = {1: Fraction(1, 3), 2: Fraction(2, 3)}
+    keys = [support_key([(1, 2)]), support_key([(1, 1), (2, 1)]), support_key([(2, 2)])]
+    res = limit_along(PascalDiagram("n"), 2, pascal_ray(d), tol=Fraction(1, 10**9), m_max=400)
+    assert res.steps == 400
+    for key, mass in zip(keys, (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))):  # p_2 / sum(p_2)
+        assert abs(res.vector[key] - mass) < Fraction(1, 1000)
+    assert [pascal_limit_vector(d, 2)[key] for key in keys] == [Fraction(1, 9), Fraction(4, 9), Fraction(4, 9)]
+    mu = PascalMeasure(d)
+    for n in (0, 1):  # where every height is 1 the two agree
+        total = sum(mu.p(n, key) for key in mu.level_support(n))
+        assert pascal_limit_vector(d, n) == {key: mu.p(n, key) / total for key in mu.level_support(n)}
 
 
 def _staircase_middle(m, level):
@@ -303,6 +318,19 @@ def test_pascal_limit_vector_is_exact_probability():
     vec = pascal_limit_vector({1: Fraction(1, 2), 2: Fraction(1, 2)}, 2)
     assert vec[support_key([(1, 1), (2, 1)])] == Fraction(1, 2)
     assert vec[support_key([(1, 2)])] == Fraction(1, 4)
+
+
+def test_pascal_limit_vector_is_the_multinomial_tower_mass_formula():
+    d = {2: Fraction(1, 5), 3: Fraction(1, 2), 7: Fraction(3, 10)}
+    for n in range(5):
+        expected = {}
+        for key in oracles.sorted_compositions(n, sorted(d), False):
+            weight, prob = factorial(n), Fraction(1)
+            for c, mult in key:
+                weight //= factorial(mult)
+                prob *= d[c] ** mult
+            expected[key] = weight * prob
+        assert pascal_limit_vector(d, n) == expected
 
 
 def test_pascal_limit_vector_rejects_bad_directions():

@@ -63,6 +63,13 @@ def test_pascal_measure_matches_limit_vector():
             assert mu.q(n, key) == mass
 
 
+def test_a_direction_over_1200_coordinates_has_1200_level_one_keys_of_total_tower_mass_one():
+    mu = PascalMeasure(dict.fromkeys(range(1, 1201), Fraction(1, 1200)))
+    keys = mu.level_support(1)
+    assert len(keys) == 1200
+    assert sum(mu.q(1, key) for key in keys) == 1
+
+
 def test_pascal_measure_on_signed_coordinates():
     d = {0: HALF, -1: HALF}
     mu = PascalMeasure(d)
