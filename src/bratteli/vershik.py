@@ -12,11 +12,12 @@ never end, a path whose explicit edges are all maximal is not necessarily
 maximal: the answer lives in the unspecified remainder.  Symbolic tails make
 that remainder exact.  Each tail kind owns the families it is defined on,
 its anchor and its edges, so materializing and scanning a tail read its
-``edges`` without asking which kind it is.  For each supported (order,
-tail, family) combination the module either proves every tail edge
-extremal or locates the first non-extremal tail edge and materializes the
-prefix up to it; combinations with no such analysis raise
-``DeepenPrefixError`` instead of guessing.  Edges are normalized at the
+``edges`` without asking which kind it is.  Likewise each edge order owns
+its tail analysis and its candidate rule: on the families it has a rule for,
+it either proves every tail edge extremal or bounds the search for the first
+non-extremal tail edge, up to which the prefix is materialized; tails with
+no such analysis raise ``DeepenPrefixError`` instead of guessing, and an
+order refuses a diagram it is not defined on.  Edges are normalized at the
 boundary: ``path_from_json`` builds tuples of ``(source, target, slot)``
 tuples and ``PathRep`` stores them as given.  Paths are validated once, at
 the public entry points, where ``validate_path`` also refuses any other
@@ -264,25 +265,41 @@ def _family_kind(diagram: Diagram) -> str:
     return "other"
 
 
-def _leftmost(diagram: Diagram, kind: str):
-    if kind == "binfty":
-        return 1
-    if kind == "staircase":
-        return diagram.k
-    raise DiagramError("no leftmost vertex rule for %s" % diagram.family)
-
-
 # ---------------------------------------------------------------------------
 # edge orders
 
 
 class EdgeOrder:
-    """A rule giving, per vertex, the edges into it in increasing order."""
+    """A rule giving, per vertex, the edges into it in increasing order.
+
+    An order also owns what it knows about infinite paths on the family kinds
+    (``_family_kind`` values) it has a rule for: ``tail_cap`` decides a
+    symbolic tail and ``candidates`` names the step candidates of an extremal
+    class.  The base class knows nothing beyond the Special class.
+    """
 
     name = "abstract"
 
+    def check_diagram(self, diagram: Diagram) -> None:
+        """Refuse a diagram the order is not defined on."""
+
     def edges_into(self, diagram: Diagram, level: int, v) -> tuple:
         raise NotImplementedError
+
+    def tail_cap(self, diagram: Diagram, kind: str, tail, level: int, anchor, side: str):
+        """Decide a specified tail anchored at ``anchor`` on ``level``: "all" (every tail edge is
+        extremal on ``side``), a search cap, or "unknown".
+
+        A finite cap is justified by the order's shape: a witness edge of the
+        opposite kind occurs within that many levels whenever one occurs at all.
+        """
+        return "unknown"
+
+    def candidates(self, diagram: Diagram, kind: str, cls, path) -> frozenset:
+        """The successor (maximal side) or predecessor (minimal side) candidates of an extremal ``path``."""
+        if cls is ExtremalClass.SPECIAL:
+            return frozenset({path})
+        raise DiagramError("no candidate rule for class %s under order %s" % (cls.value, self.name))
 
 
 def _slots_ascending(items: Iterable) -> list:
@@ -303,6 +320,26 @@ class LeftToRightOrder(EdgeOrder):
     def edges_into(self, diagram, level, v):
         return tuple(_rank_sorted_slots(diagram, level, v))
 
+    def tail_cap(self, diagram, kind, tail, level, anchor, side):
+        if isinstance(tail, VerticalAt):
+            if kind == "column-odometer":
+                return "all" if (side == "min") == (tail.slot == "first") else 1
+            return "all" if side == "max" or anchor == diagram.level_vertices(level, 1)[0] else 1
+        if isinstance(tail, DiagonalFrom):
+            if side == "max" and kind == "staircase" and anchor == diagram.k + level - diagram.base_level:
+                return "all"  # the frontier diagonal is the level's last edge
+            return 2
+        return "unknown"
+
+    def candidates(self, diagram, kind, cls, path):
+        base = diagram.base_level
+        if kind == "column-odometer":
+            flipped = "last" if path.tail.slot == "first" else "first"
+            return frozenset({PathRep(base, (), VerticalAt(path.tail.vertex, flipped))})
+        if cls is ExtremalClass.MAX_C:
+            return frozenset({PathRep(base, (), VerticalAt(diagram.level_vertices(base, 1)[0]))})
+        return super().candidates(diagram, kind, cls, path)
+
 
 class AlternatingOrder(EdgeOrder):
     """Left-to-right into odd levels, right-to-left into even levels."""
@@ -312,6 +349,13 @@ class AlternatingOrder(EdgeOrder):
     def edges_into(self, diagram, level, v):
         flat = _rank_sorted_slots(diagram, level, v)
         return tuple(reversed(flat) if level % 2 == 0 else flat)
+
+    def tail_cap(self, diagram, kind, tail, level, anchor, side):
+        if isinstance(tail, VerticalAt):
+            if kind == "column-odometer":
+                return 2
+            return "all" if anchor == diagram.level_vertices(level, 1)[0] else 2
+        return 4 if isinstance(tail, DiagonalFrom) else "unknown"
 
 
 class NaturalPascalOrder(EdgeOrder):
@@ -324,13 +368,28 @@ class NaturalPascalOrder(EdgeOrder):
 
     name = "natural-pascal"
 
-    def edges_into(self, diagram, level, v):
+    def check_diagram(self, diagram):
         if not isinstance(diagram, PascalDiagram):
             raise DiagramError("the natural order is defined on multinomial diagrams")
+
+    def edges_into(self, diagram, level, v):
         diagram.check_vertex(level, v)
         if level == diagram.base_level:
             raise DiagramError("base level vertices have no incoming edges")
         return tuple(diagram._predecessors(level, v).items())
+
+    def tail_cap(self, diagram, kind, tail, level, anchor, side):
+        # a concentrating tail is maximal (minimal) exactly when no support coordinate lies above (below) it
+        i = tail.coordinate
+        support = [c for c, _ in anchor]
+        if side == "max":
+            return "all" if i >= max(support, default=i) else 1
+        return "all" if i <= min(support, default=i) else 1
+
+    def candidates(self, diagram, kind, cls, path):
+        if cls is ExtremalClass.SPECIAL:
+            return super().candidates(diagram, kind, cls, path)
+        return frozenset({PathRep(diagram.base_level, (), PascalConcentrating(path.tail.coordinate))})
 
 
 class CyclicBinftyOrder(EdgeOrder):
@@ -342,6 +401,10 @@ class CyclicBinftyOrder(EdgeOrder):
     """
 
     name = "cyclic-binfty"
+
+    def check_diagram(self, diagram):
+        if not diagram.integer_keys:
+            raise DiagramError("the cyclic order needs simple integer-indexed edges")
 
     def edges_into(self, diagram, level, v):
         preds = diagram.predecessors(level, v)
@@ -357,6 +420,16 @@ class CyclicBinftyOrder(EdgeOrder):
         if len(present) != len(preds):
             raise DiagramError("cyclic order expects sources among 1..%d" % v)
         return tuple((w, 1) for w in present)
+
+    def tail_cap(self, diagram, kind, tail, level, anchor, side):
+        if kind != "binfty":
+            return "unknown"
+        if isinstance(tail, VerticalAt):
+            return "all" if side == "max" or anchor == 1 else 1
+        return "all" if side == "min" else 1  # diagonal edges are first in the cyclic order: minimal forever
+
+    def candidates(self, diagram, kind, cls, path):
+        return frozenset()
 
 
 class CustomOrder(EdgeOrder):
@@ -415,6 +488,7 @@ class OrderedDiagram:
 
     def __post_init__(self):
         self.order = make_order(self.order)
+        self.order.check_diagram(self.diagram)
 
     def edges_into(self, level: int, v) -> tuple:
         try:
@@ -472,74 +546,17 @@ def extremal_path_to(od: OrderedDiagram, level: int, vertex, side: str,
 # symbolic tail analysis
 
 
-def _tail_decision(od: OrderedDiagram, tail, kind: str, anchor_level: int, anchor, side: str):
-    """Decide the tail: "all" (every tail edge extremal), a search cap, or "unknown".
-
-    Each finite cap is justified by the order's shape: a witness edge of the
-    opposite kind occurs within that many levels whenever one occurs at all.
-    """
-    order = od.order.name
-    d = od.diagram
-    if isinstance(tail, VerticalAt):
-        if kind in ("binfty", "staircase"):
-            leftmost = _leftmost(d, kind)
-            if order == "left-to-right":
-                if side == "max":
-                    return "all"
-                return "all" if anchor == leftmost else 1
-            if order == "alternating":
-                return "all" if anchor == leftmost else 2
-            if order == "cyclic-binfty" and kind == "binfty":
-                if side == "max":
-                    return "all"
-                return "all" if anchor == 1 else 1
-            return "unknown"
-        if kind == "column-binfty":
-            # the column has one simple edge per level: everything is extremal
-            return "all" if order in ("left-to-right", "alternating") else "unknown"
-        if kind == "column-odometer":
-            if order == "left-to-right":
-                wants_first = side == "min"
-                is_first = tail.slot == "first"
-                return "all" if wants_first == is_first else 1
-            if order == "alternating":
-                return 2
-            return "unknown"
-        return "unknown"
-    if isinstance(tail, DiagonalFrom):
-        if kind not in ("binfty", "staircase"):
-            return "unknown"
-        if order == "left-to-right":
-            if side == "max" and kind == "staircase":
-                top = d.k + anchor_level - d.base_level
-                if anchor == top:
-                    return "all"  # the frontier diagonal is the level's last edge
-            return 2
-        if order == "alternating":
-            return 4
-        if order == "cyclic-binfty" and kind == "binfty":
-            # diagonal edges are first in the cyclic order: minimal forever
-            return "all" if side == "min" else 1
-        return "unknown"
-    if isinstance(tail, PascalConcentrating):
-        if kind != "pascal" or order != "natural-pascal":
-            return "unknown"
-        i = tail.coordinate
-        supp = [c for c, _ in anchor] if anchor else []
-        if side == "max":
-            return "all" if not supp or i >= max(supp) else 1
-        return "all" if not supp or i <= min(supp) else 1
-    return "unknown"
-
-
 def scan_tail(od: OrderedDiagram, path: PathRep, side: str):
-    """Resolve the tail: ("all", None), ("found", depth), or ("unknown", None)."""
+    """Resolve the tail by the order's ``tail_cap``: ("all", None), ("found", depth), or ("unknown", None)."""
     tail = path.tail
+    if isinstance(tail, Unspecified):
+        return ("unknown", None)
+    d = od.diagram
     level, anchor = path.end_level, path.end_vertex
-    decision = _tail_decision(od, tail, _family_kind(od.diagram), level, anchor, side)
+    decision = od.order.tail_cap(d, _family_kind(d), tail, level, anchor, side)
     if decision in ("all", "unknown"):
         return (decision, None)
-    j = _first_nonextremal_index(od, level, islice(tail.edges(od.diagram, level, anchor), decision), side)
+    j = _first_nonextremal_index(od, level, islice(tail.edges(d, level, anchor), decision), side)
     if j is not None:
         return ("found", j + 1)
     raise DiagramError(
@@ -873,42 +890,20 @@ def succ_pred(od: OrderedDiagram, x) -> frozenset:
     """Candidate successor (maximal side) or predecessor (minimal side) set.
 
     Accepts a descriptor (multinomial diagrams under the natural order) or a
-    classified extremal ``PathRep``.  Verdicts follow the order's structure:
-    the natural order sends countable-class paths to the vertical path at
-    their final position; the left-to-right order sends every maximal path
-    to the leftmost vertical path; the cyclic order leaves every extremal
-    path without candidates.  Non-extremal input is rejected.
+    classified extremal ``PathRep``, whose candidates come from the order's
+    ``candidates`` rule: the natural order sends countable-class paths to the
+    vertical path at their final position; the left-to-right order sends
+    every maximal path to the leftmost vertical path; the cyclic order leaves
+    every extremal path without candidates.  Non-extremal input is rejected.
     """
     if isinstance(x, PascalPathDescriptor):
-        if not isinstance(od.diagram, PascalDiagram) or od.order.name != "natural-pascal":
+        if not isinstance(od.order, NaturalPascalOrder):
             raise DiagramError("descriptors pair with multinomial diagrams under the natural order")
         return succ_pred_descriptor(x, "z" if od.diagram.signed else "n")
     cls = classify_extremal(od, x)
     if cls is ExtremalClass.NOT_EXTREMAL:
         raise DiagramError("the path is not provably extremal; it has an ordinary adic image")
-    order = od.order.name
-    kind = _family_kind(od.diagram)
-    base = od.diagram.base_level
-    if order == "cyclic-binfty":
-        return frozenset()
-    if cls is ExtremalClass.SPECIAL:
-        return frozenset({x})
-    if order == "natural-pascal" and kind == "pascal":
-        if not isinstance(x.tail, PascalConcentrating):
-            raise DiagramError("extremal multinomial paths need a concentrating tail")
-        return frozenset({PathRep(base, (), PascalConcentrating(x.tail.coordinate))})
-    if order == "left-to-right" and kind in ("binfty", "staircase"):
-        if cls is ExtremalClass.MAX_C:
-            leftmost = _leftmost(od.diagram, kind)
-            return frozenset({PathRep(base, (), VerticalAt(leftmost))})
-        raise DiagramError(
-            "the minimal path's predecessor candidates form an infinite family "
-            "under the left-to-right order; no finite representation is returned"
-        )
-    if order == "left-to-right" and kind == "column-odometer":
-        flipped = "last" if x.tail.slot == "first" else "first"
-        return frozenset({PathRep(base, (), VerticalAt(x.tail.vertex, flipped))})
-    raise DiagramError("no candidate rule for class %s under order %s" % (cls.value, order))
+    return od.order.candidates(od.diagram, _family_kind(od.diagram), cls, x)
 
 
 # ---------------------------------------------------------------------------

@@ -712,6 +712,26 @@ def test_orbit_walks_a_tower_and_tallies_visits():
     assert sum(data["visits"].values()) == 3
 
 
+@pytest.mark.parametrize("command", [["vershik"], ["classify"], ["orbit", "--steps", "3"]])
+@pytest.mark.parametrize("family, order, path, message", [
+    ("binfty", "natural", {"start": 1, "edges": [], "tail": {"kind": "vertical", "vertex": 3}},
+     "the natural order is defined on multinomial diagrams"),
+    ("binfty", "natural", {"start": 1, "edges": [[3, 3, 1]], "tail": {"kind": "vertical", "vertex": 3}},
+     "the natural order is defined on multinomial diagrams"),
+    ("pascal-n", "cyclic", {"start": 0, "edges": [], "tail": {"kind": "concentrating", "coordinate": 1}},
+     "the cyclic order needs simple integer-indexed edges"),
+    ("pascal-n", "cyclic", {"start": 0, "edges": [[[], [[1, 1]], 1]],
+                            "tail": {"kind": "concentrating", "coordinate": 1}},
+     "the cyclic order needs simple integer-indexed edges"),
+], ids=["natural-on-binfty-empty", "natural-on-binfty-prefix", "cyclic-on-pascal-empty", "cyclic-on-pascal-prefix"])
+def test_an_order_on_a_diagram_it_is_not_defined_on_is_refused_before_any_step(
+        command, family, order, path, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--family", family, "--order", order, "--path", json.dumps(path)])
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("path, code, message", [
     ('{"start": 1, "edges": [[1,2,1],[2,3,1]]}', 1, "error: path covers levels 1..3, not 9"),
     ('{"start": 1, "edges": [[2,2,1]]}', 1, "error: path covers levels 1..2, not 9"),

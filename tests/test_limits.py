@@ -321,16 +321,20 @@ def test_pascal_limit_vector_is_exact_probability():
 
 
 def test_pascal_limit_vector_is_the_multinomial_tower_mass_formula():
-    d = {2: Fraction(1, 5), 3: Fraction(1, 2), 7: Fraction(3, 10)}
-    for n in range(5):
-        expected = {}
-        for key in oracles.sorted_compositions(n, sorted(d), False):
-            weight, prob = factorial(n), Fraction(1)
-            for c, mult in key:
-                weight //= factorial(mult)
-                prob *= d[c] ** mult
-            expected[key] = weight * prob
-        assert pascal_limit_vector(d, n) == expected
+    cases = [
+        ({2: Fraction(1, 5), 3: Fraction(1, 2), 7: Fraction(3, 10)}, range(5)),
+        ({1: Fraction(1, 4), 2: Fraction(3, 4)}, (1, 2, 4)),
+    ]
+    for d, levels in cases:
+        for n in levels:
+            expected = {}
+            for key in oracles.sorted_compositions(n, sorted(d), False):
+                weight, prob = factorial(n), Fraction(1)
+                for c, mult in key:
+                    weight //= factorial(mult)
+                    prob *= d[c] ** mult
+                expected[key] = weight * prob
+            assert pascal_limit_vector(d, n) == expected
 
 
 def test_pascal_limit_vector_rejects_bad_directions():

@@ -15,7 +15,6 @@ from bratteli.core import (
     support_key,
 )
 from bratteli import measures
-from bratteli.limits import pascal_limit_vector
 from bratteli.measures import (
     BinftyMeasure,
     BinomialEdgeMeasure,
@@ -52,15 +51,6 @@ def test_pascal_measure_levels_are_probabilities(d):
     mu = PascalMeasure(d)
     for n in range(0, 7):
         assert mu.level_mass(n) == 1
-
-
-def test_pascal_measure_matches_limit_vector():
-    d = {1: Fraction(1, 4), 2: Fraction(3, 4)}
-    mu = PascalMeasure(d)
-    for n in (1, 2, 4):
-        vec = pascal_limit_vector(d, n)
-        for key, mass in vec.items():
-            assert mu.q(n, key) == mass
 
 
 def test_a_direction_over_1200_coordinates_has_1200_level_one_keys_of_total_tower_mass_one():

@@ -169,9 +169,23 @@ def test_make_order_rejects_unknown_names():
 
 
 def test_natural_order_rejects_non_multinomial_diagrams():
-    od = OrderedDiagram(BinftyDiagram(), "natural")
-    with pytest.raises(DiagramError):
-        od.edges_into(2, 2)
+    with pytest.raises(DiagramError, match="the natural order is defined on multinomial diagrams"):
+        OrderedDiagram(BinftyDiagram(), "natural")
+
+
+def test_cyclic_order_rejects_diagrams_without_integer_vertices():
+    with pytest.raises(DiagramError, match="the cyclic order needs simple integer-indexed edges"):
+        OrderedDiagram(PascalDiagram("n"), "cyclic")
+
+
+def test_an_order_without_a_candidate_rule_names_the_class_it_cannot_answer():
+    class Bare(vershik.LeftToRightOrder):
+        candidates = vershik.EdgeOrder.candidates
+
+    od = OrderedDiagram(BinftyDiagram(), Bare())
+    with pytest.raises(DiagramError, match="^no candidate rule for class MaxC under order left-to-right$"):
+        succ_pred(od, PathRep(1, (), VerticalAt(3)))
+    assert succ_pred(od, PathRep(1, (), VerticalAt(1))) == frozenset({PathRep(1, (), VerticalAt(1))})
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +562,112 @@ def test_succ_pred_policies_by_order():
     assert succ_pred(nat, vert) == frozenset({vert})
 
 
-def test_left_to_right_minimal_predecessors_are_an_infinite_family():
+ROOT = key()
+GROWN = ((ROOT, key((1, 1)), 1), (key((1, 1)), key((1, 1), (2, 1)), 1))
+SHRUNK = ((ROOT, key((2, 1)), 1), (key((2, 1)), key((1, 1), (2, 1)), 1))
+SPLIT = ((ROOT, key((1, 1)), 1), (key((1, 1)), key((1, 1), (3, 1)), 1))
+RULE_DIAGRAMS = {
+    "binfty": BinftyDiagram,
+    "staircase1": lambda: staircase(1),
+    "staircase2": lambda: staircase(2),
+    "binfty-column1": lambda: build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "constant", "vertex": 1}),
+    "binfty-column3": lambda: build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "constant", "vertex": 3}),
+    "odometer-column": odometer_column,
+    "pascal-n": lambda: PascalDiagram("n"),
+    "pascal-z": lambda: PascalDiagram("z"),
+}
+NOT_EXTREMAL = "the path is not provably extremal; it has an ordinary adic image"
+
+
+def reversed_ltr(diagram, level, v):
+    return [(w, 1) for w in range(v, 0, -1)]
+
+
+# (diagram, order, path, scan_tail on "max", on "min", class, candidates or error text); a scan
+# result is "all", "unknown" or the depth of the first non-extremal tail edge
+ORDER_RULES = [
+    ("binfty", "left-to-right", PathRep(1, (), VerticalAt(1)), "all", "all", "Special", {PathRep(1, (), VerticalAt(1))}),
+    ("binfty", "left-to-right", PathRep(1, (), VerticalAt(3)), "all", 1, "MaxC", {PathRep(1, (), VerticalAt(1))}),
+    ("binfty", "left-to-right", PathRep(1, (), DiagonalFrom(1)), 1, 2, "NotExtremal", NOT_EXTREMAL),
+    ("binfty", "left-to-right", PathRep(1, ((3, 3, 1),)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
+    ("staircase1", "left-to-right", PathRep(1, (), DiagonalFrom(1)), "all", 2, "MaxC", {PathRep(1, (), VerticalAt(1))}),
+    ("staircase2", "left-to-right", PathRep(1, (), VerticalAt(2)), "all", "all", "Special", {PathRep(1, (), VerticalAt(2))}),
+    ("staircase2", "left-to-right", PathRep(1, ((2, 3, 1),), VerticalAt(3)), "all", 1, "MaxC",
+     {PathRep(1, (), VerticalAt(2))}),
+    ("staircase2", "left-to-right", PathRep(1, (), DiagonalFrom(2)), "all", 2, "MaxC", {PathRep(1, (), VerticalAt(2))}),
+    ("staircase2", "left-to-right", PathRep(1, ((2, 2, 1),), DiagonalFrom(2)), 1, 2, "NotExtremal", NOT_EXTREMAL),
+    ("binfty-column1", "left-to-right", PathRep(1, (), VerticalAt(1)), "all", "all", "Special",
+     {PathRep(1, (), VerticalAt(1))}),
+    ("binfty-column3", "left-to-right", PathRep(1, (), VerticalAt(3)), "all", "all", "Special",
+     {PathRep(1, (), VerticalAt(3))}),
+    ("odometer-column", "left-to-right", PathRep(0, (), VerticalAt(1, "first")), 1, "all", "MinC",
+     {PathRep(0, (), VerticalAt(1, "last"))}),
+    ("odometer-column", "left-to-right", PathRep(0, (), VerticalAt(1, "last")), "all", 1, "MaxC",
+     {PathRep(0, (), VerticalAt(1, "first"))}),
+    ("pascal-n", "left-to-right", PathRep(0, (), PascalConcentrating(4)), "unknown", "unknown", "NotExtremal",
+     NOT_EXTREMAL),
+    ("binfty", "alternating", PathRep(1, (), VerticalAt(1)), "all", "all", "Special", {PathRep(1, (), VerticalAt(1))}),
+    ("binfty", "alternating", PathRep(1, (), VerticalAt(3)), 1, 2, "NotExtremal", NOT_EXTREMAL),
+    ("binfty", "alternating", PathRep(1, (), DiagonalFrom(1)), 2, 1, "NotExtremal", NOT_EXTREMAL),
+    ("staircase1", "alternating", PathRep(1, (), VerticalAt(1)), "all", "all", "Special",
+     {PathRep(1, (), VerticalAt(1))}),
+    ("staircase2", "alternating", PathRep(1, ((2, 3, 1),), VerticalAt(3)), 2, 1, "NotExtremal", NOT_EXTREMAL),
+    ("staircase2", "alternating", PathRep(1, (), DiagonalFrom(2)), 3, 2, "NotExtremal", NOT_EXTREMAL),
+    ("binfty-column1", "alternating", PathRep(1, (), VerticalAt(1)), "all", "all", "Special",
+     {PathRep(1, (), VerticalAt(1))}),
+    ("binfty-column3", "alternating", PathRep(1, (), VerticalAt(3)), "all", "all", "Special",
+     {PathRep(1, (), VerticalAt(3))}),
+    ("odometer-column", "alternating", PathRep(0, (), VerticalAt(1, "first")), 1, 2, "NotExtremal", NOT_EXTREMAL),
+    ("odometer-column", "alternating", PathRep(0, (), VerticalAt(1, "last")), 2, 1, "NotExtremal", NOT_EXTREMAL),
+    ("pascal-n", "alternating", PathRep(0, GROWN, PascalConcentrating(2)), "unknown", "unknown", "NotExtremal",
+     NOT_EXTREMAL),
+    ("binfty", "cyclic", PathRep(1, (), VerticalAt(1)), "all", "all", "Special", set()),
+    ("binfty", "cyclic", PathRep(1, (), VerticalAt(3)), "all", 1, "MaxC", set()),
+    ("binfty", "cyclic", PathRep(1, (), DiagonalFrom(2)), 1, "all", "MinC", set()),
+    ("binfty", "cyclic", PathRep(1, ((1, 1, 1), (1, 1, 1)), DiagonalFrom(1)), 1, "all", "MinC", set()),
+    ("binfty", "cyclic", PathRep(1, ((3, 3, 1),)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
+    ("staircase1", "cyclic", PathRep(1, (), DiagonalFrom(1)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
+    ("staircase2", "cyclic", PathRep(1, (), VerticalAt(2)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
+    ("binfty-column1", "cyclic", PathRep(1, (), VerticalAt(1)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
+    ("odometer-column", "cyclic", PathRep(0, (), VerticalAt(1, "last")), "unknown", "unknown", "NotExtremal",
+     NOT_EXTREMAL),
+    ("pascal-n", "natural", PathRep(0, (), PascalConcentrating(4)), "all", "all", "Special",
+     {PathRep(0, (), PascalConcentrating(4))}),
+    ("pascal-n", "natural", PathRep(0, GROWN, PascalConcentrating(2)), "all", 1, "MaxC",
+     {PathRep(0, (), PascalConcentrating(2))}),
+    ("pascal-n", "natural", PathRep(0, SHRUNK, PascalConcentrating(1)), 1, "all", "MinC",
+     {PathRep(0, (), PascalConcentrating(1))}),
+    ("pascal-n", "natural", PathRep(0, SPLIT, PascalConcentrating(2)), 1, 1, "NotExtremal", NOT_EXTREMAL),
+    ("pascal-z", "natural", PathRep(0, (), PascalConcentrating(-2)), "all", "all", "Special",
+     {PathRep(0, (), PascalConcentrating(-2))}),
+    ("binfty", reversed_ltr, PathRep(1, (), VerticalAt(1)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
+]
+
+
+@pytest.mark.parametrize("family, order, path, on_max, on_min, cls, candidates", ORDER_RULES,
+                         ids=["%s-%s-%d" % (row[0], row[1] if isinstance(row[1], str) else "custom", i)
+                              for i, row in enumerate(ORDER_RULES)])
+def test_each_order_rule_decides_tails_classes_and_candidates(family, order, path, on_max, on_min, cls,
+                                                             candidates):
+    od = OrderedDiagram(RULE_DIAGRAMS[family](), order)
+    for side, want in (("max", on_max), ("min", on_min)):
+        assert vershik.scan_tail(od, path, side) == ((want, None) if isinstance(want, str) else ("found", want))
+    assert classify_extremal(od, path).value == cls
+    if isinstance(candidates, str):
+        with pytest.raises(DiagramError) as info:
+            succ_pred(od, path)
+        assert str(info.value) == candidates
+    else:
+        assert succ_pred(od, path) == frozenset(candidates)
+
+
+def test_left_to_right_sends_maximal_paths_to_the_leftmost_vertical_and_flips_a_column_slot():
     ltr = OrderedDiagram(BinftyDiagram(), "left-to-right")
-    # the big maximal class converges onto the leftmost vertical...
+    # the big maximal class converges onto the leftmost vertical
     assert succ_pred(ltr, PathRep(1, (), VerticalAt(9))) == frozenset(
         {PathRep(1, (), VerticalAt(1))}
     )
-    # ...whose one-sided minimal relatives refuse a finite candidate set
+    # on an odometer column the all-first minimal path steps back to the all-last one
     ltr_col = OrderedDiagram(odometer_column(2), "left-to-right")
     assert succ_pred(ltr_col, PathRep(0, (), VerticalAt(1, "first"))) == frozenset(
         {PathRep(0, (), VerticalAt(1, "last"))}
