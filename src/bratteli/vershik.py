@@ -324,7 +324,7 @@ class LeftToRightOrder(EdgeOrder):
         if isinstance(tail, VerticalAt):
             if kind == "column-odometer":
                 return "all" if (side == "min") == (tail.slot == "first") else 1
-            return "all" if side == "max" or anchor == diagram.level_vertices(level, 1)[0] else 1
+            return "all" if side == "max" or anchor == diagram.level_vertices(diagram.base_level, 1)[0] else 1
         if isinstance(tail, DiagonalFrom):
             if side == "max" and kind == "staircase" and anchor == diagram.k + level - diagram.base_level:
                 return "all"  # the frontier diagonal is the level's last edge
@@ -354,7 +354,7 @@ class AlternatingOrder(EdgeOrder):
         if isinstance(tail, VerticalAt):
             if kind == "column-odometer":
                 return 2
-            return "all" if anchor == diagram.level_vertices(level, 1)[0] else 2
+            return "all" if anchor == diagram.level_vertices(diagram.base_level, 1)[0] else 2
         return 4 if isinstance(tail, DiagonalFrom) else "unknown"
 
 
@@ -403,7 +403,9 @@ class CyclicBinftyOrder(EdgeOrder):
     name = "cyclic-binfty"
 
     def check_diagram(self, diagram):
-        if not diagram.integer_keys:
+        # an odometer chain and each of its columns have parallel vertical edges into every vertex
+        odometer = isinstance(diagram, OdometerChainDiagram) or _family_kind(diagram) == "column-odometer"
+        if odometer or not diagram.integer_keys:
             raise DiagramError("the cyclic order needs simple integer-indexed edges")
 
     def edges_into(self, diagram, level, v):

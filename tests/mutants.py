@@ -2,8 +2,7 @@
 
 Run with the test dependencies installed (pytest, hypothesis, sympy):
 
-    python tests/mutants.py                  # every mutant
-    python tests/mutants.py cyclic natural   # only mutants whose name contains a given word
+    python tests/mutants.py
 
 Each entry of ``MUTANTS`` is one deliberate fault: a name, a module of ``src/bratteli``, the
 exact old text (it must occur there exactly once), the new text, and the test file expected to
@@ -14,7 +13,7 @@ test file passes there unmutated, then applies one mutant at a time and runs
 ``EQUIVALENT`` lists mutants that cannot change any result, each with its proof.  Their old text
 is checked to be present, so the list stays true, but they are never run.
 
-To add a mutant, append an entry to ``MUTANTS`` and run the script with a word of its name.
+To add a mutant, append an entry to ``MUTANTS`` and run the script.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when an entry's old text is
 not found exactly once or a test file fails unmutated.  Pytest does not collect this file, since
@@ -37,10 +36,11 @@ TEST_VERSHIK = "test_vershik.py"
 MUTANTS = [
     # each order's tail rule, candidate rule and diagram check
     ("ltr-vertical-side-swapped", VERSHIK,
-     '"all" if side == "max" or anchor == diagram.level_vertices(level, 1)[0] else 1',
-     '"all" if side == "min" or anchor == diagram.level_vertices(level, 1)[0] else 1', TEST_VERSHIK),
+     '"all" if side == "max" or anchor == diagram.level_vertices(diagram.base_level, 1)[0] else 1',
+     '"all" if side == "min" or anchor == diagram.level_vertices(diagram.base_level, 1)[0] else 1',
+     TEST_VERSHIK),
     ("ltr-vertical-leftmost-is-always-1", VERSHIK,
-     '"all" if side == "max" or anchor == diagram.level_vertices(level, 1)[0] else 1',
+     '"all" if side == "max" or anchor == diagram.level_vertices(diagram.base_level, 1)[0] else 1',
      '"all" if side == "max" or anchor == 1 else 1', TEST_VERSHIK),
     ("ltr-column-slot-side-swapped", VERSHIK,
      'return "all" if (side == "min") == (tail.slot == "first") else 1',
@@ -55,7 +55,7 @@ MUTANTS = [
     ("ltr-candidate-is-the-path-own-vertical", VERSHIK,
      'VerticalAt(diagram.level_vertices(base, 1)[0])', 'VerticalAt(path.end_vertex)', TEST_VERSHIK),
     ("alternating-vertical-all-becomes-a-cap", VERSHIK,
-     'return "all" if anchor == diagram.level_vertices(level, 1)[0] else 2',
+     'return "all" if anchor == diagram.level_vertices(diagram.base_level, 1)[0] else 2',
      'return 2', TEST_VERSHIK),
     ("alternating-column-cap-becomes-all", VERSHIK,
      'if kind == "column-odometer":\n                return 2',
@@ -86,7 +86,12 @@ MUTANTS = [
      'def candidates(self, diagram, kind, cls, path):\n        return super().candidates(diagram, kind, cls, path)',
      TEST_VERSHIK),
     ("cyclic-accepts-any-diagram", VERSHIK,
-     'if not diagram.integer_keys:', 'if False:', TEST_VERSHIK),
+     'if odometer or not diagram.integer_keys:', 'if False:', TEST_VERSHIK),
+    ("cyclic-accepts-odometer-chains", VERSHIK,
+     'isinstance(diagram, OdometerChainDiagram) or _family_kind(diagram) == "column-odometer"',
+     '_family_kind(diagram) == "column-odometer"', TEST_VERSHIK),
+    ("cyclic-accepts-odometer-columns", VERSHIK,
+     ' or _family_kind(diagram) == "column-odometer"\n', '\n', TEST_VERSHIK),
     ("base-candidates-refuse-special", VERSHIK,
      'if cls is ExtremalClass.SPECIAL:\n            return frozenset({path})\n        raise',
      'if False:\n            return frozenset({path})\n        raise', TEST_VERSHIK),
@@ -147,8 +152,7 @@ def run_tests(tree: Path, test: str) -> bool:
         return False
 
 
-def main(words: list) -> int:
-    chosen = [m for m in MUTANTS if not words or any(w in m[0] for w in words)]
+def main() -> int:
     stale = [(name, module, old) for name, module, old, *_ in MUTANTS + EQUIVALENT
              if (ROOT / "src" / "bratteli" / module).read_text().count(old) != 1]
     for name, module, old in stale:
@@ -162,13 +166,13 @@ def main(words: list) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)
-        failing = [test for test in sorted({m[4] for m in chosen}) if not run_tests(tree, test)]
+        failing = [test for test in sorted({m[4] for m in MUTANTS}) if not run_tests(tree, test)]
         for test in failing:
             print("unmutated tests fail: %s" % test)
         if failing:
             return 2
         survivors = []
-        for name, module, old, new, test in chosen:
+        for name, module, old, new, test in MUTANTS:
             path = tree / "src" / "bratteli" / module
             text = path.read_text()
             path.write_text(text.replace(old, new))
@@ -179,10 +183,10 @@ def main(words: list) -> int:
             print("%s %s (%s)" % ("killed  " if killed else "SURVIVED", name, test), flush=True)
             if not killed:
                 survivors.append(name)
-    print("%d of %d mutants killed; survivors: %s" % (len(chosen) - len(survivors), len(chosen),
+    print("%d of %d mutants killed; survivors: %s" % (len(MUTANTS) - len(survivors), len(MUTANTS),
                                                        ", ".join(survivors) or "none"))
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -723,11 +723,17 @@ def test_orbit_walks_a_tower_and_tallies_visits():
     ("pascal-n", "cyclic", {"start": 0, "edges": [[[], [[1, 1]], 1]],
                             "tail": {"kind": "concentrating", "coordinate": 1}},
      "the cyclic order needs simple integer-indexed edges"),
-], ids=["natural-on-binfty-empty", "natural-on-binfty-prefix", "cyclic-on-pascal-empty", "cyclic-on-pascal-prefix"])
+    ("odometer-io", "cyclic", {"start": 0, "edges": [], "tail": {"kind": "vertical", "vertex": 1}},
+     "the cyclic order needs simple integer-indexed edges"),
+    ("odometer-io", "cyclic", {"start": 0, "edges": [[1, 1, 2]], "tail": {"kind": "vertical", "vertex": 1}},
+     "the cyclic order needs simple integer-indexed edges"),
+], ids=["natural-on-binfty-empty", "natural-on-binfty-prefix", "cyclic-on-pascal-empty", "cyclic-on-pascal-prefix",
+        "cyclic-on-odometer-column-empty", "cyclic-on-odometer-column-prefix"])
 def test_an_order_on_a_diagram_it_is_not_defined_on_is_refused_before_any_step(
         command, family, order, path, message, capsys):
     with pytest.raises(SystemExit) as info:
-        main(command + ["--family", family, "--order", order, "--path", json.dumps(path)])
+        main(command + ["--family", family, "--order", order, "--path", json.dumps(path)]
+             + (["--a", "2", "--sub", "constant:1"] if family == "odometer-io" else []))
     assert info.value.code == 1
     assert capsys.readouterr().err == "error: %s\n" % message
 

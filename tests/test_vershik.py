@@ -173,9 +173,11 @@ def test_natural_order_rejects_non_multinomial_diagrams():
         OrderedDiagram(BinftyDiagram(), "natural")
 
 
-def test_cyclic_order_rejects_diagrams_without_integer_vertices():
+@pytest.mark.parametrize("diagram", [lambda: PascalDiagram("n"), lambda: OdometerChainDiagram(2), odometer_column],
+                         ids=["pascal-n", "odometer-chain", "odometer-column"])
+def test_cyclic_order_rejects_diagrams_without_simple_integer_edges(diagram):
     with pytest.raises(DiagramError, match="the cyclic order needs simple integer-indexed edges"):
-        OrderedDiagram(PascalDiagram("n"), "cyclic")
+        OrderedDiagram(diagram(), "cyclic")
 
 
 def test_an_order_without_a_candidate_rule_names_the_class_it_cannot_answer():
@@ -629,8 +631,6 @@ ORDER_RULES = [
     ("staircase1", "cyclic", PathRep(1, (), DiagonalFrom(1)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
     ("staircase2", "cyclic", PathRep(1, (), VerticalAt(2)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
     ("binfty-column1", "cyclic", PathRep(1, (), VerticalAt(1)), "unknown", "unknown", "NotExtremal", NOT_EXTREMAL),
-    ("odometer-column", "cyclic", PathRep(0, (), VerticalAt(1, "last")), "unknown", "unknown", "NotExtremal",
-     NOT_EXTREMAL),
     ("pascal-n", "natural", PathRep(0, (), PascalConcentrating(4)), "all", "all", "Special",
      {PathRep(0, (), PascalConcentrating(4))}),
     ("pascal-n", "natural", PathRep(0, GROWN, PascalConcentrating(2)), "all", 1, "MaxC",
