@@ -136,10 +136,14 @@ def _fr(x):
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
+_pair_text = functools.lru_cache(maxsize=None)("[%d,%d]".__mod__)  # each (c, m) pair formatted once
+
+
 @functools.lru_cache(maxsize=None)
 def _vkey(v):
+    """A vertex as JSON text: a Pascal key's cached pair texts joined, else ``str``."""
     if isinstance(v, tuple):
-        return "[%s]" % ",".join("[%d,%d]" % p for p in v)
+        return "[%s]" % ",".join(map(_pair_text, v))
     return str(v)
 
 
@@ -510,27 +514,22 @@ def stochastic(source, level, window, vertex_text):
     window = _at_least_one(window, "--window")
     diagram = source()
     targets = None if vertex_text is None else [vertex_from_text(vertex_text)]
-    texts, sums_one = {}, True  # texts: v -> {w: str(Fraction(x, H_v))}, from the reduced integers
+    # rows: _vkey(v) -> {_vkey(w): str(Fraction(x, H_v))}, from the reduced integers; buffered
+    # because row_sums_one sorts before rows.  sources keeps each row's w for the CSV's repr order.
+    rows, sources, sums_one = {}, [], True
     for v, weights, hv in _weighted_rows(diagram, level, targets, window):
         row, pairs = {}, []
         for w, x in weights.items():
             g = gcd(x, hv)
             n, d = x // g, hv // g
             pairs.append((n, d))
-            row[w] = "%d" % n if d == 1 else "%d/%d" % (n, d)
+            row[_vkey(w)] = "%d" % n if d == 1 else "%d/%d" % (n, d)
         sums_one = sums_one and _sums_to_one(pairs)
-        texts[v] = row
-    payload = {
-        "family": diagram.family,
-        "level": level,
-        "rows": {_vkey(v): {_vkey(w): t for w, t in row.items()} for v, row in texts.items()},
-        "row_sums_one": sums_one,
-    }
+        rows[_vkey(v)] = row
+        sources.append(list(weights))
+    payload = {"family": diagram.family, "level": level, "rows": rows, "row_sums_one": sums_one}
     return payload, ["target", "source", "weight"], lambda: [
-        [_vkey(v), _vkey(w), t]
-        for v, row in texts.items()
-        for w, t in sorted(row.items(), key=_by_key_repr)
-    ]
+        [v, w, row[w]] for (v, row), ws in zip(rows.items(), sources) for w in map(_vkey, sorted(ws, key=repr))]
 
 
 @_command(

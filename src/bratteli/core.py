@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import accumulate, chain
-from math import comb, factorial
+from math import comb
 from operator import sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -316,11 +316,18 @@ class PascalDiagram(Diagram):
         return _pascal_rank(v, level, self.signed)
 
     def closed_form_height(self, level: int, v):
-        num = factorial(level)
+        # the multinomial level! / prod m!, from a table of factorials grown to ``level``
+        fact = _FACTORIALS
+        while len(fact) <= level:
+            fact.append(fact[-1] * len(fact))
         denom = 1
         for _, m in v:
-            denom *= factorial(m)
-        return num // denom
+            denom *= fact[m]
+        return fact[level] // denom
+
+
+#: n! at index n, for 0..the highest Pascal level asked for a closed-form height
+_FACTORIALS = [1]
 
 
 class BinftyDiagram(Diagram):

@@ -1,9 +1,9 @@
 """Exact linear algebra on diagram levels: heights, stochastic rows, simplex metric.
 
 All quantities are integers or ``fractions.Fraction``; nothing here rounds.
-Heights are computed by the downward cone recursion, so they are exact for
-every built-in family; ``heights_closed_form`` exposes the per-family closed
-forms so the two routes can be compared.
+``heights`` computes heights by the downward cone recursion, so they are
+exact for every built-in family; ``heights_closed_form`` exposes the
+per-family closed forms so the two routes can be compared.
 
 ``_heights`` is the one height recursion, and it checks nothing.  Its
 ``_cone_walk`` reads each row of the cone once, unchecked, and keeps it as
@@ -21,14 +21,16 @@ Validation happens once, at entry.  A whole window (``vertices`` or
 ``targets`` left ``None``, cut by ``bound``) is trusted, because
 ``vertex_window`` lists vertices; an explicit list is checked.
 ``_weighted_rows`` is the one row reader: it reads each target row once,
-fills every source height with one ``_heights`` call, and yields each row
-as integer weights f'_(v w) H_w over their total H_v.  ``Fraction``s appear
-only at the public ``stochastic_rows`` boundary; the continuity profile and
-the CLI work on the integers.
+takes each source height from the family's closed form, fills the sources
+that have none with one ``_heights`` call, and yields each row as integer
+weights f'_(v w) H_w over their total H_v.  ``Fraction``s appear only at the
+public ``stochastic_rows`` boundary; the continuity profile and the CLI work
+on the integers.
 
-``height`` is the one closed-form-else-recursion route: the family's closed
-form when it has one, else ``heights``.  Closed forms are never written into
-the memo, so ``heights`` stays an independent check on them.
+``height`` is the one closed-form-else-recursion route for a single vertex:
+the family's closed form when it has one, else ``heights``.  Closed forms
+are never written into the memo, so ``heights`` stays the recursion and an
+independent check on them (the ``heights`` command's ``closed_form_agrees``).
 """
 from __future__ import annotations
 
@@ -148,7 +150,11 @@ def _cone_walk(diagram: Diagram, level: int, keys: list, memo: Mapping, floor: i
 
 
 def height(diagram: Diagram, level: int, v) -> int:
-    """H^(level)_v: the family's closed form, else ``heights``.  A closed form does not check ``v``."""
+    """H^(level)_v: the family's closed form, else ``heights``.
+
+    A closed form does not check ``v``, so ``v`` must be a vertex of ``level``;
+    ``_weighted_rows`` takes its source heights the same way, for many at once.
+    """
     h = diagram.closed_form_height(level, v)
     if h is None:
         h = heights(diagram, level, [v])[v]
@@ -188,8 +194,9 @@ def _weighted_rows(diagram: Diagram, level: int, targets: Iterable | None,
     """Yield (v, {w: f'_(v w) H_w}, H_v) for each target v at ``level``, one row at a time.
 
     An explicit target is checked as ``predecessors`` checks it; a window's
-    targets are trusted.  Each row is read once, and one ``_heights`` call
-    fills the source heights of all of them.
+    targets are trusted.  Each row is read once.  A source height is the
+    family's closed form; the sources that have none (custom specs, odometer
+    chains with column rules, explicit subdiagrams) share one ``_heights`` call.
     """
     diagram.check_level(level)
     read = diagram.predecessors
@@ -198,7 +205,11 @@ def _weighted_rows(diagram: Diagram, level: int, targets: Iterable | None,
         if level > diagram.base_level:  # at the base level the checked read refuses
             read = diagram._predecessors
     rows = {v: read(level, v) for v in targets}
-    h = _heights(diagram, level - 1, set().union(*rows.values()))
+    sources = set().union(*rows.values())
+    h = dict(zip(sources, map(diagram.closed_form_height, repeat(level - 1), sources)))
+    missing = [w for w, x in h.items() if x is None]
+    if missing:
+        h.update(_heights(diagram, level - 1, missing))
     for v, row in rows.items():
         weights = {w: m * h[w] for w, m in row.items()}
         yield v, weights, sum(weights.values())

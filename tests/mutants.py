@@ -17,7 +17,8 @@ To add a mutant, append an entry to ``MUTANTS`` and run the script.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when an entry's old text is
 not found exactly once or a test file fails unmutated.  Pytest does not collect this file, since
-its name does not start with ``test_``.
+its name does not start with ``test_``; ``tests/test_hygiene.py`` runs its stale-entry check
+(``stale_entries``), so a change that invalidates an entry fails the suite too.
 """
 import os
 import shutil
@@ -31,6 +32,8 @@ TIMEOUT_S = 900  # a mutant that hangs its tests counts as killed
 
 VERSHIK = "vershik.py"
 TEST_VERSHIK = "test_vershik.py"
+CORE = "core.py"
+TEST_CLI = "test_cli.py"
 
 # (name, module, old text, new text, test file expected to fail)
 MUTANTS = [
@@ -104,27 +107,53 @@ MUTANTS = [
     ("binfty-level-tail-mass-one-term-short", "measures.py",
      "for i in range(n)),", "for i in range(n - 1)),", "test_measures.py"),
     ("limit-stable-steps-5-to-2", "limits.py", "STABLE_STEPS = 5", "STABLE_STEPS = 2", "test_limits.py"),
-    ("series-ratio-window-8-to-6", "extension.py", "RATIO_WINDOW = 8", "RATIO_WINDOW = 6", "test_golden.py"),
+    ("series-ratio-window-8-to-6", "extension.py", "RATIO_WINDOW = 8", "RATIO_WINDOW = 6", "test_extension.py"),
+    ("series-geometric-cap-lowered", "extension.py", "GEOMETRIC_CAP = Fraction(99, 100)",
+     "GEOMETRIC_CAP = Fraction(49, 50)", "test_extension.py"),
+    ("series-geometric-cap-raised", "extension.py", "GEOMETRIC_CAP = Fraction(99, 100)",
+     "GEOMETRIC_CAP = Fraction(199, 200)", "test_extension.py"),
+    ("series-decay-floor-raised", "extension.py", "DECAY_FLOOR = Fraction(97, 100)",
+     "DECAY_FLOOR = Fraction(49, 50)", "test_extension.py"),
+    ("series-decay-floor-lowered", "extension.py", "DECAY_FLOOR = Fraction(97, 100)",
+     "DECAY_FLOOR = Fraction(24, 25)", "test_extension.py"),
     ("series-ceiling-factor-10-to-3", "extension.py", "CEILING_FACTOR = 10", "CEILING_FACTOR = 3",
      "test_extension.py"),
     ("count-distance-shift-off-by-one", "linalg.py",
      "d << (top - ranks[v])", "d << (top - ranks[v] + 1)", "test_linalg.py"),
-    ("step-convolve-window-one-short", "core.py",
+    ("step-convolve-window-one-short", CORE,
      "map(sub, sums[2 * k + 1:], sums)", "map(sub, sums[2 * k:], sums)", "test_core.py"),
-    ("compositions-multiplicities-ascending", "core.py",
+    ("compositions-multiplicities-ascending", CORE,
      "for m in range(top, 0, -1))", "for m in range(1, top + 1))", "test_core.py"),
+    # the closed-form heights the cone rows read: each changes the ratio of two heights of a level,
+    # which the path-count referee of the stochastic and continuity commands sees
+    ("pascal-closed-form-one-factorial-short", CORE, "denom *= fact[m]", "denom *= fact[m - 1]", TEST_CLI),
+    ("binfty-closed-form-index-shifted", CORE,
+     "return comb(v + level - 2, level - 1)", "return comb(v + level - 1, level - 1)", TEST_CLI),
+    ("bounded-finite-closed-form-coefficient-shifted", CORE,
+     "return step_polynomial_coefficients(self.k, level).get(v, 0)",
+     "return step_polynomial_coefficients(self.k, level).get(v + 1, 0)", TEST_CLI),
+    ("odometer-closed-form-product-starts-at-v", CORE,
+     "        h = 1\n        for j in range(self.base_level, level):",
+     "        h = v\n        for j in range(self.base_level, level):", TEST_CLI),
+    ("staircase-closed-form-sum-not-difference", CORE, "return a - b", "return a + b", TEST_CLI),
+    ("pascal-edge-closed-form-index-shifted", CORE,
+     "return comb(level - self.base_level, v - self.k)",
+     "return comb(level - self.base_level, v - self.k + 1)", TEST_CLI),
+    # scales every height of a level, so no row changes; the closed-form-against-recursion check sees it
+    ("bounded-generalized-closed-form-scaled", CORE,
+     "return (2 * self.k + 1) ** level", "return (2 * self.k + 1) ** (level + 1)", "test_linalg.py"),
     # guards that earlier changes checked by hand
-    ("signed-pascal-keys-unsorted", "core.py",
+    ("signed-pascal-keys-unsorted", CORE,
      "tuple(sorted((-(r // 2) if r % 2 else r // 2, m) for r, m in key))",
      "tuple((-(r // 2) if r % 2 else r // 2, m) for r, m in key)", "test_core.py"),
     ("orbit-walk-yields-a-copy", VERSHIK, "        yield edges, tail", "        yield list(edges), tail", TEST_VERSHIK),
     ("bijection-check-validates-every-step", VERSHIK,
      '_stepped(od, p, "max")) for p in paths', 'vershik_step(od, p)) for p in paths', TEST_VERSHIK),
     ("exit-2-without-missing-data", "cli.py",
-     'missing = " (missing: %s)" % json.dumps(exc.missing) if exc.missing else ""', 'missing = ""', "test_cli.py"),
+     'missing = " (missing: %s)" % json.dumps(exc.missing) if exc.missing else ""', 'missing = ""', TEST_CLI),
     ("csv-accepts-precision", "cli.py",
      'if fmt == "csv":\n            raise DiagramError("--precision has no CSV form',
-     'if False:\n            raise DiagramError("--precision has no CSV form', "test_cli.py"),
+     'if False:\n            raise DiagramError("--precision has no CSV form', TEST_CLI),
 ]
 
 # (name, module, old text, new text, why no test can tell the mutant apart)
@@ -139,6 +168,10 @@ EQUIVALENT = [
      "under left-to-right a diagonal's second edge is never minimal and its first never maximal off the "
      "staircase frontier, so a witness lies within depth 2 and any higher cap finds the same one.  The "
      "same holds for every cap raised above its witness depth"),
+    ("odometer-closed-form-reads-the-next-column", CORE,
+     "h *= self.entry(j, v) + 1", "h *= self.entry(j, v + 1) + 1",
+     "closed_form_height returns None before the product whenever the chain has column rules, and "
+     "without them entry(j, column) is the default rule at j for every column"),
 ]
 
 
@@ -152,10 +185,16 @@ def run_tests(tree: Path, test: str) -> bool:
         return False
 
 
+def stale_entries() -> list:
+    """(name, module) of each ``MUTANTS`` or ``EQUIVALENT`` entry whose old text does not occur
+    exactly once in its module."""
+    return [(name, module) for name, module, old, *_ in MUTANTS + EQUIVALENT
+            if (ROOT / "src" / "bratteli" / module).read_text().count(old) != 1]
+
+
 def main() -> int:
-    stale = [(name, module, old) for name, module, old, *_ in MUTANTS + EQUIVALENT
-             if (ROOT / "src" / "bratteli" / module).read_text().count(old) != 1]
-    for name, module, old in stale:
+    stale = stale_entries()
+    for name, module in stale:
         print("stale: %s: its old text does not occur exactly once in %s" % (name, module))
     if stale:
         return 2

@@ -37,6 +37,19 @@ def path_count(diagram, level, v, stop_level=None):
     return len(enumerate_paths_down(diagram, level, v, stop_level))
 
 
+def path_count_rows(diagram, level, targets):
+    """{v: ({w: f'_(v w) H_w}, H_v)} for each target v at ``level``, every H_w a count of enumerated paths."""
+    counts, rows = {}, {}
+    for v in targets:
+        weights = {}
+        for w, mult in diagram.predecessors(level, v).items():
+            if w not in counts:
+                counts[w] = path_count(diagram, level - 1, w)
+            weights[w] = mult * counts[w]
+        rows[v] = weights, sum(weights.values())
+    return rows
+
+
 def q_from_y(diagram, n, y):
     """Tower masses q_w proportional to y_w H_w, normalized to total 1."""
     weighted = {w: Fraction(y[w]) * path_count(diagram, n, w) for w in y}

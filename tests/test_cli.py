@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 
 from bratteli.cli import _by_key_repr, _fr, _vkey, cli, main
-from bratteli.core import build_diagram, vertex_from_text
+from bratteli.core import build_diagram, vertex_from_text, vertex_window
 from bratteli.linalg import stochastic_rows
 
 
@@ -494,6 +494,16 @@ def test_version_is_read_from_the_package_not_installed_metadata():
 # determinism and formats
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("family, levels, bound", [("pascal-n", range(0, 6), 4), ("pascal-z", range(0, 5), 2)])
+def test_vertex_keys_are_the_per_pair_format_joined(family, levels, bound):
+    d = build_diagram({"family": family})
+    keys = [v for n in levels for v in d.level_vertices(n, bound)]
+    assert () in keys and any(c < 0 for v in keys for c, _ in v) is d.signed
+    for v in keys:
+        assert _vkey(v) == "[%s]" % ",".join("[%d,%d]" % p for p in v)
+    assert [_vkey(v) for v in (0, 7, -3)] == ["0", "7", "-3"]
+
+
 def test_identical_invocations_produce_identical_bytes():
     args = ("stochastic", "--family", "pascal-n", "--level", "3",
             "--window", "2")
@@ -547,6 +557,52 @@ def test_stochastic_output_equals_that_of_the_fraction_rows(spec, args, tmp_path
     result = run("stochastic", "--spec", str(path), *args, "--format", "csv")
     assert result.exit_code == 0, result.output
     assert result.output == buf.getvalue()
+
+
+# STOCHASTIC_CASES plus the closed forms and the column-rule odometer chain they leave out
+PATH_COUNT_CASES = STOCHASTIC_CASES + [
+    pytest.param({"family": "pascal-k", "params": {"k": 3}}, ["--level", "5"], id="pascal-k"),
+    pytest.param({"family": "bounded-generalized", "params": {"k": 1}}, ["--level", "3", "--window", "3"],
+                 id="bounded-generalized"),
+    pytest.param({"family": "odometer-io", "params": {"a": 3}}, ["--level", "4", "--window", "5"],
+                 id="odometer-stationary"),
+    pytest.param({"family": "odometer-io", "params": {"a": 2, "columns": {"1": 3}}},
+                 ["--level", "4", "--window", "5"], id="odometer-columns"),
+    pytest.param({"family": "binfty", "sub": {"kind": "edge", "rule": "pascal", "k": 2}}, ["--level", "5"],
+                 id="pascal-edge"),
+]
+
+
+def _path_count_rows(spec, args):
+    """The command's diagram, level and ``oracles.path_count_rows`` over its targets."""
+    opts = dict(zip(args[::2], args[1::2]))
+    d, level = build_diagram(spec), int(opts["--level"])
+    targets = ([vertex_from_text(opts["--vertex"])] if "--vertex" in opts
+               else vertex_window(d, level, int(opts["--window"]) if "--window" in opts else None))
+    return d, level, oracles.path_count_rows(d, level, targets)
+
+
+@pytest.mark.parametrize("spec, args", PATH_COUNT_CASES)
+def test_stochastic_rows_are_ratios_of_path_counts(spec, args, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    _, _, ref = _path_count_rows(spec, args)
+    data = run_json("stochastic", "--spec", str(path), *args)
+    assert data["rows"] == {_vkey(v): {_vkey(w): str(Fraction(x, hv)) for w, x in weights.items()}
+                            for v, (weights, hv) in ref.items()}
+    assert data["row_sums_one"] is True
+
+
+@pytest.mark.parametrize("spec, args", [c for c in PATH_COUNT_CASES if "--vertex" not in c.values[1]])
+def test_continuity_norms_are_weighted_ratios_of_path_counts(spec, args, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    d, level, ref = _path_count_rows(spec, args)
+    data = run_json("continuity", "--spec", str(path), *args)
+    assert data["norms"] == {
+        _vkey(v): str(sum((Fraction(x, hv * 2 ** d.rank(level - 1, w)) for w, x in weights.items()),
+                          Fraction(0)))
+        for v, (weights, hv) in ref.items()}
 
 
 def test_sampling_output_is_seeded_and_carries_float_precision():

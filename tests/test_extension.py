@@ -52,6 +52,29 @@ def test_series_verdict_on_slow_series_is_inconclusive():
     assert v.verdict == INCONCLUSIVE
 
 
+def test_series_verdict_reads_the_last_eight_ratios():
+    # the last 6 ratios are 1/2, which alone would certify a geometric tail; the 2 before them are 2
+    terms = [Fraction(1), Fraction(2), Fraction(4)] + [Fraction(4, 2**n) for n in range(1, 7)]
+    v = series_verdict(terms)
+    assert v.verdict == INCONCLUSIVE
+    assert v.evidence["ratio_bound"] == 2
+
+
+@pytest.mark.parametrize("ratio, verdict", [(Fraction(99, 100), FINITE), (Fraction(199, 200), INCONCLUSIVE)])
+def test_series_verdict_certifies_ratio_bars_up_to_99_100(ratio, verdict):
+    # nine terms: partial sums stay below 10x the first, so a bar above the cap decides nothing
+    v = series_verdict([ratio ** n for n in range(9)])
+    assert (v.verdict, v.evidence["ratio_bound"]) == (verdict, ratio)
+
+
+@pytest.mark.parametrize("last, verdict", [(Fraction(97, 100), INFINITE), (Fraction(24, 25), INCONCLUSIVE)])
+def test_series_verdict_calls_divergence_down_to_a_97_100_ratio(last, verdict):
+    # a bar of 1 certifies nothing and the partial sum passes 10x the first term; the smallest
+    # recent ratio decides whether the ratios count as non-decaying
+    v = series_verdict([Fraction(1)] * 12 + [last])
+    assert (v.verdict, v.evidence["ratio_bound"]) == (verdict, 1)
+
+
 def test_series_verdict_edge_cases():
     assert series_verdict([]).verdict == INCONCLUSIVE
     zero = series_verdict([Fraction(0)] * 5)

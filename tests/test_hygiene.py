@@ -18,6 +18,10 @@ Every layer callable the benchmark's tracer (``perfbench/shim.py``) hooks
 must exist under its listed name: the tracer looks each one up unguarded, so
 a renamed function would otherwise crash traced benchmark runs.  The test
 reads ``TRACED`` from the shim's source without importing it.
+
+Every entry of the mutation check (``tests/mutants.py``) must still apply:
+its old text occurs exactly once in its module.  The check itself runs for
+minutes, outside the suite; this part of it takes milliseconds.
 """
 
 import ast
@@ -25,6 +29,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import mutants
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bratteli"
@@ -136,3 +142,7 @@ def test_every_traced_callable_exists(module, attr, span):
         assert isinstance(getattr(mod, owner, None), type), "bratteli.%s has no class %s" % (module, owner)
     else:
         assert callable(getattr(mod, attr, None)), "bratteli.%s has no function %s" % (module, attr)
+
+
+def test_every_mutation_check_entry_still_applies():
+    assert mutants.stale_entries() == []

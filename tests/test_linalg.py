@@ -397,18 +397,19 @@ def test_stochastic_rows_read_each_cone_row_once(monkeypatch):
     # counts every row read, checked or not: the height walk reads
     # rows through the unchecked _predecessors
     calls = Counter()
-    original = PascalDiagram._predecessors
+    original = OdometerChainDiagram._predecessors
 
     def counting(self, level, v):
         calls[level, v] += 1
         return original(self, level, v)
 
-    monkeypatch.setattr(PascalDiagram, "_predecessors", counting)
-    d = PascalDiagram("n")
+    monkeypatch.setattr(OdometerChainDiagram, "_predecessors", counting)
+    # column rules leave the odometer chain without a closed form, so its sources take the recursion
+    d = OdometerChainDiagram(2, {1: 3})
     stochastic_rows(d, 6, d.level_vertices(6, 6))
-    # every key of levels 1..6 over coordinates 1..6 is in the cone; level 0 has no row
+    # the cone of 1..6 at level 6 is 1..12-n at level n; level 0 has no row
     assert set(calls.values()) == {1}
-    assert len(calls) == sum(comb(n + 5, 5) for n in range(1, 7))
+    assert set(calls) == {(n, v) for n in range(1, 7) for v in range(1, 13 - n)}
 
 
 def test_count_distance_agrees_with_simplex_distance():
@@ -456,14 +457,14 @@ def test_a_whole_window_of_heights_is_not_checked(row_reads):
 
 def test_stochastic_rows_of_a_window_read_each_row_once_and_check_nothing(row_reads):
     reads, checks = row_reads
-    rows = stochastic_rows(PascalDiagram("n"), 7, bound=8)
+    d = PascalDiagram("n")
+    rows = stochastic_rows(d, 7, bound=8)
     assert len(rows) == 3432
     assert not checks
-    top = {v: n for (level, v), n in reads.items() if level == 7}
-    assert set(top) == set(rows) and set(top.values()) == {1}
-    below = [n for (level, _), n in reads.items() if level < 7]
-    assert set(below) == {1}
-    assert len(below) == sum(comb(n + 7, 7) for n in range(1, 7))
+    # the multinomial closed form gives every source height: only the target rows are read,
+    # and no height is memoized
+    assert reads == Counter({(7, v): 1 for v in rows})
+    assert not d._height_memo
 
 
 def test_a_whole_window_of_heights_reads_each_cone_row_once(row_reads):
@@ -550,6 +551,43 @@ def test_continuity_profile_equals_the_fraction_reference(make, level, bound):
     for v, norm in norms.items():
         row = stochastic_row(ref, level, v)
         assert norm == weighted_row_norm(row, {w: ref.rank(level - 1, w) for w in row})
+
+
+# -- path counts referee the cone rows ------------------------------------------
+# Every height below is a count of enumerated paths (``oracles.path_count``), never a closed form
+# or the recursion, so these tests stay independent of the route ``_weighted_rows`` takes.
+
+PATH_COUNT_WINDOWS = ROW_WINDOWS + [
+    pytest.param(lambda: PascalDiagram(3), 5, None, id="pascal-k"),
+    pytest.param(lambda: BoundedDiagram(1, finite=False), 3, 3, id="bounded-generalized"),
+    pytest.param(lambda: OdometerChainDiagram(3), 4, 5, id="odometer-stationary"),
+    pytest.param(lambda: OdometerChainDiagram(2, {1: 3}), 4, 5, id="odometer-columns"),
+    pytest.param(lambda: build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": 2}),
+                 5, None, id="pascal-edge"),
+]
+
+
+@pytest.mark.parametrize("make, level, bound", PATH_COUNT_WINDOWS)
+def test_stochastic_rows_are_ratios_of_path_counts(make, level, bound):
+    d = make()
+    ref = oracles.path_count_rows(d, level, vertex_window(d, level, bound))
+    rows = stochastic_rows(make(), level, bound=bound)
+    assert list(rows) == list(ref)
+    for v, row in rows.items():
+        weights, hv = ref[v]
+        assert row == {w: Fraction(x, hv) for w, x in weights.items()}
+
+
+@pytest.mark.parametrize("make, level, bound", PATH_COUNT_WINDOWS)
+def test_continuity_norms_are_weighted_ratios_of_path_counts(make, level, bound):
+    d = make()
+    ref = oracles.path_count_rows(d, level, vertex_window(d, level, bound))
+    norms = continuity_profile(make(), level, bound=bound)
+    assert list(norms) == list(ref)
+    for v, norm in norms.items():
+        weights, hv = ref[v]
+        assert norm == sum((Fraction(x, hv * 2 ** d.rank(level - 1, w)) for w, x in weights.items()),
+                           Fraction(0))
 
 
 def test_an_empty_row_has_norm_zero():
