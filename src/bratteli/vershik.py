@@ -23,10 +23,13 @@ tuples and ``PathRep`` stores them as given.  Paths are validated once, at
 the public entry points, where ``validate_path`` also refuses any other
 edge container; the step engine ``_step`` trusts its input, since a step
 maps valid paths to valid paths.  ``_step`` rewrites an edge list in place,
-only the refill below the first non-extremal edge and that edge; refills are
-memoized and an orbit hands each step the scan index the last one found, so
-a step costs amortized O(1) lookups plus the edges it changes.
-``orbit_walk`` steps one live list, so an orbit runs in constant memory.
+only the refill below the first non-extremal edge and that edge.
+``OrderedDiagram`` memoizes what a step reads: the first and last edge into
+each vertex, keyed by level, vertex and side, and each transition, keyed by
+the path's start level, the index and edge rewritten, and the side.  An orbit
+hands each step the scan index the last one found, so a repeated transition
+is one table lookup plus the edges it changes.  ``orbit_walk`` steps one live
+list, so an orbit runs in constant memory.
 
 Extremal paths that no finite prefix-plus-tail can carry (multinomial paths
 whose support grows forever) are handled by ``PascalPathDescriptor``: the
@@ -479,18 +482,46 @@ def make_order(spec) -> EdgeOrder:
     raise DiagramError("cannot interpret %r as an edge order" % (spec,))
 
 
+class _ExtremalEdges(dict):
+    """``(level, vertex)`` -> the first (``end`` 0) or last (``end`` -1) ``(source, slot)`` of
+    that vertex's order, read from ``od.edges_into`` on a miss."""
+
+    def __init__(self, od: OrderedDiagram, end: int):
+        super().__init__()
+        self.od, self.end = od, end
+
+    def __missing__(self, key):
+        got = self[key] = self.od.edges_into(*key)[self.end]
+        return got
+
+
 @dataclass(eq=False)
 class OrderedDiagram:
-    """A diagram together with an edge order; caches the per-vertex orders."""
+    """A diagram together with an edge order, and the memo tables the adic step reads.
+
+    Each table holds a pure function of the ordered diagram, filled on first use, and stores
+    nothing when a lookup raises:
+      ``_cache``     ``(level, vertex)`` -> the vertex's edges in increasing order;
+      ``_extremal``  per side ("min", "max"), ``(level, vertex)`` -> its first or last edge;
+      ``_refills``   ``(level, vertex, side, stop)`` -> the extremal path down to ``stop`` and
+                     the index of its first edge not extremal on the other side;
+      ``_steps``     ``(start, m, edge, side)`` -> the image of ``edge``, the ``m``-th edge of a
+                     path from ``start`` and its first edge not extremal on ``side``: the new
+                     edge, the refill below it and the image's scan index (None: scan on from
+                     ``m + 1``), so a repeated transition is one lookup.
+    """
 
     diagram: Diagram
     order: EdgeOrder
     _cache: dict = field(default_factory=dict, repr=False)
     _refills: dict = field(default_factory=dict, repr=False)
+    _steps: dict = field(default_factory=dict, repr=False)
+    _extremal: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.order = make_order(self.order)
         self.order.check_diagram(self.diagram)
+        self._extremal = {"min": _ExtremalEdges(self, 0), "max": _ExtremalEdges(self, -1)}
 
     def edges_into(self, level: int, v) -> tuple:
         try:
@@ -516,10 +547,9 @@ class OrderedDiagram:
 
 def _first_nonextremal_index(od: OrderedDiagram, level: int, edges: Iterable, side: str, first: int = 0):
     """Index of the first of ``edges[first:]`` not extremal on ``side``; ``edges[0]`` enters ``level + 1``."""
-    edges_into = od.edges_into
-    end = -1 if side == "max" else 0
+    extremal = od._extremal[side]
     for j, (w, v, slot) in enumerate(islice(edges, first, None), first):
-        if edges_into(level + j + 1, v)[end] != (w, slot):
+        if extremal[level + j + 1, v] != (w, slot):
             return j
     return None
 
@@ -533,12 +563,11 @@ def extremal_path_to(od: OrderedDiagram, level: int, vertex, side: str,
     stop = od.diagram.base_level if stop_level is None else stop_level
     if level < stop:
         raise DiagramError("vertex level %d below the stop level %d" % (level, stop))
-    edges_into = od.edges_into
-    end = 0 if side == "min" else -1
+    extremal = od._extremal[side]
     edges = []
     u = vertex
     for lvl in range(level, stop, -1):
-        w, slot = edges_into(lvl, u)[end]
+        w, slot = extremal[lvl, u]
         edges.append((w, u, slot))
         u = w
     return tuple(reversed(edges))
@@ -583,7 +612,8 @@ def _step(od: OrderedDiagram, start: int, edges: list, tail, side: str, m: int |
     """One adic step on the trusted edge list ``edges`` of a path from ``start`` with ``tail``, in place:
     it writes ``edges[:m + 1]`` (after materializing any tail it needs onto the list), and raises a
     refusal before any write.  Returns the new tail and the image's ``m``, the index of its first edge
-    not extremal on ``side`` (None if every prefix edge is); ``m=-1`` makes the step scan for it."""
+    not extremal on ``side`` (None if every prefix edge is); ``m=-1`` makes the step scan for it.
+    The transition of ``edges[m]`` is read from ``od._steps``, and computed and stored on a miss."""
     if m == -1:
         m = _first_nonextremal_index(od, start, edges, side)
     if m is None:
@@ -599,17 +629,24 @@ def _step(od: OrderedDiagram, start: int, edges: list, tail, side: str, m: int |
         grown = materialize(od, path, depth)
         edges += grown.edges[len(edges):]
         tail, m = grown.tail, len(edges) - 1
-    w, v, slot = edges[m]
-    level = start + m + 1
-    seq = od.edges_into(level, v)
-    pos = seq.index((w, slot))
-    new = seq[pos + 1] if side == "max" else seq[pos - 1]
-    refill, nxt = od.refill(level - 1, new[0], "min" if side == "max" else "max", start)
+    key = (start, m, edges[m], side)
+    try:
+        new, refill, nxt = od._steps[key]
+    except KeyError:
+        w, v, slot = edges[m]
+        level = start + m + 1
+        seq = od.edges_into(level, v)
+        pos = seq.index((w, slot))
+        u, u_slot = seq[pos + 1] if side == "max" else seq[pos - 1]
+        refill, nxt = od.refill(level - 1, u, "min" if side == "max" else "max", start)
+        if nxt is None and (u, u_slot) != seq[-1 if side == "max" else 0]:
+            nxt = m  # the refill is extremal on ``side`` too, and the new edge is not
+        new = (u, v, u_slot)
+        od._steps[key] = (new, refill, nxt)
     edges[:m] = refill
-    edges[m] = (new[0], v, new[1])
-    if nxt is None:  # the refill is extremal on ``side`` too: the new edge, else the old suffix, decides
-        extremal = new == seq[-1 if side == "max" else 0]
-        nxt = _first_nonextremal_index(od, start, edges, side, m + 1) if extremal else m
+    edges[m] = new
+    if nxt is None:  # the refill and the new edge are extremal on ``side``: the old suffix decides
+        nxt = _first_nonextremal_index(od, start, edges, side, m + 1)
     return tail, nxt
 
 
@@ -1060,6 +1097,14 @@ def tail_to_json(tail) -> dict:
 _TAIL_KINDS = {t.kind: t for t in (Unspecified, VerticalAt, DiagonalFrom, PascalConcentrating)}
 
 
+def _refuse_unknown_keys(obj: Mapping, allowed: Iterable, what: str) -> None:
+    """Refuse a key of ``obj`` outside ``allowed``, so a misspelt field is never read as absent."""
+    allowed = sorted(allowed)
+    for key in obj:
+        if key not in allowed:
+            raise DiagramError("unknown key %r in %s (allowed: %s)" % (key, what, ", ".join(allowed)))
+
+
 def tail_from_json(obj: Mapping):
     """A tail from its JSON object: integer fields must be integers, a vertex is a vertex."""
     if not isinstance(obj, Mapping):
@@ -1068,6 +1113,7 @@ def tail_from_json(obj: Mapping):
     cls = _TAIL_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DiagramError("unknown tail kind %r" % (kind,))
+    _refuse_unknown_keys(obj, ["kind"] + [f.name for f in fields(cls)], "a %s tail" % kind)
     args = {}
     for f in fields(cls):
         if f.name not in obj:
@@ -1091,6 +1137,7 @@ def path_to_json(path: PathRep) -> dict:
 def path_from_json(obj: Mapping) -> PathRep:
     if not isinstance(obj, Mapping):
         raise DiagramError("a path must be a JSON object {start, edges, tail}, got %r" % (obj,))
+    _refuse_unknown_keys(obj, ("start", "edges", "tail"), "a path")
     if "start" not in obj:
         raise DiagramError("a path needs a 'start' level")
     edges = obj.get("edges", [])
@@ -1116,6 +1163,7 @@ def descriptor_from_json(obj: Mapping) -> PascalPathDescriptor:
     if not isinstance(obj, Mapping) or not {"side", "positions", "values"} <= obj.keys():
         raise DiagramError(
             "a descriptor must be a JSON object with side, positions and values, got %r" % (obj,))
+    _refuse_unknown_keys(obj, ("side", "positions", "values", "position_tail", "value_tail"), "a descriptor")
     tail = obj.get("position_tail") or None
     if any(not isinstance(x, list) for x in (obj["positions"], obj["values"], tail or [])):
         raise DiagramError("a descriptor's positions, values and position_tail must be JSON arrays, "

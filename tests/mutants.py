@@ -5,10 +5,13 @@ Run with the test dependencies installed (pytest, hypothesis, sympy):
     python tests/mutants.py
 
 Each entry of ``MUTANTS`` is one deliberate fault: a name, a module of ``src/bratteli``, the
-exact old text (it must occur there exactly once), the new text, and the test file expected to
-fail.  The script copies ``src`` and ``tests`` into a temporary directory, checks that each named
-test file passes there unmutated, then applies one mutant at a time and runs
-``python -m pytest -x -q`` on its test file.  A mutant whose test file still passes survives.
+exact old text (it must occur there exactly once), the new text, and the tests expected to fail:
+a test file, or one test as ``file::name``.  The script copies ``src``, ``tests``,
+``pyproject.toml`` and ``perfbench/shim.py`` (which ``tests/test_hygiene.py`` reads) into a
+temporary directory, checks that each named target passes there unmutated, then applies one
+mutant at a time and runs ``python -m pytest -x -q`` on its target.  A mutant whose target still
+passes survives.  A hygiene mutant names its test: any mutant fails the whole of
+``tests/test_hygiene.py``, whose stale-entry check no longer finds that mutant's old text.
 
 ``EQUIVALENT`` lists mutants that cannot change any result, each with its proof.  Their old text
 is checked to be present, so the list stays true, but they are never run.
@@ -34,8 +37,9 @@ VERSHIK = "vershik.py"
 TEST_VERSHIK = "test_vershik.py"
 CORE = "core.py"
 TEST_CLI = "test_cli.py"
+REUSED_DIAGRAM = TEST_VERSHIK + "::test_one_ordered_diagram_reused_gives_the_paths_fresh_ones_give"
 
-# (name, module, old text, new text, test file expected to fail)
+# (name, module, old text, new text, test file or test expected to fail)
 MUTANTS = [
     # each order's tail rule, candidate rule and diagram check
     ("ltr-vertical-side-swapped", VERSHIK,
@@ -100,6 +104,14 @@ MUTANTS = [
      'if False:\n            return frozenset({path})\n        raise', TEST_VERSHIK),
     ("scan-tail-asks-the-order-about-an-unspecified-tail", VERSHIK,
      'if isinstance(tail, Unspecified):\n        return ("unknown", None)\n', '', TEST_VERSHIK),
+    # the ordered diagram's memo tables: each key must name everything its entry depends on
+    ("step-key-without-side", VERSHIK,
+     "key = (start, m, edges[m], side)", "key = (start, m, edges[m])", REUSED_DIAGRAM),
+    ("step-key-without-start", VERSHIK,
+     "key = (start, m, edges[m], side)", "key = (m, edges[m], side)", REUSED_DIAGRAM),
+    ("extremal-table-shared-by-both-sides", VERSHIK,
+     'self._extremal = {"min": _ExtremalEdges(self, 0), "max": _ExtremalEdges(self, -1)}',
+     'self._extremal = dict.fromkeys(("min", "max"), _ExtremalEdges(self, 0))', REUSED_DIAGRAM),
     # closed forms and constants the limit and series verdicts rely on
     ("binfty-tail-from-exponent-off-by-one", "measures.py",
      "return x ** (j_from - 1) / (a + 1) ** (n - 1)", "return x ** j_from / (a + 1) ** (n - 1)",
@@ -154,6 +166,9 @@ MUTANTS = [
     ("csv-accepts-precision", "cli.py",
      'if fmt == "csv":\n            raise DiagramError("--precision has no CSV form',
      'if False:\n            raise DiagramError("--precision has no CSV form', TEST_CLI),
+    # a renamed traced callable would crash traced benchmark runs
+    ("traced-callable-renamed", "linalg.py", "def simplex_distance(", "def _simplex_distance(",
+     "test_hygiene.py::test_every_traced_callable_exists"),
 ]
 
 # (name, module, old text, new text, why no test can tell the mutant apart)
@@ -176,7 +191,8 @@ EQUIVALENT = [
 
 
 def run_tests(tree: Path, test: str) -> bool:
-    """Whether ``tests/<test>`` passes in ``tree``; a run past the timeout counts as a failure."""
+    """Whether ``tests/<test>`` (a file or ``file::name``) passes in ``tree``; a run past the
+    timeout counts as a failure."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", str(tree / "tests" / test)]
     try:
@@ -205,6 +221,8 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree)
+        (tree / "perfbench").mkdir()
+        shutil.copy(ROOT / "perfbench" / "shim.py", tree / "perfbench")
         failing = [test for test in sorted({m[4] for m in MUTANTS}) if not run_tests(tree, test)]
         for test in failing:
             print("unmutated tests fail: %s" % test)

@@ -178,6 +178,32 @@ def test_a_malformed_descriptor_is_a_domain_error(descriptor, capsys):
     assert_domain_error(["classify", "--descriptor", descriptor], capsys)
 
 
+_MISSPELT_PATH = '{"start":1,"edgse":[[1,2,1]],"tail":{"kind":"vertical","vertex":1,"slto":"last"}}'
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["vershik", "--family", "binfty", "--path", _MISSPELT_PATH], "edgse"),
+    (["vershik", "--family", "binfty", "--path",
+      '{"start":1,"edges":[[1,2,1]],"tail":{"kind":"vertical","vertex":2,"slto":"last"}}'], "slto"),
+    (["orbit", "--family", "binfty", "--steps", "3", "--path",
+      '{"start":1,"edges":[[1,2,1]],"tail":{"kind":"diagonal","vertex":2,"slot":"last"}}'], "slot"),
+    (["classify", "--family", "binfty", "--path",
+      '{"start":1,"edges":[[1,2,1]],"tail":{"kind":"unspecified","vertex":2}}'], "vertex"),
+    (["classify", "--family", "binfty", "--path", '{"start":1,"edges":[[1,2,1]],"tial":{}}'], "tial"),
+    (["classify", "--descriptor", '{"side":"max","positions":[0],"values":[null],"value_tial":1}'],
+     "value_tial"),
+], ids=["path-key", "vertical-tail-key", "field-of-another-tail-kind", "unspecified-tail-key",
+        "misspelt-tail", "descriptor-key"])
+def test_an_unknown_key_in_a_path_or_descriptor_is_refused_by_name(argv, key, capsys):
+    # the first path was read as an empty prefix with a first-slot tail: "the path is maximal"
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key %r in " % key)
+    assert "Traceback" not in err
+
+
 # vertex 1 at level 2 keeps no source: its height would be 0, and stochastic rows divide by it
 KEPT_VERTEX_WITHOUT_SOURCE = {"family": "binfty", "sub": {"kind": "vertex", "rule": "explicit",
                                                           "levels": {"1": [2], "2": [1], "3": [1]}}}

@@ -1097,20 +1097,91 @@ def test_validate_path_refuses_edges_that_are_not_tuples():
             orbit(od, path, 3)
 
 
-def test_the_binfty_benchmark_orbit_looks_up_each_step_order_a_bounded_number_of_times(monkeypatch):
+def _count_edges_into(monkeypatch):
     calls = []
     inner = OrderedDiagram.edges_into
 
     def counted(self, level, v):
-        calls.append(level)
+        calls.append((level, v))
         return inner(self, level, v)
 
     monkeypatch.setattr(OrderedDiagram, "edges_into", counted)
+    return calls
+
+
+def test_the_binfty_benchmark_orbit_looks_up_each_step_order_a_bounded_number_of_times(monkeypatch):
+    calls = _count_edges_into(monkeypatch)
     od = OrderedDiagram(BinftyDiagram(), "left-to-right")
     start = PathRep(1, ((1, 1, 1),) * 14 + ((1, 7, 1),))  # the benchmark's minimal path to 7
     result = orbit(od, start, 8000, visit_level=8)
     assert len(result.paths) == 8001
-    assert 0 < len(calls) <= 15204  # about 2 lookups per step: refills are memoized, scans resume
+    # one lookup per vertex order, extremal edge and step transition the orbit meets, never per step:
+    # 15,204 while only refills were memoized
+    assert len(calls) == 298
+
+
+def _walk_back(od, path, steps):
+    """``path`` and its first ``steps`` adic predecessors."""
+    paths = [path]
+    for _ in range(steps):
+        paths.append(vershik_inverse(od, paths[-1]))
+    return paths
+
+
+# (diagram, order, top vertex, ((start, top level), (start, top level))).  The alternating order
+# reverses the order into every even level, so one edge at one index of paths from starts of
+# opposite parity enters levels of opposite parity and has different images.
+REUSE_CASES = {
+    "binfty-alternating": (BinftyDiagram, "alternating", 4, ((1, 9), (2, 10))),
+    "odometer-column-alternating": (lambda: odometer_column(2), "alternating", 1, ((0, 12), (1, 13))),
+    "pascal-n-natural": (lambda: PascalDiagram("n"), "natural", key((1, 3), (2, 3), (3, 3)), ((0, 9), (3, 9))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_one_ordered_diagram_reused_gives_the_paths_fresh_ones_give(case):
+    make, order, v, starts = REUSE_CASES[case]
+    reused = OrderedDiagram(make(), order)
+    for start, top in starts:
+        path = PathRep(start, extremal_path_to(OrderedDiagram(make(), order), top, v, "min", start))
+        forward = orbit(reused, path, 60).paths
+        assert forward == orbit(OrderedDiagram(make(), order), path, 60).paths
+        assert len(set(forward)) == 61
+        back = _walk_back(reused, forward[-1], 60)
+        assert back == _walk_back(OrderedDiagram(make(), order), forward[-1], 60)
+        assert back == forward[::-1]
+    assert {k[0] for k in reused._steps} == {start for start, _ in starts}
+    assert {k[3] for k in reused._steps} == {"max", "min"}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_a_repeated_orbit_adds_no_table_entries_and_reads_no_order(case, monkeypatch):
+    od, start = _minimal_start(*ORBIT_CASES[case])
+    tables = (od._cache, od._refills, od._steps, od._extremal["min"], od._extremal["max"])
+    first = orbit(od, start, 500).paths
+    sizes = [len(t) for t in tables]
+    assert all(sizes)
+    calls = _count_edges_into(monkeypatch)
+    assert orbit(od, start, 500).paths == first
+    assert [len(t) for t in tables] == sizes
+    assert calls == []
+
+
+def test_a_failed_lookup_stores_no_table_entry():
+    def rule(diagram, level, v):
+        if (level, v) == (2, 2):
+            raise DiagramError("no order into vertex 2 at level 2")
+        return [(w, 1) for w in range(1, v + 1)]
+
+    od = OrderedDiagram(BinftyDiagram(), rule)
+    path = PathRep(1, ((1, 1, 1), (1, 2, 1), (2, 2, 1)))  # its step refills down from vertex 2 at level 2
+    walk = orbit_walk(od, path, 3)
+    edges, _ = next(walk)
+    with pytest.raises(DiagramError, match="no order into vertex 2 at level 2") as info:
+        next(walk)
+    assert info.value.step_index == 0 and edges == list(path.edges)
+    assert (2, 2) not in od._cache and (2, 2) not in od._extremal["min"]
+    assert od._refills == {} and od._steps == {}
 
 
 def _count_predecessor_calls(monkeypatch, diagram):
