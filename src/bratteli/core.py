@@ -18,6 +18,10 @@ level and vertex.  ``_predecessors`` reads rows unchecked, for callers that
 validated a vertex once and descend from it (``linalg.heights``,
 ``limits.product_row``, a subdiagram reading its ambient rows): a
 predecessor of a vertex is a vertex.
+
+A spec is read through ``_FAMILY_TABLE`` (family -> its ``params`` keys and
+builder) and ``_SUB_RULES`` (subdiagram kind -> rule -> fields), refusing
+other keys; its truncation bound is the described diagram's ``truncation_bound``.
 """
 from __future__ import annotations
 
@@ -27,18 +31,6 @@ from itertools import accumulate, chain
 from math import comb
 from operator import sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-FAMILIES = (
-    "pascal-n",
-    "pascal-z",
-    "pascal-k",
-    "binfty",
-    "bounded-finite",
-    "bounded-generalized",
-    "odometer-io",
-    "custom",
-)
-
 
 class DiagramError(ValueError):
     """Invalid diagram specification or out-of-domain request."""
@@ -182,9 +174,9 @@ class Diagram:
     family: str = "abstract"
     base_level: int = 0
     integer_keys: bool = True
+    truncation_bound: int | None = None
 
-    def __init__(self, params: Mapping | None = None):
-        self.params = dict(params or {})
+    def __init__(self):
         self._height_memo: dict[int, dict] = {}
 
     # -- structure ---------------------------------------------------------
@@ -258,7 +250,7 @@ class PascalDiagram(Diagram):
             self.family = "pascal-z"
         else:
             self.family = "pascal-k"
-        super().__init__({"coords": coords})
+        super().__init__()
 
     @property
     def signed(self) -> bool:
@@ -339,9 +331,6 @@ class BinftyDiagram(Diagram):
     family = "binfty"
     base_level = 1
 
-    def __init__(self):
-        super().__init__()
-
     def _predecessors(self, level: int, v) -> dict:
         return {w: 1 for w in range(1, v + 1)}
 
@@ -382,7 +371,7 @@ class BoundedDiagram(Diagram):
         self.k = k
         self.finite = finite
         self.family = "bounded-finite" if finite else "bounded-generalized"
-        super().__init__({"k": k})
+        super().__init__()
 
     def _predecessors(self, level: int, v) -> dict:
         lo, hi = v - self.k, v + self.k
@@ -472,7 +461,7 @@ class OdometerChainDiagram(Diagram):
         self._default_rule = _parse_entry_rule(a)
         self._column_rules = {as_int(i, "an odometer column"): _parse_entry_rule(r)
                               for i, r in _object(columns or {}, "odometer columns").items()}
-        super().__init__({"a": a, "columns": dict(columns or {})})
+        super().__init__()
 
     def entry(self, level: int, column: int) -> int:
         """a_level(column): the vertical multiplicity between levels level, level+1."""
@@ -564,7 +553,7 @@ class CustomDiagram(Diagram):
                 if stray:
                     raise DiagramError("custom row of %r at level %d names %r, which is not "
                                        "a vertex of level %d" % (v, n, stray[0], n - 1))
-        super().__init__({"base_level": base_level})
+        super().__init__()
 
     def predecessors(self, level: int, v) -> dict:
         # level only: a vertex beyond the declared data is a missing row
@@ -613,6 +602,11 @@ class CustomDiagram(Diagram):
         return self._levels[level].index(v) + 1
 
 
+#: subdiagram kind -> rule -> the fields its spec holds besides ``kind`` and ``rule``
+_SUB_RULES = {"vertex": {"staircase": ("k",), "constant": ("vertex",), "explicit": ("levels",)},
+              "edge": {"pascal": ("k",), "explicit": ("seed", "retained")}}
+
+
 class Subdiagram(Diagram):
     """A vertex or edge subdiagram, itself usable as a diagram.
 
@@ -628,16 +622,20 @@ class Subdiagram(Diagram):
     ambient diagram when the subdiagram is built, at every declared level.
     """
 
-    def __init__(self, ambient: Diagram, kind: str, spec: Mapping):
-        if kind not in ("vertex", "edge"):
+    def __init__(self, ambient: Diagram, spec: Mapping):
+        kind, rule = spec.get("kind"), spec.get("rule")
+        rules = _SUB_RULES.get(kind) if isinstance(kind, str) else None
+        if rules is None:
             raise DiagramError("subdiagram kind must be 'vertex' or 'edge'")
+        fields = rules.get(rule) if isinstance(rule, str) else None
+        if fields is None:
+            raise DiagramError("unknown %s subdiagram rule: %r" % (kind, rule))
+        refuse_unknown_keys(spec, ("kind", "rule") + fields, "a subdiagram of kind %s, rule %s" % (kind, rule))
         self.ambient = ambient
-        self.kind = kind
-        self.spec = dict(spec)
+        self.kind, self.rule = kind, rule
         self.base_level = ambient.base_level
         self.integer_keys = ambient.integer_keys
         self.family = "%s-sub-%s" % (ambient.family, kind)
-        rule = spec.get("rule")
         if kind == "vertex":
             if rule == "staircase":
                 if ambient.family != "binfty":
@@ -652,7 +650,7 @@ class Subdiagram(Diagram):
                 if not ambient.level_contains(ambient.base_level, vtx):
                     raise DiagramError("constant subdiagram vertex %r not in the diagram" % (vtx,))
                 self._level_set = lambda n: (vtx,)
-            elif rule == "explicit":
+            else:
                 levels = _levels(_spec_field(spec, "levels", "an explicit subdiagram"))
                 if any(len(vs) == 0 for vs in levels.values()):
                     raise DiagramError("vertex subdiagram levels must be nonempty")
@@ -670,8 +668,6 @@ class Subdiagram(Diagram):
                     return levels[n]
 
                 self._level_set = lookup
-            else:
-                raise DiagramError("unknown vertex subdiagram rule: %r" % (rule,))
         else:
             if rule == "pascal":
                 if ambient.family != "binfty":
@@ -684,7 +680,7 @@ class Subdiagram(Diagram):
                 self._retained = lambda n, v: {
                     w: 1 for w in (v - 1, v) if ambient.level_contains(n - 1, w)
                 }
-            elif rule == "explicit":
+            else:
                 retained = _rows(_spec_field(spec, "retained", "an explicit edge subdiagram"))
                 seeds = _list(_spec_field(spec, "seed", "an explicit edge subdiagram"), "an explicit seed")
                 seeds = tuple(map(vertex_from_json, seeds))
@@ -721,9 +717,7 @@ class Subdiagram(Diagram):
 
                 self._level_set = level_set
                 self._retained = lambda n, v: dict(retained.get(n, {}).get(v, {}))
-            else:
-                raise DiagramError("unknown edge subdiagram rule: %r" % (rule,))
-        super().__init__(spec)
+        super().__init__()
 
     # -- Diagram interface --------------------------------------------------
 
@@ -756,14 +750,14 @@ class Subdiagram(Diagram):
         return self.ambient.rank(level, v)
 
     def closed_form_height(self, level: int, v):
-        if self.kind == "vertex" and self.spec.get("rule") == "staircase":
+        if self.rule == "staircase":
             n = level
             if v == self.k:
                 return 1
             a = self.ambient.closed_form_height(n, v - self.k + 1)
             b = self.ambient.closed_form_height(n + 1, v - self.k)
             return a - b
-        if self.kind == "edge" and self.spec.get("rule") == "pascal":
+        if self.rule == "pascal":
             return comb(level - self.base_level, v - self.k)
         return None
 
@@ -793,47 +787,59 @@ class Subdiagram(Diagram):
         return out
 
 
+def _odometer_from_params(params: Mapping) -> OdometerChainDiagram:
+    if "a" not in params:
+        raise DiagramError("odometer-io needs an entry rule 'a'")
+    return OdometerChainDiagram(params["a"], params.get("columns"))
+
+
+def _custom_from_params(params: Mapping) -> CustomDiagram:
+    levels = _levels(_spec_field(params, "levels", "a custom spec"))
+    rows = _rows(_spec_field(params, "rows", "a custom spec"))
+    base = as_int(params.get("base_level", 0), "base_level")
+    for n, level_rows in rows.items():  # every vertex above the base has an incoming edge
+        empty = [v for v, srcs in level_rows.items() if not srcs]
+        if n > base and empty:
+            raise DiagramError("custom row of %r at level %d is empty" % (empty[0], n))
+    return CustomDiagram(levels, rows, base_level=base)
+
+
+#: family -> (the keys its spec's ``params`` may hold, the builder reading them), in ``FAMILIES`` order
+_FAMILY_TABLE = {
+    "pascal-n": ((), lambda p: PascalDiagram("n")),
+    "pascal-z": ((), lambda p: PascalDiagram("z")),
+    "pascal-k": (("k",), lambda p: PascalDiagram(as_int(p.get("k", 0), "k"))),
+    "binfty": ((), lambda p: BinftyDiagram()),
+    "bounded-finite": (("k",), lambda p: BoundedDiagram(as_int(p.get("k", 0), "k"), finite=True)),
+    "bounded-generalized": (("k",), lambda p: BoundedDiagram(as_int(p.get("k", 0), "k"), finite=False)),
+    "odometer-io": (("a", "columns"), _odometer_from_params),
+    "custom": (("levels", "rows", "base_level"), _custom_from_params),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
 def build_diagram(spec) -> Diagram:
     """Build a diagram from a spec mapping or its JSON text: family, params,
-    an optional truncation and an optional ``sub`` block (see ``build_subdiagram``)."""
+    an optional truncation and an optional ``sub`` block (see ``build_subdiagram``).
+    The truncation bound applies to the diagram described, ``sub`` included; unknown keys are refused."""
     spec = _object(read_json(spec, "a diagram spec") if isinstance(spec, str) else spec, "a diagram spec")
+    refuse_unknown_keys(spec, ("family", "params", "truncation", "sub"), "a diagram spec")
     family = spec.get("family")
     params = _object(spec.get("params", {}), "a spec's params")
-    if family == "pascal-n":
-        d = PascalDiagram("n")
-    elif family == "pascal-z":
-        d = PascalDiagram("z")
-    elif family == "pascal-k":
-        d = PascalDiagram(as_int(params.get("k", 0), "k"))
-    elif family == "binfty":
-        d = BinftyDiagram()
-    elif family == "bounded-finite":
-        d = BoundedDiagram(as_int(params.get("k", 0), "k"), finite=True)
-    elif family == "bounded-generalized":
-        d = BoundedDiagram(as_int(params.get("k", 0), "k"), finite=False)
-    elif family == "odometer-io":
-        if "a" not in params:
-            raise DiagramError("odometer-io needs an entry rule 'a'")
-        d = OdometerChainDiagram(params["a"], params.get("columns"))
-    elif family == "custom":
-        levels = _levels(_spec_field(params, "levels", "a custom spec"))
-        rows = _rows(_spec_field(params, "rows", "a custom spec"))
-        base = as_int(params.get("base_level", 0), "base_level")
-        for n, level_rows in rows.items():  # every vertex above the base has an incoming edge
-            empty = [v for v, srcs in level_rows.items() if not srcs]
-            if n > base and empty:
-                raise DiagramError("custom row of %r at level %d is empty" % (empty[0], n))
-        d = CustomDiagram(levels, rows, base_level=base)
-    else:
+    if family not in FAMILIES:  # a tuple, so an unhashable family is compared, not hashed
         raise DiagramError("unknown family %r (expected one of %s)" % (family, ", ".join(FAMILIES)))
-    trunc = spec.get("truncation")
+    keys, build = _FAMILY_TABLE[family]
+    refuse_unknown_keys(params, keys, "the params of family %s" % family)
+    d = build(params)
+    trunc, bound = spec.get("truncation"), None
     if trunc:
         trunc = _object(trunc, "a spec's truncation")
+        refuse_unknown_keys(trunc, ("bound",), "a spec's truncation")
         if trunc.get("bound") is not None:
-            trunc["bound"] = as_int(trunc["bound"], "a truncation bound")
-        d.params["truncation"] = trunc
+            bound = as_int(trunc["bound"], "a truncation bound")
     if spec.get("sub"):
         d = build_subdiagram(d, spec["sub"])
+    d.truncation_bound = bound
     return d
 
 
@@ -856,6 +862,14 @@ def read_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramError("malformed JSON in %s: %s" % (what, exc)) from None
+
+
+def refuse_unknown_keys(obj: Mapping, allowed: Iterable, what: str) -> None:
+    """Refuse a key of ``obj`` outside ``allowed``, so a misspelt field is never read as absent."""
+    allowed = sorted(allowed)
+    for key in obj:
+        if key not in allowed:
+            raise DiagramError("unknown key %r in %s (allowed: %s)" % (key, what, ", ".join(allowed) or "none"))
 
 
 def _spec_field(spec: Mapping, name: str, what: str):
@@ -935,10 +949,7 @@ def vertex_from_text(v):
 def vertex_window(diagram: Diagram, level: int, bound: int | None = None) -> tuple:
     """The level's vertices in rank order, cut by ``bound`` or else by the spec's truncation bound."""
     diagram.check_level(level)
-    if bound is None:
-        trunc = diagram.params.get("truncation") or {}
-        bound = trunc.get("bound")
-    return diagram.level_vertices(level, bound)
+    return diagram.level_vertices(level, diagram.truncation_bound if bound is None else bound)
 
 
 def build_subdiagram(diagram: Diagram, spec: Mapping) -> Subdiagram:
@@ -951,6 +962,4 @@ def build_subdiagram(diagram: Diagram, spec: Mapping) -> Subdiagram:
                   {"kind": "edge", "rule": "explicit", "seed": [...], "retained": {...}}
     """
     spec = _object(read_json(spec, "a subdiagram spec") if isinstance(spec, str) else spec, "a subdiagram spec")
-    kind = spec.get("kind")
-    body = {k: v for k, v in spec.items() if k != "kind"}
-    return Subdiagram(diagram, kind, body)
+    return Subdiagram(diagram, spec)

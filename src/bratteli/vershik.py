@@ -24,12 +24,12 @@ the public entry points, where ``validate_path`` also refuses any other
 edge container; the step engine ``_step`` trusts its input, since a step
 maps valid paths to valid paths.  ``_step`` rewrites an edge list in place,
 only the refill below the first non-extremal edge and that edge.
-``OrderedDiagram`` memoizes what a step reads: the first and last edge into
-each vertex, keyed by level, vertex and side, and each transition, keyed by
-the path's start level, the index and edge rewritten, and the side.  An orbit
-hands each step the scan index the last one found, so a repeated transition
-is one table lookup plus the edges it changes.  ``orbit_walk`` steps one live
-list, so an orbit runs in constant memory.
+``OrderedDiagram`` memoizes what a step reads: the order of the edges into
+each vertex, whose first and last entries are its extremal edges, and each
+transition, keyed by the path's start level, the index and edge rewritten,
+and the side.  An orbit hands each step the scan index the last one found,
+so a repeated transition is one table lookup plus the edges it changes.
+``orbit_walk`` steps one live list, so an orbit runs in constant memory.
 
 Extremal paths that no finite prefix-plus-tail can carry (multinomial paths
 whose support grows forever) are handled by ``PascalPathDescriptor``: the
@@ -56,6 +56,7 @@ from .core import (
     TruncationIncompleteError,
     as_int,
     key_add,
+    refuse_unknown_keys,
     support_key,
     vertex_from_json,
 )
@@ -256,11 +257,10 @@ def _family_kind(diagram: Diagram) -> str:
         return "pascal"
     if isinstance(diagram, BinftyDiagram):
         return "binfty"
-    if isinstance(diagram, Subdiagram) and diagram.kind == "vertex":
-        rule = diagram.spec.get("rule")
-        if rule == "staircase":
+    if isinstance(diagram, Subdiagram):
+        if diagram.rule == "staircase":
             return "staircase"
-        if rule == "constant":
+        if diagram.rule == "constant":
             if isinstance(diagram.ambient, OdometerChainDiagram):
                 return "column-odometer"
             if isinstance(diagram.ambient, BinftyDiagram):
@@ -482,16 +482,16 @@ def make_order(spec) -> EdgeOrder:
     raise DiagramError("cannot interpret %r as an edge order" % (spec,))
 
 
-class _ExtremalEdges(dict):
-    """``(level, vertex)`` -> the first (``end`` 0) or last (``end`` -1) ``(source, slot)`` of
-    that vertex's order, read from ``od.edges_into`` on a miss."""
+class _OrderTable(dict):
+    """``(level, vertex)`` -> the vertex's ``(source, slot)`` edges in increasing order, read
+    from the order on a miss."""
 
-    def __init__(self, od: OrderedDiagram, end: int):
+    def __init__(self, diagram: Diagram, order: EdgeOrder):
         super().__init__()
-        self.od, self.end = od, end
+        self.diagram, self.order = diagram, order
 
     def __missing__(self, key):
-        got = self[key] = self.od.edges_into(*key)[self.end]
+        got = self[key] = self.order.edges_into(self.diagram, *key)
         return got
 
 
@@ -501,8 +501,8 @@ class OrderedDiagram:
 
     Each table holds a pure function of the ordered diagram, filled on first use, and stores
     nothing when a lookup raises:
-      ``_cache``     ``(level, vertex)`` -> the vertex's edges in increasing order;
-      ``_extremal``  per side ("min", "max"), ``(level, vertex)`` -> its first or last edge;
+      ``_cache``     ``(level, vertex)`` -> the vertex's edges in increasing order, so its
+                     first and last entries are its minimal and maximal edges;
       ``_refills``   ``(level, vertex, side, stop)`` -> the extremal path down to ``stop`` and
                      the index of its first edge not extremal on the other side;
       ``_steps``     ``(start, m, edge, side)`` -> the image of ``edge``, the ``m``-th edge of a
@@ -513,22 +513,17 @@ class OrderedDiagram:
 
     diagram: Diagram
     order: EdgeOrder
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(init=False, repr=False)
     _refills: dict = field(default_factory=dict, repr=False)
     _steps: dict = field(default_factory=dict, repr=False)
-    _extremal: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.order = make_order(self.order)
         self.order.check_diagram(self.diagram)
-        self._extremal = {"min": _ExtremalEdges(self, 0), "max": _ExtremalEdges(self, -1)}
+        self._cache = _OrderTable(self.diagram, self.order)
 
     def edges_into(self, level: int, v) -> tuple:
-        try:
-            return self._cache[level, v]
-        except KeyError:
-            got = self._cache[level, v] = self.order.edges_into(self.diagram, level, v)
-            return got
+        return self._cache[level, v]
 
     def refill(self, level: int, v, side: str, stop: int) -> tuple:
         """Memoized ``extremal_path_to`` and the index of its first edge not extremal on the other side."""
@@ -547,9 +542,9 @@ class OrderedDiagram:
 
 def _first_nonextremal_index(od: OrderedDiagram, level: int, edges: Iterable, side: str, first: int = 0):
     """Index of the first of ``edges[first:]`` not extremal on ``side``; ``edges[0]`` enters ``level + 1``."""
-    extremal = od._extremal[side]
+    order, end = od._cache, 0 if side == "min" else -1
     for j, (w, v, slot) in enumerate(islice(edges, first, None), first):
-        if extremal[level + j + 1, v] != (w, slot):
+        if order[level + j + 1, v][end] != (w, slot):
             return j
     return None
 
@@ -563,11 +558,11 @@ def extremal_path_to(od: OrderedDiagram, level: int, vertex, side: str,
     stop = od.diagram.base_level if stop_level is None else stop_level
     if level < stop:
         raise DiagramError("vertex level %d below the stop level %d" % (level, stop))
-    extremal = od._extremal[side]
+    order, end = od._cache, 0 if side == "min" else -1
     edges = []
     u = vertex
     for lvl in range(level, stop, -1):
-        w, slot = extremal[lvl, u]
+        w, slot = order[lvl, u][end]
         edges.append((w, u, slot))
         u = w
     return tuple(reversed(edges))
@@ -1097,14 +1092,6 @@ def tail_to_json(tail) -> dict:
 _TAIL_KINDS = {t.kind: t for t in (Unspecified, VerticalAt, DiagonalFrom, PascalConcentrating)}
 
 
-def _refuse_unknown_keys(obj: Mapping, allowed: Iterable, what: str) -> None:
-    """Refuse a key of ``obj`` outside ``allowed``, so a misspelt field is never read as absent."""
-    allowed = sorted(allowed)
-    for key in obj:
-        if key not in allowed:
-            raise DiagramError("unknown key %r in %s (allowed: %s)" % (key, what, ", ".join(allowed)))
-
-
 def tail_from_json(obj: Mapping):
     """A tail from its JSON object: integer fields must be integers, a vertex is a vertex."""
     if not isinstance(obj, Mapping):
@@ -1113,7 +1100,7 @@ def tail_from_json(obj: Mapping):
     cls = _TAIL_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DiagramError("unknown tail kind %r" % (kind,))
-    _refuse_unknown_keys(obj, ["kind"] + [f.name for f in fields(cls)], "a %s tail" % kind)
+    refuse_unknown_keys(obj, ["kind"] + [f.name for f in fields(cls)], "a %s tail" % kind)
     args = {}
     for f in fields(cls):
         if f.name not in obj:
@@ -1137,7 +1124,7 @@ def path_to_json(path: PathRep) -> dict:
 def path_from_json(obj: Mapping) -> PathRep:
     if not isinstance(obj, Mapping):
         raise DiagramError("a path must be a JSON object {start, edges, tail}, got %r" % (obj,))
-    _refuse_unknown_keys(obj, ("start", "edges", "tail"), "a path")
+    refuse_unknown_keys(obj, ("start", "edges", "tail"), "a path")
     if "start" not in obj:
         raise DiagramError("a path needs a 'start' level")
     edges = obj.get("edges", [])
@@ -1163,7 +1150,7 @@ def descriptor_from_json(obj: Mapping) -> PascalPathDescriptor:
     if not isinstance(obj, Mapping) or not {"side", "positions", "values"} <= obj.keys():
         raise DiagramError(
             "a descriptor must be a JSON object with side, positions and values, got %r" % (obj,))
-    _refuse_unknown_keys(obj, ("side", "positions", "values", "position_tail", "value_tail"), "a descriptor")
+    refuse_unknown_keys(obj, ("side", "positions", "values", "position_tail", "value_tail"), "a descriptor")
     tail = obj.get("position_tail") or None
     if any(not isinstance(x, list) for x in (obj["positions"], obj["values"], tail or [])):
         raise DiagramError("a descriptor's positions, values and position_tail must be JSON arrays, "

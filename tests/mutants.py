@@ -38,6 +38,7 @@ TEST_VERSHIK = "test_vershik.py"
 CORE = "core.py"
 TEST_CLI = "test_cli.py"
 REUSED_DIAGRAM = TEST_VERSHIK + "::test_one_ordered_diagram_reused_gives_the_paths_fresh_ones_give"
+READ_ONCE_LIMIT = "test_limits.py::test_a_recursion_limit_reads_each_cone_row_once"
 
 # (name, module, old text, new text, test file or test expected to fail)
 MUTANTS = [
@@ -109,9 +110,25 @@ MUTANTS = [
      "key = (start, m, edges[m], side)", "key = (start, m, edges[m])", REUSED_DIAGRAM),
     ("step-key-without-start", VERSHIK,
      "key = (start, m, edges[m], side)", "key = (m, edges[m], side)", REUSED_DIAGRAM),
-    ("extremal-table-shared-by-both-sides", VERSHIK,
-     'self._extremal = {"min": _ExtremalEdges(self, 0), "max": _ExtremalEdges(self, -1)}',
-     'self._extremal = dict.fromkeys(("min", "max"), _ExtremalEdges(self, 0))', REUSED_DIAGRAM),
+    # the extremal edges are the first and last entries of the order table
+    ("scan-reads-first-and-last-entries-swapped", VERSHIK,
+     'order, end = od._cache, 0 if side == "min" else -1\n    for j,',
+     'order, end = od._cache, -1 if side == "min" else 0\n    for j,', REUSED_DIAGRAM),
+    ("refill-reads-first-and-last-entries-swapped", VERSHIK,
+     'order, end = od._cache, 0 if side == "min" else -1\n    edges = []',
+     'order, end = od._cache, -1 if side == "min" else 0\n    edges = []', REUSED_DIAGRAM),
+    # a spec's truncation bound belongs to the diagram the spec describes, its sub block included
+    ("truncation-bound-set-on-the-ambient", CORE,
+     '    if spec.get("sub"):\n        d = build_subdiagram(d, spec["sub"])\n    d.truncation_bound = bound\n',
+     '    d.truncation_bound = bound\n    if spec.get("sub"):\n        d = build_subdiagram(d, spec["sub"])\n',
+     "test_core.py::test_a_truncation_bound_applies_to_the_spec_sub_block"),
+    # the memos that keep a cone row from being read twice
+    ("cone-walk-ignores-the-memo", "linalg.py",
+     "        if held:\n            keys = list(filterfalse(held.__contains__, src))",
+     "        if False:\n            keys = list(filterfalse(held.__contains__, src))", READ_ONCE_LIMIT),
+    ("limit-along-memo-per-iterate", "limits.py",
+     "_path_counts(diagram, n, m, v, method, recursion)",
+     "_path_counts(diagram, n, m, v, method, partial(_memo_product_row, memo={}))", READ_ONCE_LIMIT),
     # closed forms and constants the limit and series verdicts rely on
     ("binfty-tail-from-exponent-off-by-one", "measures.py",
      "return x ** (j_from - 1) / (a + 1) ** (n - 1)", "return x ** j_from / (a + 1) ** (n - 1)",
@@ -166,8 +183,10 @@ MUTANTS = [
     ("csv-accepts-precision", "cli.py",
      'if fmt == "csv":\n            raise DiagramError("--precision has no CSV form',
      'if False:\n            raise DiagramError("--precision has no CSV form', TEST_CLI),
-    # a renamed traced callable would crash traced benchmark runs
+    # a renamed traced function would crash traced benchmark runs, and a renamed method would trace nothing
     ("traced-callable-renamed", "linalg.py", "def simplex_distance(", "def _simplex_distance(",
+     "test_hygiene.py::test_every_traced_callable_exists"),
+    ("traced-method-renamed", CORE, "def outside_predecessors(", "def _outside_predecessors(",
      "test_hygiene.py::test_every_traced_callable_exists"),
 ]
 

@@ -204,6 +204,40 @@ def test_an_unknown_key_in_a_path_or_descriptor_is_refused_by_name(argv, key, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, key, where", [
+    ({"family": "binfty", "truncaton": {"bound": 2}}, "truncaton", "a diagram spec"),
+    ({"family": "binfty", "truncation": {"bond": 2}}, "bond", "a spec's truncation"),
+    ({"family": "binfty", "params": {"k": 2}}, "k", "the params of family binfty"),
+    ({"family": "pascal-k", "params": {"k": 2, "coords": 3}}, "coords", "the params of family pascal-k"),
+    ({"family": "odometer-io", "params": {"a": 2, "column": {"1": 3}}}, "column",
+     "the params of family odometer-io"),
+    ({"family": "custom", "params": {"levels": {"0": [1]}, "rows": {}, "base": 0}}, "base",
+     "the params of family custom"),
+    ({"family": "binfty", "sub": {"kind": "vertex", "rule": "staircase", "k": 2, "vertex": 3}}, "vertex",
+     "a subdiagram of kind vertex, rule staircase"),
+    ({"family": "binfty", "sub": {"kind": "edge", "rule": "explicit", "seed": [1], "retained": {},
+                                  "levels": {}}}, "levels", "a subdiagram of kind edge, rule explicit"),
+], ids=["spec-key", "truncation-key", "params-of-a-family-without-params", "pascal-k-params-key",
+        "odometer-params-key", "custom-params-key", "staircase-sub-key", "explicit-edge-sub-key"])
+def test_an_unknown_key_in_a_spec_file_is_refused_by_name(spec, key, where, tmp_path, capsys):
+    # the first spec was read as an untruncated binfty diagram, and printed every height
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as info:
+        main(["heights", "--spec", str(path), "--level", "4", "--window", "3"])
+    assert info.value.code == 1
+    assert capsys.readouterr().err.startswith("error: unknown key %r in %s (allowed: " % (key, where))
+
+
+def test_a_truncation_bound_cuts_the_subdiagram_the_spec_describes(tmp_path):
+    # the bound was stored on the ambient binfty diagram, so the staircase printed four heights
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "binfty", "truncation": {"bound": 2},
+                                "sub": {"kind": "vertex", "rule": "staircase", "k": 2}}))
+    data = run_json("heights", "--spec", str(path), "--level", "4")
+    assert data["heights"] == {"2": "1", "3": "3"}
+
+
 # vertex 1 at level 2 keeps no source: its height would be 0, and stochastic rows divide by it
 KEPT_VERTEX_WITHOUT_SOURCE = {"family": "binfty", "sub": {"kind": "vertex", "rule": "explicit",
                                                           "levels": {"1": [2], "2": [1], "3": [1]}}}
@@ -238,6 +272,9 @@ KEPT_VERTEX_WITHOUT_SOURCE = {"family": "binfty", "sub": {"kind": "vertex", "rul
     {"family": "pascal-k", "params": {"k": 2.9}},
     {"family": "binfty", "sub": {"kind": "vertex", "rule": "staircase", "k": 2.5}},
     KEPT_VERTEX_WITHOUT_SOURCE,
+    {"family": []},
+    {"family": "binfty", "sub": {"kind": ["vertex"], "rule": "staircase", "k": 2}},
+    {"family": "binfty", "sub": {"kind": "vertex", "rule": {}, "k": 2}},
 ], ids=["pascal-k-non-integer-k", "custom-without-rows", "staircase-sub-without-k",
         "sub-not-an-object", "params-not-an-object", "custom-levels-a-list",
         "custom-malformed-row-key", "custom-level-not-a-list", "truncation-not-an-object",
@@ -246,7 +283,7 @@ KEPT_VERTEX_WITHOUT_SOURCE = {"family": "binfty", "sub": {"kind": "vertex", "rul
         "retained-a-list", "retained-level-rows-an-integer", "retained-sources-an-integer",
         "retained-sources-a-list", "seed-an-integer", "odometer-columns-a-list",
         "odometer-entry-not-an-integer", "pascal-k-float-k", "staircase-sub-float-k",
-        "kept-vertex-without-source"])
+        "kept-vertex-without-source", "family-a-list", "sub-kind-a-list", "sub-rule-an-object"])
 def test_a_malformed_spec_file_is_a_domain_error(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

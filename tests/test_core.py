@@ -186,6 +186,14 @@ def test_build_diagram_from_json():
         build_diagram({"family": "no-such-family"})
 
 
+def test_a_truncation_bound_applies_to_the_spec_sub_block():
+    spec = {"family": "binfty", "truncation": {"bound": 2},
+            "sub": {"kind": "vertex", "rule": "staircase", "k": 2}}
+    assert vertex_window(build_diagram(spec), 4) == (2, 3)
+    assert vertex_window(build_diagram(spec), 4, 3) == (2, 3, 4)  # an explicit bound wins
+    assert build_diagram(dict(spec, truncation={"bound": None})).truncation_bound is None
+
+
 def test_malformed_diagram_json_text_is_a_domain_error():
     with pytest.raises(DiagramError, match="malformed JSON in a diagram spec"):
         build_diagram("{bad")

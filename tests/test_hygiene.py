@@ -16,8 +16,12 @@ call ``json.loads``, so a malformed input always becomes a ``DiagramError``.
 
 Every layer callable the benchmark's tracer (``perfbench/shim.py``) hooks
 must exist under its listed name: the tracer looks each one up unguarded, so
-a renamed function would otherwise crash traced benchmark runs.  The test
-reads ``TRACED`` from the shim's source without importing it.
+a renamed function would otherwise crash traced benchmark runs.  For a
+``Class.method`` entry some class of the hierarchy below ``Class`` must
+define the method, the lookup the tracer makes, since a renamed method would
+otherwise trace nothing without a word.  ``KNOWN_STALE`` lists the entries
+that already trace nothing.  The test reads ``TRACED`` from the shim's source
+without importing it.
 
 Every entry of the mutation check (``tests/mutants.py``) must still apply:
 its old text occurs exactly once in its module.  The check itself runs for
@@ -26,6 +30,7 @@ minutes, outside the suite; this part of it takes milliseconds.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -134,12 +139,33 @@ def _traced_entries():
     raise AssertionError("perfbench/shim.py defines no TRACED tuple")
 
 
+# method entries that no class defines, so the tracer hooks nothing for them: ROADMAP item 9
+# re-points the benchmark's stale hooks
+KNOWN_STALE = {("core", "Diagram.cone_levels")}
+
+
+def _hierarchy(cls):
+    """``cls`` and every class below it, as the tracer walks them."""
+    out, todo = [], [cls]
+    while todo:
+        out.append(todo.pop())
+        todo.extend(out[-1].__subclasses__())
+    return out
+
+
 @pytest.mark.parametrize("module, attr, span", _traced_entries(), ids=lambda x: x)
 def test_every_traced_callable_exists(module, attr, span):
+    importlib.import_module("bratteli.cli")  # every module, so every subclass is defined
     mod = importlib.import_module("bratteli." + module)
     if "." in attr:  # a method entry: the tracer hooks whichever classes define it
-        owner = attr.split(".")[0]
-        assert isinstance(getattr(mod, owner, None), type), "bratteli.%s has no class %s" % (module, owner)
+        owner, method = attr.split(".")
+        cls = getattr(mod, owner, None)
+        assert isinstance(cls, type), "bratteli.%s has no class %s" % (module, owner)
+        defined = any(inspect.isfunction(c.__dict__.get(method)) for c in _hierarchy(cls))
+        if (module, attr) in KNOWN_STALE:
+            assert not defined, "%s.%s is defined now: drop it from KNOWN_STALE" % (module, attr)
+        else:
+            assert defined, "no class at or below %s.%s defines %s" % (module, owner, method)
     else:
         assert callable(getattr(mod, attr, None)), "bratteli.%s has no function %s" % (module, attr)
 

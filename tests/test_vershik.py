@@ -1115,9 +1115,10 @@ def test_the_binfty_benchmark_orbit_looks_up_each_step_order_a_bounded_number_of
     start = PathRep(1, ((1, 1, 1),) * 14 + ((1, 7, 1),))  # the benchmark's minimal path to 7
     result = orbit(od, start, 8000, visit_level=8)
     assert len(result.paths) == 8001
-    # one lookup per vertex order, extremal edge and step transition the orbit meets, never per step:
-    # 15,204 while only refills were memoized
-    assert len(calls) == 298
+    # one lookup per step transition the orbit meets, never per step; extremal edges are read from
+    # the order table without a call: 15,204 while only refills were memoized, 298 while extremal
+    # edges had tables of their own
+    assert len(calls) == 154
 
 
 def _walk_back(od, path, steps):
@@ -1157,7 +1158,7 @@ def test_one_ordered_diagram_reused_gives_the_paths_fresh_ones_give(case):
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_a_repeated_orbit_adds_no_table_entries_and_reads_no_order(case, monkeypatch):
     od, start = _minimal_start(*ORBIT_CASES[case])
-    tables = (od._cache, od._refills, od._steps, od._extremal["min"], od._extremal["max"])
+    tables = (od._cache, od._refills, od._steps)
     first = orbit(od, start, 500).paths
     sizes = [len(t) for t in tables]
     assert all(sizes)
@@ -1180,7 +1181,7 @@ def test_a_failed_lookup_stores_no_table_entry():
     with pytest.raises(DiagramError, match="no order into vertex 2 at level 2") as info:
         next(walk)
     assert info.value.step_index == 0 and edges == list(path.edges)
-    assert (2, 2) not in od._cache and (2, 2) not in od._extremal["min"]
+    assert (2, 2) not in od._cache
     assert od._refills == {} and od._steps == {}
 
 
