@@ -44,6 +44,7 @@ from .core import (
     DiagramError,
     OdometerChainDiagram,
     TruncationIncompleteError,
+    _FAMILY_TABLE,
     as_int,
     build_diagram,
     read_json,
@@ -75,13 +76,12 @@ from .measures import (
 from .vershik import (
     OrderedDiagram,
     PathRep,
-    _vertex_at,
     classify_descriptor,
     classify_extremal,
     descriptor_from_json,
     descriptor_to_json,
     mirror_descriptor,
-    orbit_walk,
+    orbit_end,
     path_from_json,
     path_to_json,
     succ_pred,
@@ -307,15 +307,15 @@ class _DiagramArgs(NamedTuple):
         family = self.family
         if family is None:
             raise DiagramError("pass --family or --spec FILE")
-        params = {}
-        if family in ("pascal-k", "bounded-finite", "bounded-generalized"):
-            if self.k_param is None:
-                raise DiagramError("--family %s needs --k" % family)
-            params["k"] = self.k_param
-        if family == "odometer-io":
-            if self.a_rule is None:
-                raise DiagramError("--family odometer-io needs --a (entry rule)")
-            params["a"] = self.a_rule
+        params, keys = {}, _FAMILY_TABLE[family][0]
+        for option, key, value, what in (("--k", "k", self.k_param, ""),
+                                         ("--a", "a", self.a_rule, " (entry rule)")):
+            if key in keys and value is None:
+                raise DiagramError("--family %s needs %s%s" % (family, option, what))
+            if value is not None and key not in keys:
+                raise DiagramError("--family %s does not read %s" % (family, option))
+            if value is not None:
+                params[key] = value
         return build_diagram({"family": family, "params": params,
                               "sub": self.sub_text and _sub_spec(self.sub_text)})
 
@@ -903,20 +903,18 @@ def classify(source, order_name, path_text, descriptor_text, domain):
                  help="Count vertex visits at this level along the orbit."),
     name="orbit", inputs="diagram")
 def orbit_cmd(source, order_name, path_text, steps, visit_level):
-    """Iterate the adic transformation and tally vertex visits."""
+    """Iterate the adic transformation and tally vertex visits.
+
+    \f
+    ``orbit_end`` adds the steps to the path's index in its tower instead of taking them one by one."""
     od = OrderedDiagram(source(), order_name)
     path = path_from_json(read_json(path_text, "--path"))
-    if visit_level is not None:
-        path.vertex_at(visit_level)  # refuses a level the start path does not cover, before any step
-    visits = Counter()
-    for seen, (edges, tail) in enumerate(orbit_walk(od, path, steps), 1):  # one live edge list
-        if visit_level is not None:
-            visits[_vertex_at(path.start, edges, tail, visit_level)] += 1
+    edges, tail, visits = orbit_end(od, path, steps, visit_level)
     payload = {
         "steps": steps,
         "first": path_to_json(path),
         "last": path_to_json(PathRep(path.start, tuple(edges), tail)),
-        "paths_seen": seen,
+        "paths_seen": steps + 1,
     }
     if visit_level is not None:
         payload["visit_level"] = visit_level

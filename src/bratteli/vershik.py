@@ -30,6 +30,9 @@ transition, keyed by the path's start level, the index and edge rewritten,
 and the side.  An orbit hands each step the scan index the last one found,
 so a repeated transition is one table lookup plus the edges it changes.
 ``orbit_walk`` steps one live list, so an orbit runs in constant memory.
+``orbit_end`` jumps instead: in the tower of a vertex (its paths from the start
+level, in order) a step adds 1 to a path's index, so it decodes the index plus
+the steps and takes a single ``_step`` only where the orbit leaves its prefix's tower.
 
 Extremal paths that no finite prefix-plus-tail can carry (multinomial paths
 whose support grows forever) are handled by ``PascalPathDescriptor``: the
@@ -1040,6 +1043,16 @@ class OrbitResult:
     visits: dict
 
 
+def _numbered_step(od: OrderedDiagram, start: int, edges: list, tail, m, i: int) -> tuple:
+    """``_step`` on the maximal side as an orbit's step ``i``: a refusal carries ``step_index`` and says so."""
+    try:
+        return _step(od, start, edges, tail, "max", m)
+    except DiagramError as e:
+        e.step_index = i
+        e.args = ("step %d: %s" % (i, e.args[0]),) + e.args[1:]
+        raise
+
+
 def orbit_walk(od: OrderedDiagram, path: PathRep, steps: int) -> Iterator[tuple]:
     """Yield ``(edges, tail)`` for ``path`` and each of its first ``steps`` adic successors.
 
@@ -1053,12 +1066,7 @@ def orbit_walk(od: OrderedDiagram, path: PathRep, steps: int) -> Iterator[tuple]
     start, edges, tail, m = path.start, list(path.edges), path.tail, -1
     yield edges, tail
     for i in range(steps):
-        try:
-            tail, m = _step(od, start, edges, tail, "max", m)
-        except DiagramError as e:
-            e.step_index = i
-            e.args = ("step %d: %s" % (i, e.args[0]),) + e.args[1:]
-            raise
+        tail, m = _numbered_step(od, start, edges, tail, m, i)
         yield edges, tail
 
 
@@ -1075,6 +1083,90 @@ def orbit(od: OrderedDiagram, path: PathRep, steps: int,
     paths = list(orbit_paths(od, path, steps))
     visits = {} if visit_level is None else dict(Counter(p.vertex_at(visit_level) for p in paths))
     return OrbitResult(paths, visit_level, visits)
+
+
+class _TowerTable(dict):
+    """``(level, vertex)`` -> ``leaf(vertex)`` at ``floor``, above it the sum of the entries of the sources
+    in its order; filled on a miss without recursion, and refusing to grow past ``budget`` entries."""
+
+    def __init__(self, order: _OrderTable, floor: int, leaf: Callable, zero=0, budget=float("inf")):
+        super().__init__()
+        self.order, self.floor, self.leaf, self.zero, self.budget = order, floor, leaf, zero, budget
+
+    def __missing__(self, key):
+        todo = [key]
+        while todo:
+            if len(self) > self.budget:
+                raise DiagramError("the towers exceed the orbit's work budget")
+            level, v = todo.pop()
+            below = () if level == self.floor else [(level - 1, w) for w, _ in self.order[level, v]]
+            missing = [k for k in below if k not in self]
+            if missing:
+                todo += [(level, v), *missing]
+            else:
+                self[level, v] = sum(map(self.__getitem__, below), self.zero) if below else self.leaf(v)
+        return self[key]
+
+
+def _decode(order: _OrderTable, size: _TowerTable, level: int, v, idx: int, stop: int, below=None) -> tuple:
+    """The path with index ``idx`` in the tower of ``v`` at ``level`` down to ``stop``, top edge first, and
+    the visits at ``stop`` of the tower's first ``idx`` paths, given whole-tower visit counts ``below``."""
+    edges, passed = [], Counter()
+    for level in range(level, stop, -1):
+        for u, slot in order[level, v]:
+            if idx < size[level - 1, u]:
+                break
+            idx -= size[level - 1, u]
+            if below is not None:
+                passed.update(below[level - 1, u])
+        edges.append((u, v, slot))
+        v = u
+    passed[v] += idx
+    return edges, passed
+
+
+def orbit_end(od: OrderedDiagram, path: PathRep, steps: int, visit_level: int | None = None) -> tuple:
+    """``(edges, tail, visits)``: the last path of ``orbit_walk(od, path, steps)`` and how often the
+    orbit sits over each vertex at ``visit_level`` ({} without one), by tower arithmetic.
+
+    A segment takes the lowest tower at or above ``visit_level`` with more room than steps left, else
+    the prefix's, and decodes ``idx + j`` there; its visits are the first ``idx + j + 1`` paths' less
+    the first ``idx + 1``.  Leaving the prefix's tower, a failed lookup and towers larger than the walk
+    could read are left to one ``_step``, which materializes a tail or raises as the walk's step does."""
+    if visit_level is not None:
+        path.vertex_at(visit_level)  # refuses a level the start path does not cover, before any step
+    if steps < 0:
+        raise DiagramError("steps must be >= 0")
+    validate_path(od.diagram, path)
+    start, edges, tail, order = path.start, list(path.edges), path.tail, od._cache
+    floor = start if visit_level is None else visit_level
+    size = _TowerTable(order, start, lambda v: 1, budget=(steps + 1) * (len(edges) + 1))
+    below = _TowerTable(order, floor, lambda v: Counter({v: size[floor, v]}), Counter())
+    visits, done = Counter({_vertex_at(start, edges, tail, floor): 1}), 0
+    while done < steps:
+        h, idx, total = 0, 0, 1
+        try:
+            while h < len(edges) and (start + h < floor or total - 1 - idx <= steps - done):
+                w, v, slot = edges[h]
+                seq = order[start + h + 1, v]
+                sizes = [size[start + h, u] for u, _ in seq]
+                h, idx, total = h + 1, idx + sum(sizes[:seq.index((w, slot))]), sum(sizes)
+        except DiagramError:
+            idx = total
+        j = min(total - 1 - idx, steps - done)
+        if j > 0:
+            level = start + h
+            v = _vertex_at(start, edges, tail, level)
+            if visit_level is not None:
+                visits.update(_decode(order, size, level, v, idx + j + 1, floor, below)[1])
+                visits.subtract(_decode(order, size, level, v, idx + 1, floor, below)[1])
+            edges[:h] = _decode(order, size, level, v, idx + j, start)[0][::-1]
+            done += j
+        if done < steps:
+            tail = _numbered_step(od, start, edges, tail, -1, done)[0]
+            visits[_vertex_at(start, edges, tail, floor)] += 1
+            done += 1
+    return edges, tail, {} if visit_level is None else dict(+visits)
 
 
 # ---------------------------------------------------------------------------

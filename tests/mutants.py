@@ -38,6 +38,7 @@ TEST_VERSHIK = "test_vershik.py"
 CORE = "core.py"
 TEST_CLI = "test_cli.py"
 REUSED_DIAGRAM = TEST_VERSHIK + "::test_one_ordered_diagram_reused_gives_the_paths_fresh_ones_give"
+ORBIT_END_REFEREE = TEST_VERSHIK + "::test_orbit_end_jumps_to_the_paths_and_visits_that_stepping_meets"
 READ_ONCE_LIMIT = "test_limits.py::test_a_recursion_limit_reads_each_cone_row_once"
 
 # (name, module, old text, new text, test file or test expected to fail)
@@ -175,6 +176,17 @@ MUTANTS = [
     ("signed-pascal-keys-unsorted", CORE,
      "tuple(sorted((-(r // 2) if r % 2 else r // 2, m) for r, m in key))",
      "tuple((-(r // 2) if r % 2 else r // 2, m) for r, m in key)", "test_core.py"),
+    # orbit_end's tower arithmetic, each killed by the stepping referee
+    ("orbit-end-decodes-one-past-the-target", VERSHIK,
+     "_decode(order, size, level, v, idx + j, start)", "_decode(order, size, level, v, idx + j + 1, start)",
+     ORBIT_END_REFEREE),
+    ("orbit-end-visits-count-the-path-before-the-segment", VERSHIK,
+     "v, idx + 1, floor, below)", "v, idx, floor, below)", ORBIT_END_REFEREE),
+    ("orbit-end-counts-towers-from-the-base-level", VERSHIK,
+     "size = _TowerTable(order, start,", "size = _TowerTable(order, od.diagram.base_level,",
+     ORBIT_END_REFEREE),
+    ("orbit-end-without-a-work-budget", VERSHIK, "if len(self) > self.budget:", "if False:",
+     TEST_VERSHIK + "::test_orbit_end_steps_where_the_towers_outgrow_the_walk"),
     ("orbit-walk-yields-a-copy", VERSHIK, "        yield edges, tail", "        yield list(edges), tail", TEST_VERSHIK),
     ("bijection-check-validates-every-step", VERSHIK,
      '_stepped(od, p, "max")) for p in paths', 'vershik_step(od, p)) for p in paths', TEST_VERSHIK),

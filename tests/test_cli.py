@@ -494,6 +494,36 @@ def test_a_malformed_subdiagram_shorthand_is_a_domain_error(sub, capsys):
     assert_domain_error(["heights", "--family", "binfty", "--sub", sub, "--level", "2"], capsys)
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["heights", "--family", "binfty", "--k", "3", "--level", "2", "--window", "2"], "--k"),
+    (["heights", "--family", "pascal-n", "--a", "3", "--level", "1", "--window", "2"], "--a"),
+    (["orbit", "--family", "odometer-io", "--a", "2", "--k", "2", "--steps", "1",
+      "--path", '{"start": 0, "edges": [[1, 1, 1]]}'], "--k"),
+    (["heights", "--family", "bounded-finite", "--k", "1", "--a", "2", "--level", "1"], "--a"),
+], ids=["binfty-k", "pascal-n-a", "odometer-k", "bounded-a"])
+def test_a_diagram_option_the_family_does_not_read_is_refused_by_name(argv, option, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: --family %s does not read %s\n" % (argv[2], option)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["heights", "--family", "pascal-k", "--level", "1"], "--k"),
+    (["heights", "--family", "odometer-io", "--level", "1", "--window", "2"], "--a (entry rule)"),
+])
+def test_a_diagram_option_the_family_needs_is_asked_for_by_name(argv, option, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: --family %s needs %s\n" % (argv[2], option)
+
+
+def test_the_binfty_closed_form_reads_its_slope_from_a_without_a_diagram():
+    # --a is the slope here, and --family is not given, so no diagram is built to refuse it
+    assert run("limits", "--closed-form", "binfty", "--a", "1").exit_code == 0
+
+
 def test_stepping_past_a_provably_minimal_path_is_a_domain_error():
     result = run("vershik", "--family", "binfty", "--order", "left-to-right",
                  "--inverse", "--path",

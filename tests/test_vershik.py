@@ -1,5 +1,8 @@
 import json
+import random
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from bratteli import vershik
 from bratteli.cli import _vkey, cli
 from bratteli.core import (
     BinftyDiagram,
+    BoundedDiagram,
     DiagramError,
     OdometerChainDiagram,
     PascalDiagram,
@@ -45,6 +49,7 @@ from bratteli.vershik import (
     materialize,
     mirror_descriptor,
     orbit,
+    orbit_end,
     orbit_paths,
     orbit_walk,
     path_from_json,
@@ -1028,6 +1033,187 @@ def test_a_golden_orbit_streams_iterated_steps_and_inverse_steps_walk_it_back(ca
     for _ in range(299):
         back.append(vershik_inverse(od, back[-1]))
     assert back[::-1] == streamed
+
+
+# orbit_end against stepping: orbit_walk plus the visit fold `bratteli orbit` made before it jumped
+
+
+def _walked_end(od, path, steps, visit_level):
+    if visit_level is not None:
+        path.vertex_at(visit_level)
+    visits = Counter()
+    for edges, tail in orbit_walk(od, path, steps):
+        if visit_level is not None:
+            visits[vershik._vertex_at(path.start, edges, tail, visit_level)] += 1
+    return edges, tail, dict(visits)
+
+
+def _outcome(run, od, path, steps, visit_level):
+    try:
+        edges, tail, visits = run(od, path, steps, visit_level)
+    except DiagramError as e:
+        return type(e), str(e), getattr(e, "step_index", None), getattr(e, "missing", None)
+    return "ok", tuple(edges), tail, visits
+
+
+def _column_binfty():
+    return build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "constant", "vertex": 3})
+
+
+# (diagram, orders, the tail kinds it carries besides unspecified, the bound on a random top vertex)
+REFEREE_FAMILIES = {
+    "binfty": (BinftyDiagram, ("left-to-right", "alternating", "cyclic"), ("vertical", "diagonal"), 6),
+    "staircase-2": (lambda: staircase(2), ("left-to-right", "alternating", "cyclic"), ("vertical", "diagonal"), 6),
+    "column-binfty": (_column_binfty, ("left-to-right", "alternating", "cyclic"), ("vertical",), 3),
+    "odometer-column": (lambda: odometer_column(2), ("left-to-right", "alternating"), ("vertical",), 1),
+    "odometer-chain": (lambda: OdometerChainDiagram(2), ("left-to-right", "alternating"), (), 4),
+    "pascal-n": (lambda: PascalDiagram("n"), ("natural", "left-to-right", "alternating"), ("concentrating",), 3),
+    "pascal-z": (lambda: PascalDiagram("z"), ("natural", "left-to-right"), ("concentrating",), 3),
+    "pascal-k": (lambda: PascalDiagram(2), ("natural", "alternating"), ("concentrating",), 2),
+    "bounded-finite": (lambda: BoundedDiagram(1, finite=True), ("left-to-right", "alternating", "cyclic"), (), 5),
+    "pascal-edge": (lambda: build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": 2}),
+                    ("left-to-right",), (), 3),
+}
+
+
+def _random_tail(rng, d, kinds, v):
+    kind = rng.choice(("unspecified",) + kinds)
+    if kind == "vertical":
+        return VerticalAt(v, rng.choice(("first", "last")))
+    if kind == "diagonal":
+        return DiagonalFrom(v)
+    if kind == "concentrating":
+        return PascalConcentrating(rng.choice([c for c in range(-2, 4) if d.coord_in_domain(c)]))
+    return Unspecified()
+
+
+def _random_start(rng, d, kinds, bound):
+    """A random path from a random start level, walked down from a random top vertex, with a tail
+    that fits its end (sometimes an empty prefix, or one too shallow for the orbit)."""
+    start = d.base_level + rng.choice((0, 0, 1, 2, 3))
+    top = start + rng.choice((0, 1, 2, 3, 4, 5, 6, 8))
+    v = rng.choice(d.level_vertices(top, bound))
+    tail = _random_tail(rng, d, kinds, v)
+    if top == start:  # an empty prefix, anchored by its tail
+        if isinstance(tail, Unspecified):
+            return None
+        return PathRep(d.base_level if isinstance(tail, PascalConcentrating) else start, (), tail)
+    edges, u = [], v
+    for level in range(top, start, -1):
+        w, mult = rng.choice(sorted(d.predecessors(level, u).items(), key=repr))
+        edges.append((w, u, rng.randint(1, mult)))
+        u = w
+    return PathRep(start, tuple(reversed(edges)), tail)
+
+
+def _referee_grid(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        name = rng.choice(sorted(REFEREE_FAMILIES))
+        make, orders, kinds, bound = REFEREE_FAMILIES[name]
+        d = make()
+        path = _random_start(rng, d, kinds, bound)
+        if path is None:
+            continue
+        levels = sorted({path.start, (path.start + path.end_level) // 2, path.end_level})
+        steps = rng.choice((0, 1, 2, rng.randint(3, 40), rng.randint(3, 400)))
+        yield name, rng.choice(orders), d, path, steps, rng.choice([None] + levels)
+
+
+def test_orbit_end_jumps_to_the_paths_and_visits_that_stepping_meets():
+    outcomes = Counter()
+    for name, order, d, path, steps, visit_level in _referee_grid(2606, 1200):
+        try:
+            od = OrderedDiagram(d, order)
+        except DiagramError:
+            continue
+        walked = _outcome(_walked_end, od, path, steps, visit_level)
+        jumped = _outcome(orbit_end, OrderedDiagram(d, order), path, steps, visit_level)
+        assert jumped == walked, (name, order, path, steps, visit_level)
+        if walked[0] == "ok":
+            outcomes["grew" if len(walked[1]) > len(path.edges) else "ok"] += 1
+        elif walked[2]:  # a refusal after some steps
+            outcomes[walked[0].__name__] += 1
+    # the grid reaches tower crossings that materialize a tail, and mid-orbit refusals of both kinds
+    assert outcomes["grew"] >= 20 and outcomes["ok"] >= 200, outcomes
+    assert outcomes["DeepenPrefixError"] >= 20 and outcomes["MaximalPathError"] >= 10, outcomes
+
+
+def _failing_rule(diagram, level, v):
+    if (level, v) == (2, 2):
+        raise DiagramError("no order into vertex 2 at level 2")
+    return [(w, 1) for w in range(1, v + 1)]
+
+
+# orders that fail a lookup partway: the cyclic order refuses the bounded-finite vertices with a source
+# above them, and the walk meets the first such vertex at step 1, where its last step scans above the
+# tower it has run through
+LOOKUP_FAILURES = {
+    "cyclic-bounded-above-the-tower": (lambda: BoundedDiagram(1, finite=True), "cyclic",
+                                       PathRep(3, ((2, 3, 1), (3, 4, 1), (4, 4, 1))), 2, 3, "1..4"),
+    "cyclic-bounded-deeper": (lambda: BoundedDiagram(1, finite=True), "cyclic",
+                              PathRep(3, ((2, 3, 1), (3, 4, 1), (4, 3, 1), (3, 3, 1))), 2, None, "1..3"),
+    "custom-refill": (BinftyDiagram, _failing_rule, PathRep(1, ((1, 1, 1), (1, 2, 1), (2, 2, 1))), 3, 2,
+                      "vertex 2 at level 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_FAILURES))
+def test_orbit_end_fails_a_lookup_at_the_step_the_walk_fails_it(case):
+    make, order, path, steps, visit_level, text = LOOKUP_FAILURES[case]
+    walked = _outcome(_walked_end, OrderedDiagram(make(), order), path, steps, visit_level)
+    assert walked[0] is DiagramError and text in walked[1]
+    assert _outcome(orbit_end, OrderedDiagram(make(), order), path, steps, visit_level) == walked
+
+
+def test_orbit_end_takes_paths_deeper_than_the_recursion_limit():
+    # maximal below its top edge, so the first steps leave every tower but the deepest
+    depth = sys.getrecursionlimit() + 200
+    path = PathRep(0, ((1, 1, 2),) * (depth - 1) + ((1, 1, 1),))
+    for steps, visit_level in ((3, 1), (5, depth // 2), (2, None)):
+        walked = _outcome(_walked_end, OrderedDiagram(odometer_column(2), "left-to-right"), path, steps, visit_level)
+        assert walked[0] == "ok" and walked[1] != path.edges
+        assert _outcome(orbit_end, OrderedDiagram(odometer_column(2), "left-to-right"), path, steps,
+                        visit_level) == walked
+
+
+def test_orbit_end_steps_where_the_towers_outgrow_the_walk():
+    # maximal below its top edge, so the first step leaves every tower but the top one, whose cone
+    # holds all 2^16 keys below the top; the walk's two steps read a few dozen of them
+    coords = [*range(1, 15), 16, 15]
+    keys = [()]
+    for c in coords:
+        keys.append(key_add(keys[-1], c))
+    path = PathRep(0, tuple((u, v, 1) for u, v in zip(keys, keys[1:])))
+    walked = _outcome(_walked_end, OrderedDiagram(PascalDiagram("n"), "natural"), path, 2, 8)
+    od = OrderedDiagram(PascalDiagram("n"), "natural")
+    assert _outcome(orbit_end, od, path, 2, 8) == walked and walked[0] == "ok"
+    assert len(od._cache) < 200
+
+
+def test_the_binfty_benchmark_cli_orbit_jumps_without_a_step(monkeypatch):
+    steps, fills = [], Counter()
+    inner_step, inner_fill = vershik._step, vershik._OrderTable.__missing__
+
+    def counted_step(*args):
+        steps.append(args[4])
+        return inner_step(*args)
+
+    def counted_fill(self, key):
+        fills[key] += 1
+        return inner_fill(self, key)
+
+    monkeypatch.setattr(vershik, "_step", counted_step)
+    monkeypatch.setattr(vershik._OrderTable, "__missing__", counted_fill)
+    for v in (6, 7, 8):  # the benchmark's 8000-step orbits, each inside one tower of 15,504+ paths
+        fills.clear()
+        path = json.dumps({"start": 1, "edges": [[1, 1, 1]] * 14 + [[1, v, 1]]})
+        out = CliRunner().invoke(cli, ["orbit", "--family", "binfty", "--order", "left-to-right",
+                                       "--steps", "8000", "--path", path, "--visit-level", "8"])
+        assert out.exit_code == 0 and json.loads(out.output)["paths_seen"] == 8001
+        cone = {(16, v)} | {(level, u) for level in range(2, 16) for u in range(1, v + 1)}
+        assert set(fills) <= cone and max(fills.values()) == 1
+    assert steps == []
 
 
 def test_an_orbit_walk_rewrites_one_live_list():
