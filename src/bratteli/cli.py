@@ -298,6 +298,10 @@ class _DiagramArgs(NamedTuple):
 
     def __call__(self):
         if self.spec_file:
+            for option, value in (("--family", self.family), ("--k", self.k_param), ("--a", self.a_rule),
+                                  ("--sub", self.sub_text)):
+                if value is not None:
+                    raise DiagramError("--spec FILE describes the whole diagram; drop %s" % option)
             try:
                 with open(self.spec_file) as fh:
                     text = fh.read()

@@ -25,10 +25,7 @@ edge container; the step engine ``_step`` trusts its input, since a step
 maps valid paths to valid paths.  ``_step`` rewrites an edge list in place,
 only the refill below the first non-extremal edge and that edge.
 ``OrderedDiagram`` memoizes what a step reads: the order of the edges into
-each vertex, whose first and last entries are its extremal edges, and each
-transition, keyed by the path's start level, the index and edge rewritten,
-and the side.  An orbit hands each step the scan index the last one found,
-so a repeated transition is one table lookup plus the edges it changes.
+each vertex, whose first and last entries are its extremal edges.
 ``orbit_walk`` steps one live list, so an orbit runs in constant memory.
 ``orbit_end`` jumps instead: in the tower of a vertex (its paths from the start
 level, in order) a step adds 1 to a path's index, so it decodes the index plus
@@ -45,7 +42,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -498,55 +495,31 @@ class _OrderTable(dict):
         return got
 
 
-@dataclass(eq=False)
 class OrderedDiagram:
-    """A diagram together with an edge order, and the memo tables the adic step reads.
+    """A diagram together with an edge order, and the order table the adic step reads.
 
-    Each table holds a pure function of the ordered diagram, filled on first use, and stores
-    nothing when a lookup raises:
-      ``_cache``     ``(level, vertex)`` -> the vertex's edges in increasing order, so its
-                     first and last entries are its minimal and maximal edges;
-      ``_refills``   ``(level, vertex, side, stop)`` -> the extremal path down to ``stop`` and
-                     the index of its first edge not extremal on the other side;
-      ``_steps``     ``(start, m, edge, side)`` -> the image of ``edge``, the ``m``-th edge of a
-                     path from ``start`` and its first edge not extremal on ``side``: the new
-                     edge, the refill below it and the image's scan index (None: scan on from
-                     ``m + 1``), so a repeated transition is one lookup.
+    ``_cache`` maps ``(level, vertex)`` to the vertex's edges in increasing order, so its first
+    and last entries are its minimal and maximal edges; it is filled on first use and stores
+    nothing when a lookup raises.
     """
 
-    diagram: Diagram
-    order: EdgeOrder
-    _cache: dict = field(init=False, repr=False)
-    _refills: dict = field(default_factory=dict, repr=False)
-    _steps: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.order = make_order(self.order)
-        self.order.check_diagram(self.diagram)
-        self._cache = _OrderTable(self.diagram, self.order)
+    def __init__(self, diagram: Diagram, order):
+        self.diagram, self.order = diagram, make_order(order)
+        self.order.check_diagram(diagram)
+        self._cache = _OrderTable(diagram, self.order)
 
     def edges_into(self, level: int, v) -> tuple:
         return self._cache[level, v]
-
-    def refill(self, level: int, v, side: str, stop: int) -> tuple:
-        """Memoized ``extremal_path_to`` and the index of its first edge not extremal on the other side."""
-        try:
-            return self._refills[level, v, side, stop]
-        except KeyError:
-            edges = extremal_path_to(self, level, v, side, stop)
-            got = self._refills[level, v, side, stop] = (
-                edges, _first_nonextremal_index(self, stop, edges, "max" if side == "min" else "min"))
-            return got
 
 
 # ---------------------------------------------------------------------------
 # extremality of single edges and extremal refills
 
 
-def _first_nonextremal_index(od: OrderedDiagram, level: int, edges: Iterable, side: str, first: int = 0):
-    """Index of the first of ``edges[first:]`` not extremal on ``side``; ``edges[0]`` enters ``level + 1``."""
+def _first_nonextremal_index(od: OrderedDiagram, level: int, edges: Iterable, side: str):
+    """Index of the first of ``edges`` not extremal on ``side``; ``edges[0]`` enters ``level + 1``."""
     order, end = od._cache, 0 if side == "min" else -1
-    for j, (w, v, slot) in enumerate(islice(edges, first, None), first):
+    for j, (w, v, slot) in enumerate(edges):
         if order[level + j + 1, v][end] != (w, slot):
             return j
     return None
@@ -606,14 +579,11 @@ def materialize(od: OrderedDiagram, path: PathRep, depth: int) -> PathRep:
 # the adic step
 
 
-def _step(od: OrderedDiagram, start: int, edges: list, tail, side: str, m: int | None = -1) -> tuple:
+def _step(od: OrderedDiagram, start: int, edges: list, tail, side: str):
     """One adic step on the trusted edge list ``edges`` of a path from ``start`` with ``tail``, in place:
-    it writes ``edges[:m + 1]`` (after materializing any tail it needs onto the list), and raises a
-    refusal before any write.  Returns the new tail and the image's ``m``, the index of its first edge
-    not extremal on ``side`` (None if every prefix edge is); ``m=-1`` makes the step scan for it.
-    The transition of ``edges[m]`` is read from ``od._steps``, and computed and stored on a miss."""
-    if m == -1:
-        m = _first_nonextremal_index(od, start, edges, side)
+    it writes the first edge not extremal on ``side`` and the refill below it (after materializing any
+    tail it needs onto the list), and raises a refusal before any write.  Returns the new tail."""
+    m = _first_nonextremal_index(od, start, edges, side)
     if m is None:
         path = PathRep(start, tuple(edges), tail)
         state, depth = scan_tail(od, path, side)
@@ -627,31 +597,19 @@ def _step(od: OrderedDiagram, start: int, edges: list, tail, side: str, m: int |
         grown = materialize(od, path, depth)
         edges += grown.edges[len(edges):]
         tail, m = grown.tail, len(edges) - 1
-    key = (start, m, edges[m], side)
-    try:
-        new, refill, nxt = od._steps[key]
-    except KeyError:
-        w, v, slot = edges[m]
-        level = start + m + 1
-        seq = od.edges_into(level, v)
-        pos = seq.index((w, slot))
-        u, u_slot = seq[pos + 1] if side == "max" else seq[pos - 1]
-        refill, nxt = od.refill(level - 1, u, "min" if side == "max" else "max", start)
-        if nxt is None and (u, u_slot) != seq[-1 if side == "max" else 0]:
-            nxt = m  # the refill is extremal on ``side`` too, and the new edge is not
-        new = (u, v, u_slot)
-        od._steps[key] = (new, refill, nxt)
-    edges[:m] = refill
-    edges[m] = new
-    if nxt is None:  # the refill and the new edge are extremal on ``side``: the old suffix decides
-        nxt = _first_nonextremal_index(od, start, edges, side, m + 1)
-    return tail, nxt
+    w, v, slot = edges[m]
+    level = start + m + 1
+    seq = od.edges_into(level, v)
+    u, u_slot = seq[seq.index((w, slot)) + (1 if side == "max" else -1)]
+    edges[:m] = extremal_path_to(od, level - 1, u, "min" if side == "max" else "max", start)
+    edges[m] = (u, v, u_slot)
+    return tail
 
 
 def _stepped(od: OrderedDiagram, path: PathRep, side: str) -> PathRep:
     """The step of the trusted ``path`` on ``side``, on a copy of its edges."""
     edges = list(path.edges)
-    tail = _step(od, path.start, edges, path.tail, side)[0]
+    tail = _step(od, path.start, edges, path.tail, side)
     return PathRep(path.start, tuple(edges), tail)
 
 
@@ -1043,10 +1001,10 @@ class OrbitResult:
     visits: dict
 
 
-def _numbered_step(od: OrderedDiagram, start: int, edges: list, tail, m, i: int) -> tuple:
+def _numbered_step(od: OrderedDiagram, start: int, edges: list, tail, i: int):
     """``_step`` on the maximal side as an orbit's step ``i``: a refusal carries ``step_index`` and says so."""
     try:
-        return _step(od, start, edges, tail, "max", m)
+        return _step(od, start, edges, tail, "max")
     except DiagramError as e:
         e.step_index = i
         e.args = ("step %d: %s" % (i, e.args[0]),) + e.args[1:]
@@ -1057,16 +1015,15 @@ def orbit_walk(od: OrderedDiagram, path: PathRep, steps: int) -> Iterator[tuple]
     """Yield ``(edges, tail)`` for ``path`` and each of its first ``steps`` adic successors.
 
     ``edges`` is one live list, the same object on every yield, which each step rewrites in
-    place: copy it to keep a path, and never change it.  Only ``path`` is validated; each step
-    passes the next its scan index, and a failed step leaves the list at the last path yielded
-    and carries its step's index as ``step_index``."""
+    place: copy it to keep a path, and never change it.  Only ``path`` is validated, and a failed
+    step leaves the list at the last path yielded and carries its step's index as ``step_index``."""
     if steps < 0:
         raise DiagramError("steps must be >= 0")
     validate_path(od.diagram, path)
-    start, edges, tail, m = path.start, list(path.edges), path.tail, -1
+    start, edges, tail = path.start, list(path.edges), path.tail
     yield edges, tail
     for i in range(steps):
-        tail, m = _numbered_step(od, start, edges, tail, m, i)
+        tail = _numbered_step(od, start, edges, tail, i)
         yield edges, tail
 
 
@@ -1163,7 +1120,7 @@ def orbit_end(od: OrderedDiagram, path: PathRep, steps: int, visit_level: int | 
             edges[:h] = _decode(order, size, level, v, idx + j, start)[0][::-1]
             done += j
         if done < steps:
-            tail = _numbered_step(od, start, edges, tail, -1, done)[0]
+            tail = _numbered_step(od, start, edges, tail, done)
             visits[_vertex_at(start, edges, tail, floor)] += 1
             done += 1
     return edges, tail, {} if visit_level is None else dict(+visits)

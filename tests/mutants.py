@@ -106,11 +106,13 @@ MUTANTS = [
      'if False:\n            return frozenset({path})\n        raise', TEST_VERSHIK),
     ("scan-tail-asks-the-order-about-an-unspecified-tail", VERSHIK,
      'if isinstance(tail, Unspecified):\n        return ("unknown", None)\n', '', TEST_VERSHIK),
-    # the ordered diagram's memo tables: each key must name everything its entry depends on
-    ("step-key-without-side", VERSHIK,
-     "key = (start, m, edges[m], side)", "key = (start, m, edges[m])", REUSED_DIAGRAM),
-    ("step-key-without-start", VERSHIK,
-     "key = (start, m, edges[m], side)", "key = (m, edges[m], side)", REUSED_DIAGRAM),
+    # the adic step: the next edge in the order on the step's side, and the refill extremal on the other
+    ("step-neighbour-index-sign-flipped", VERSHIK,
+     'seq.index((w, slot)) + (1 if side == "max" else -1)]', 'seq.index((w, slot)) - (1 if side == "max" else -1)]',
+     ORBIT_END_REFEREE),
+    ("step-refill-on-the-step-side", VERSHIK,
+     'extremal_path_to(od, level - 1, u, "min" if side == "max" else "max", start)',
+     'extremal_path_to(od, level - 1, u, side, start)', ORBIT_END_REFEREE),
     # the extremal edges are the first and last entries of the order table
     ("scan-reads-first-and-last-entries-swapped", VERSHIK,
      'order, end = od._cache, 0 if side == "min" else -1\n    for j,',

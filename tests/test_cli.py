@@ -829,6 +829,14 @@ def test_vershik_step_moves_a_diagonal_to_the_vertical():
     assert data["output"]["tail"]["kind"] == "vertical"
 
 
+def test_vershik_step_reads_no_order_above_the_edge_it_rewrites():
+    # the cyclic order refuses the bounded-finite vertex 4 at level 6, above the rewritten edge into level 5
+    result = run("vershik", "--family", "bounded-finite", "--k", "1", "--order", "cyclic", "--path",
+                 '{"start": 3, "edges": [[3, 3, 1], [3, 4, 1], [4, 4, 1]]}')
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["output"]["edges"] == [[3, 4, 1], [4, 4, 1], [4, 4, 1]]
+
+
 def test_classify_names_the_class_and_the_step_candidates():
     # the lowest index is a one-path tower forever: extremal on both sides
     data = run_json("classify", "--family", "binfty",
@@ -918,6 +926,18 @@ def test_diagram_specs_can_come_from_a_json_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("heights", "--spec", str(bad), "--level", "3").exit_code == 1
+
+
+@pytest.mark.parametrize("option, value", [("--family", "pascal-n"), ("--k", "3"), ("--a", "2"),
+                                           ("--sub", "staircase:2")])
+def test_a_diagram_option_next_to_a_spec_file_is_refused_by_name(option, value, tmp_path, capsys):
+    # the spec's diagram was built and the option ignored: binfty heights printed under --family pascal-n
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "binfty"}))
+    with pytest.raises(SystemExit) as info:
+        main(["heights", "--spec", str(path), option, value, "--level", "2", "--window", "2"])
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: --spec FILE describes the whole diagram; drop %s\n" % option
 
 
 def test_odometer_rules_accept_lists_and_pow2():

@@ -1146,13 +1146,13 @@ def _failing_rule(diagram, level, v):
 
 
 # orders that fail a lookup partway: the cyclic order refuses the bounded-finite vertices with a source
-# above them, and the walk meets the first such vertex at step 1, where its last step scans above the
-# tower it has run through
+# above them, and the walk meets the first such vertex at step 2, whose scan runs above the tower the
+# first two steps ran through
 LOOKUP_FAILURES = {
     "cyclic-bounded-above-the-tower": (lambda: BoundedDiagram(1, finite=True), "cyclic",
-                                       PathRep(3, ((2, 3, 1), (3, 4, 1), (4, 4, 1))), 2, 3, "1..4"),
+                                       PathRep(3, ((2, 3, 1), (3, 4, 1), (4, 4, 1))), 3, 3, "1..4"),
     "cyclic-bounded-deeper": (lambda: BoundedDiagram(1, finite=True), "cyclic",
-                              PathRep(3, ((2, 3, 1), (3, 4, 1), (4, 3, 1), (3, 3, 1))), 2, None, "1..3"),
+                              PathRep(3, ((2, 3, 1), (3, 4, 1), (4, 3, 1), (3, 3, 1))), 3, None, "1..3"),
     "custom-refill": (BinftyDiagram, _failing_rule, PathRep(1, ((1, 1, 1), (1, 2, 1), (2, 2, 1))), 3, 2,
                       "vertex 2 at level 2"),
 }
@@ -1164,6 +1164,21 @@ def test_orbit_end_fails_a_lookup_at_the_step_the_walk_fails_it(case):
     walked = _outcome(_walked_end, OrderedDiagram(make(), order), path, steps, visit_level)
     assert walked[0] is DiagramError and text in walked[1]
     assert _outcome(orbit_end, OrderedDiagram(make(), order), path, steps, visit_level) == walked
+
+
+@pytest.mark.parametrize("case", sorted(c for c in LOOKUP_FAILURES if c.startswith("cyclic-bounded")))
+def test_a_step_reads_no_order_above_the_edge_it_rewrites(case):
+    # the second step rewrites the edge into level 5 and reads the orders into levels 4 and 5 only,
+    # so the refused order above them first fails the third step
+    make, order, path, _, visit_level, _ = LOOKUP_FAILURES[case]
+    walked = _outcome(_walked_end, OrderedDiagram(make(), order), path, 2, visit_level)
+    assert walked[0] == "ok" and walked[1][:2] == ((3, 4, 1), (4, 4, 1))
+    assert _outcome(orbit_end, OrderedDiagram(make(), order), path, 2, visit_level) == walked
+    args = ["orbit", "--family", "bounded-finite", "--k", "1", "--order", order, "--steps", "2",
+            "--path", json.dumps(path_to_json(path))]
+    out = CliRunner().invoke(cli, args + ([] if visit_level is None else ["--visit-level", str(visit_level)]))
+    assert out.exit_code == 0, out.output
+    assert json.loads(out.output)["last"] == path_to_json(PathRep(path.start, walked[1], walked[2]))
 
 
 def test_orbit_end_takes_paths_deeper_than_the_recursion_limit():
@@ -1191,20 +1206,28 @@ def test_orbit_end_steps_where_the_towers_outgrow_the_walk():
     assert len(od._cache) < 200
 
 
+def _count_order_fills(monkeypatch):
+    """A ``Counter`` of the ``(level, vertex)`` keys every order table fills from now on."""
+    fills = Counter()
+    inner = vershik._OrderTable.__missing__
+
+    def counted(self, key):
+        fills[key] += 1
+        return inner(self, key)
+
+    monkeypatch.setattr(vershik._OrderTable, "__missing__", counted)
+    return fills
+
+
 def test_the_binfty_benchmark_cli_orbit_jumps_without_a_step(monkeypatch):
-    steps, fills = [], Counter()
-    inner_step, inner_fill = vershik._step, vershik._OrderTable.__missing__
+    steps, fills = [], _count_order_fills(monkeypatch)
+    inner_step = vershik._step
 
     def counted_step(*args):
         steps.append(args[4])
         return inner_step(*args)
 
-    def counted_fill(self, key):
-        fills[key] += 1
-        return inner_fill(self, key)
-
     monkeypatch.setattr(vershik, "_step", counted_step)
-    monkeypatch.setattr(vershik._OrderTable, "__missing__", counted_fill)
     for v in (6, 7, 8):  # the benchmark's 8000-step orbits, each inside one tower of 15,504+ paths
         fills.clear()
         path = json.dumps({"start": 1, "edges": [[1, 1, 1]] * 14 + [[1, v, 1]]})
@@ -1283,28 +1306,15 @@ def test_validate_path_refuses_edges_that_are_not_tuples():
             orbit(od, path, 3)
 
 
-def _count_edges_into(monkeypatch):
-    calls = []
-    inner = OrderedDiagram.edges_into
-
-    def counted(self, level, v):
-        calls.append((level, v))
-        return inner(self, level, v)
-
-    monkeypatch.setattr(OrderedDiagram, "edges_into", counted)
-    return calls
-
-
 def test_the_binfty_benchmark_orbit_looks_up_each_step_order_a_bounded_number_of_times(monkeypatch):
-    calls = _count_edges_into(monkeypatch)
+    fills = _count_order_fills(monkeypatch)
     od = OrderedDiagram(BinftyDiagram(), "left-to-right")
     start = PathRep(1, ((1, 1, 1),) * 14 + ((1, 7, 1),))  # the benchmark's minimal path to 7
     result = orbit(od, start, 8000, visit_level=8)
     assert len(result.paths) == 8001
-    # one lookup per step transition the orbit meets, never per step; extremal edges are read from
-    # the order table without a call: 15,204 while only refills were memoized, 298 while extremal
-    # edges had tables of their own
-    assert len(calls) == 154
+    # the order table reads each vertex order once, never once per step, and only inside the orbit's cone
+    cone = {(16, 7)} | {(level, u) for level in range(2, 16) for u in range(1, 8)}
+    assert set(fills) <= cone and max(fills.values()) == 1
 
 
 def _walk_back(od, path, steps):
@@ -1337,21 +1347,18 @@ def test_one_ordered_diagram_reused_gives_the_paths_fresh_ones_give(case):
         back = _walk_back(reused, forward[-1], 60)
         assert back == _walk_back(OrderedDiagram(make(), order), forward[-1], 60)
         assert back == forward[::-1]
-    assert {k[0] for k in reused._steps} == {start for start, _ in starts}
-    assert {k[3] for k in reused._steps} == {"max", "min"}
 
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_a_repeated_orbit_adds_no_table_entries_and_reads_no_order(case, monkeypatch):
     od, start = _minimal_start(*ORBIT_CASES[case])
-    tables = (od._cache, od._refills, od._steps)
     first = orbit(od, start, 500).paths
-    sizes = [len(t) for t in tables]
-    assert all(sizes)
-    calls = _count_edges_into(monkeypatch)
+    size = len(od._cache)
+    assert size
+    fills = _count_order_fills(monkeypatch)
     assert orbit(od, start, 500).paths == first
-    assert [len(t) for t in tables] == sizes
-    assert calls == []
+    assert len(od._cache) == size
+    assert not fills
 
 
 def test_a_failed_lookup_stores_no_table_entry():
@@ -1368,7 +1375,6 @@ def test_a_failed_lookup_stores_no_table_entry():
         next(walk)
     assert info.value.step_index == 0 and edges == list(path.edges)
     assert (2, 2) not in od._cache
-    assert od._refills == {} and od._steps == {}
 
 
 def _count_predecessor_calls(monkeypatch, diagram):
