@@ -32,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 import click
@@ -145,12 +145,6 @@ def _vkey(v):
     if isinstance(v, tuple):
         return "[%s]" % ",".join(map(_pair_text, v))
     return str(v)
-
-
-def _sums_to_one(pairs):
-    """Whether the reduced (numerator, denominator) ``pairs`` sum to exactly 1, as integers over their lcm."""
-    big = lcm(*(d for _, d in pairs))
-    return sum(n * (big // d) for n, d in pairs) == big
 
 
 def _by_key_repr(item):
@@ -520,15 +514,15 @@ def stochastic(source, level, window, vertex_text):
     targets = None if vertex_text is None else [vertex_from_text(vertex_text)]
     # rows: _vkey(v) -> {_vkey(w): str(Fraction(x, H_v))}, from the reduced integers; buffered
     # because row_sums_one sorts before rows.  sources keeps each row's w for the CSV's repr order.
+    # H_v is the target's closed-form height where there is one, so row_sums_one can fail.
     rows, sources, sums_one = {}, [], True
     for v, weights, hv in _weighted_rows(diagram, level, targets, window):
-        row, pairs = {}, []
+        row = {}
         for w, x in weights.items():
             g = gcd(x, hv)
             n, d = x // g, hv // g
-            pairs.append((n, d))
             row[_vkey(w)] = "%d" % n if d == 1 else "%d/%d" % (n, d)
-        sums_one = sums_one and _sums_to_one(pairs)
+        sums_one = sums_one and sum(weights.values()) == hv
         rows[_vkey(v)] = row
         sources.append(list(weights))
     payload = {"family": diagram.family, "level": level, "rows": rows, "row_sums_one": sums_one}
@@ -590,6 +584,8 @@ def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
     """Limits of normalized incidence products along a march of tops."""
     window, m_max = _at_least_one(window, "--window"), _at_least_one(m_max, "--m-max")
     if closed_form is not None:
+        if source.spec_file is not None:
+            raise DiagramError("--closed-form %s reads no diagram; drop --spec" % closed_form)
         if closed_form == "binfty":
             if source.a_rule is None:
                 raise DiagramError("--closed-form binfty needs --a")

@@ -17,15 +17,22 @@ H}, made in ``Diagram.__init__``) only once the walk has succeeded, so
 calls on one diagram instance share their cones: a query walks down only
 through vertices the memo lacks.
 
+A whole window of a Pascal diagram takes a second route through the same
+recursion, ``_pascal_window_heights``, which pushes path counts over integer
+codes of the coordinate multisets and reads no row.  Explicit lists,
+subdiagrams and every other family keep ``_cone_walk``.  Both routes are
+recursions over the diagram's edges, independent of the closed forms.
+
 Validation happens once, at entry.  A whole window (``vertices`` or
 ``targets`` left ``None``, cut by ``bound``) is trusted, because
 ``vertex_window`` lists vertices; an explicit list is checked.
 ``_weighted_rows`` is the one row reader: it reads each target row once,
 takes each source height from the family's closed form, fills the sources
 that have none with one ``_heights`` call, and yields each row as integer
-weights f'_(v w) H_w over their total H_v.  ``Fraction``s appear only at the
-public ``stochastic_rows`` boundary; the continuity profile and the CLI work
-on the integers.
+weights f'_(v w) H_w over H_v, the target's closed-form height where the
+family has one and the row's total where it has none.  ``Fraction``s appear
+only at the public ``stochastic_rows`` boundary; the continuity profile and
+the CLI work on the integers.
 
 ``height`` is the one closed-form-else-recursion route for a single vertex:
 the family's closed form when it has one, else ``heights``.  Closed forms
@@ -40,7 +47,7 @@ from itertools import chain, count, filterfalse, islice, repeat
 from operator import mul
 from typing import Iterable, Mapping
 
-from .core import Diagram, DiagramError, TruncationIncompleteError, vertex_window
+from .core import Diagram, DiagramError, PascalDiagram, TruncationIncompleteError, vertex_window
 
 
 def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
@@ -51,8 +58,45 @@ def heights(diagram: Diagram, level: int, vertices: Iterable | None = None,
     multiplicities times the heights one level down.  ``vertices`` defaults
     to the canonical window at ``level``, whose vertices are not checked; an
     explicit list is checked once per vertex not yet in the height memo.
+
+    A whole Pascal window takes ``_pascal_window_heights``: its cone is every
+    multiset of its coordinates at each lower level, so coding them all
+    wastes nothing.  Every other call walks the cone's rows (``_heights``).  An
+    explicit Pascal list keeps the walk, because its cone can be far smaller
+    than the coded levels: a level-8 vertex over 8 distinct coordinates has a
+    256-vertex cone, against 12,870 codes.
     """
+    if vertices is None and isinstance(diagram, PascalDiagram):
+        return _pascal_window_heights(diagram, level, bound)
     return _heights(diagram, level, _entry_vertices(diagram, level, vertices, bound))
+
+
+def _pascal_window_heights(diagram: PascalDiagram, level: int, bound: int | None) -> dict:
+    """The heights of the Pascal window at ``level``, by the cone recursion on integer codes.
+
+    The window's i-th coordinate weighs B^i with B = level + 1, and a key codes
+    as the sum of m B^i over its pairs (c, m).  A multiplicity never exceeds
+    the level, so two keys of one level never share a code, and an edge adds
+    one coordinate's weight.  From the base vertex's code 0, each level pushes
+    every count to u + B^i for every coordinate i, and each window key reads
+    its height at its code.  Only the top level is stored in the height memo.
+    """
+    keys = vertex_window(diagram, level, bound)
+    domain = diagram._coord_domain(diagram.truncation_bound if bound is None else bound)
+    weights = [(level + 1) ** i for i in range(len(domain))]
+    counts = {0: 1}
+    for _ in range(level):
+        pushed = {}
+        get = pushed.get
+        for s in weights:
+            for u, h in counts.items():
+                u += s
+                pushed[u] = get(u, 0) + h
+        counts = pushed
+    code = {(c, m): m * s for c, s in zip(domain, weights) for m in range(1, level + 1)}.__getitem__
+    out = {v: counts[sum(map(code, v))] for v in keys}
+    diagram._height_memo.setdefault(level, {}).update(out)
+    return out
 
 
 def _entry_vertices(diagram: Diagram, level: int, vertices: Iterable | None,
@@ -182,8 +226,10 @@ def stochastic_rows(diagram: Diagram, level: int, targets: Iterable | None = Non
                     bound: int | None = None) -> dict:
     """Stochastic rows for several targets at one level, the window by default.
 
-    Targets are taken, and rows read, as ``_weighted_rows`` does.  H_v is a
-    row's total weight, the sum of f'_(v w) H_w, so rows sum to exactly 1.
+    Targets are taken, and rows read, as ``_weighted_rows`` does, and each
+    row is divided by the H_v it yields: the closed form where the family
+    has one, else the row's total weight.  Rows sum to exactly 1 whenever
+    the closed forms are right.
     """
     return {v: {w: Fraction(x, hv) for w, x in weights.items()}
             for v, weights, hv in _weighted_rows(diagram, level, targets, bound)}
@@ -197,6 +243,9 @@ def _weighted_rows(diagram: Diagram, level: int, targets: Iterable | None,
     targets are trusted.  Each row is read once.  A source height is the
     family's closed form; the sources that have none (custom specs, odometer
     chains with column rules, explicit subdiagrams) share one ``_heights`` call.
+    H_v is the target's closed form too, so it equals the row's total only
+    when the closed forms of both levels satisfy the height identity; where
+    there is none, H_v is the row's total.
     """
     diagram.check_level(level)
     read = diagram.predecessors
@@ -212,7 +261,8 @@ def _weighted_rows(diagram: Diagram, level: int, targets: Iterable | None,
         h.update(_heights(diagram, level - 1, missing))
     for v, row in rows.items():
         weights = {w: m * h[w] for w, m in row.items()}
-        yield v, weights, sum(weights.values())
+        hv = diagram.closed_form_height(level, v)
+        yield v, weights, sum(weights.values()) if hv is None else hv
 
 
 def simplex_distance(x: Mapping, y: Mapping, ranks: Mapping[object, int]) -> Fraction:

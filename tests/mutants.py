@@ -40,6 +40,7 @@ TEST_CLI = "test_cli.py"
 REUSED_DIAGRAM = TEST_VERSHIK + "::test_one_ordered_diagram_reused_gives_the_paths_fresh_ones_give"
 ORBIT_END_REFEREE = TEST_VERSHIK + "::test_orbit_end_jumps_to_the_paths_and_visits_that_stepping_meets"
 READ_ONCE_LIMIT = "test_limits.py::test_a_recursion_limit_reads_each_cone_row_once"
+CODED_REFEREE = "test_linalg.py::test_coded_window_heights_equal_the_walk_and_the_closed_forms"
 
 # (name, module, old text, new text, test file or test expected to fail)
 MUTANTS = [
@@ -174,6 +175,21 @@ MUTANTS = [
     # scales every height of a level, so no row changes; the closed-form-against-recursion check sees it
     ("bounded-generalized-closed-form-scaled", CORE,
      "return (2 * self.k + 1) ** level", "return (2 * self.k + 1) ** (level + 1)", "test_linalg.py"),
+    # a row divided by its own total always sums to 1, so stochastic's row_sums_one could not fail
+    ("stochastic-row-total-is-the-row-sum", "linalg.py",
+     "yield v, weights, sum(weights.values()) if hv is None else hv", "yield v, weights, sum(weights.values())",
+     TEST_CLI + "::test_row_sums_one_reads_false_under_a_wrong_closed_form_height"),
+    # the coded Pascal window heights, each killed by the cone-walk referee
+    ("coded-heights-count-in-edges-not-paths", "linalg.py",
+     "pushed[u] = get(u, 0) + h", "pushed[u] = get(u, 0) + 1", CODED_REFEREE),
+    ("coded-heights-count-in-edges-not-paths-flips-the-cli-check", "linalg.py",
+     "pushed[u] = get(u, 0) + h", "pushed[u] = get(u, 0) + 1",
+     TEST_CLI + "::test_a_pascal_window_of_heights_agrees_with_the_multinomial"),
+    # with radix B = level, the level-1 keys all code 1 and share one count
+    ("coded-heights-radix-is-the-level", "linalg.py",
+     "weights = [(level + 1) ** i", "weights = [level ** i", CODED_REFEREE),
+    ("coded-heights-code-ignores-the-multiplicity", "linalg.py",
+     "{(c, m): m * s for c, s", "{(c, m): s for c, s", CODED_REFEREE),
     # guards that earlier changes checked by hand
     ("signed-pascal-keys-unsorted", CORE,
      "tuple(sorted((-(r // 2) if r % 2 else r // 2, m) for r, m in key))",

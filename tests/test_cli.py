@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 
 from bratteli.cli import _by_key_repr, _fr, _vkey, cli, main
-from bratteli.core import build_diagram, vertex_from_text, vertex_window
+from bratteli.core import BinftyDiagram, build_diagram, vertex_from_text, vertex_window
 from bratteli.linalg import stochastic_rows
 
 
@@ -686,6 +686,21 @@ def test_stochastic_rows_are_ratios_of_path_counts(spec, args, tmp_path):
     assert data["row_sums_one"] is True
 
 
+@pytest.mark.parametrize("broken", [(3, 2), (4, 3)], ids=["source", "target"])
+def test_row_sums_one_reads_false_under_a_wrong_closed_form_height(broken, monkeypatch):
+    right = BinftyDiagram.closed_form_height
+
+    def wrong(self, level, v):
+        return right(self, level, v) + ((level, v) == broken)
+
+    monkeypatch.setattr(BinftyDiagram, "closed_form_height", wrong)
+    data = run_json("stochastic", "--family", "binfty", "--level", "4", "--window", "5")
+    assert data["row_sums_one"] is False
+    if broken == (3, 2):
+        # H_3 at level 4 is 10 = 1 + 3 + 6, but the wrong H_2 = 4 makes the middle weight 4/10
+        assert data["rows"]["3"] == {"1": "1/10", "2": "2/5", "3": "3/5"}
+
+
 @pytest.mark.parametrize("spec, args", [c for c in PATH_COUNT_CASES if "--vertex" not in c.values[1]])
 def test_continuity_norms_are_weighted_ratios_of_path_counts(spec, args, tmp_path):
     path = tmp_path / "spec.json"
@@ -767,6 +782,18 @@ def test_a_deep_bounded_finite_height_agrees_with_its_closed_form(v):
                     "--vertex", str(v))
     assert data["closed_form_agrees"] is True
     assert data["heights"] == {str(v): str(oracles.step_poly_from_scratch(3, 30)[v])}
+
+
+@pytest.mark.parametrize("args, size", [
+    (["--family", "pascal-n", "--level", "5", "--window", "4"], comb(5 + 3, 3)),
+    (["--family", "pascal-k", "--k", "3", "--level", "6"], comb(6 + 2, 2)),
+    (["--family", "pascal-z", "--level", "4", "--window", "1"], comb(4 + 2, 2)),
+], ids=["pascal-n", "pascal-k", "pascal-z"])
+def test_a_pascal_window_of_heights_agrees_with_the_multinomial(args, size):
+    data = run_json("heights", *args)
+    assert data["closed_form_agrees"] is True
+    assert len(data["heights"]) == size
+    assert data["heights"] == {k: str(oracles.multinomial_height(vertex_from_text(k))) for k in data["heights"]}
 
 
 def test_a_repeated_coordinate_is_refused_by_name(capsys):
@@ -938,6 +965,19 @@ def test_a_diagram_option_next_to_a_spec_file_is_refused_by_name(option, value, 
         main(["heights", "--spec", str(path), option, value, "--level", "2", "--window", "2"])
     assert info.value.code == 1
     assert capsys.readouterr().err == "error: --spec FILE describes the whole diagram; drop %s\n" % option
+
+
+@pytest.mark.parametrize("args", [["--closed-form", "binfty", "--a", "1/2", "--window", "2"],
+                                  ["--closed-form", "pascal", "--d", "1/3,2/3", "--level", "2"]],
+                         ids=["binfty", "pascal"])
+def test_a_spec_file_next_to_a_closed_form_limit_is_refused(args, tmp_path, capsys):
+    # the spec was never read: the closed-form vector printed whatever family the file named
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "pascal-n"}))
+    with pytest.raises(SystemExit) as info:
+        main(["limits", "--spec", str(path), *args])
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: --closed-form %s reads no diagram; drop --spec\n" % args[1]
 
 
 def test_odometer_rules_accept_lists_and_pow2():

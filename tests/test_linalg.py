@@ -20,11 +20,13 @@ from bratteli.core import (
     OdometerChainDiagram,
     PascalDiagram,
     TruncationIncompleteError,
+    build_diagram,
     build_subdiagram,
     support_key,
     vertex_window,
 )
 from bratteli.linalg import (
+    _heights,
     continuity_profile,
     count_distance,
     height,
@@ -467,16 +469,77 @@ def test_stochastic_rows_of_a_window_read_each_row_once_and_check_nothing(row_re
     assert not d._height_memo
 
 
-def test_a_whole_window_of_heights_reads_each_cone_row_once(row_reads):
-    reads, _ = row_reads
-    heights(PascalDiagram("n"), 8, bound=8)
-    # levels 1..8 over coordinates 1..8: 12,869 rows, the base vertex has none
-    assert len(reads) == sum(comb(n + 7, 7) for n in range(1, 9)) == 12869
+def test_a_whole_window_of_heights_reads_each_cone_row_once(monkeypatch):
+    # bounded-finite has no coded route, so its whole window walks the cone
+    reads = Counter()
+    read = BoundedDiagram._predecessors
+
+    def counting(self, level, v):
+        reads[level, v] += 1
+        return read(self, level, v)
+
+    monkeypatch.setattr(BoundedDiagram, "_predecessors", counting)
+    hs = heights(BoundedDiagram(3, finite=True), 10)
+    assert len(hs) == 61
+    # levels 1..10 hold 6n + 1 vertices each, all in the cone: 340 rows, the base vertex has none
+    assert set(reads) == {(n, v) for n in range(1, 11) for v in range(-3 * n, 3 * n + 1)}
+    assert len(reads) == 340
     assert set(reads.values()) == {1}
 
 
-# 1.25 x 3,217,188 bytes, the tracemalloc peak of the read-once walk below
-# (CPython 3.11); the recursion that read each row twice peaked at 2,398,784
+def test_a_whole_pascal_window_of_heights_reads_no_row(row_reads):
+    reads, checks = row_reads
+    d = PascalDiagram("n")
+    hs = heights(d, 8, bound=8)
+    assert len(hs) == comb(8 + 7, 7)
+    assert not reads and not checks
+    # only the top level is memoized, so the closed-form check of the same keys checks nothing
+    assert list(d._height_memo) == [8]
+    assert heights_closed_form(d, 8, hs) == hs
+    assert not checks
+
+
+def _coded_window_cases(top_size=6_435):
+    """(coords, level, window) over levels 0..9 and windows 1..8, for pascal-n, pascal-k (k = 4)
+    and pascal-z; a pascal-z window of 2w + 1 coordinates is kept while its top level holds at
+    most ``top_size`` vertices, the size of the largest benchmark window (pascal-n, level 8,
+    window 8)."""
+    for coords in ("n", 4, "z"):
+        for level in range(10):
+            for window in range(1, 9):
+                width = len(PascalDiagram(coords)._coord_domain(window))
+                if coords != "z" or comb(level + width - 1, level) <= top_size:
+                    yield coords, level, window
+
+
+def test_coded_window_heights_equal_the_walk_and_the_closed_forms():
+    # the coded route against the cone walk on a fresh diagram, and both against the multinomial
+    cases = list(_coded_window_cases())
+    assert len(cases) == 80 + 80 + 60
+    for coords, level, window in cases:
+        d = PascalDiagram(coords)
+        got = heights(d, level, bound=window)
+        keys = vertex_window(d, level, window)
+        assert list(got) == list(keys)
+        assert got == _heights(PascalDiagram(coords), level, keys), (coords, level, window)
+        assert got == {v: d.closed_form_height(level, v) for v in keys}, (coords, level, window)
+        assert list(d._height_memo) == [level]
+    # a spec's truncation bound cuts the window when no bound is passed
+    for spec, level in [({"family": "pascal-n", "truncation": {"bound": 3}}, 6),
+                        ({"family": "pascal-k", "params": {"k": 5}, "truncation": {"bound": 2}}, 7),
+                        ({"family": "pascal-z", "truncation": {"bound": 1}}, 5)]:
+        d = build_diagram(spec)
+        got = heights(d, level)
+        keys = vertex_window(d, level)
+        assert len(keys) == comb(level + len(d._coord_domain(d.truncation_bound)) - 1, level)
+        assert list(got) == list(keys)
+        assert got == _heights(build_diagram(spec), level, keys)
+        assert got == {v: oracles.multinomial_height(v) for v in keys}
+
+
+# 1.25 x 3,217,188 bytes, the tracemalloc peak of the read-once walk that Pascal windows took
+# before the coded route (CPython 3.11); the coded route peaks at 2,242,992, and the recursion
+# that read each row twice peaked at 2,398,784
 PEAK_BOUND = 4_022_000
 
 
