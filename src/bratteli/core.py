@@ -2,11 +2,11 @@
 
 A diagram is an infinite sequence of countable vertex levels joined by
 row-finite incidence matrices.  Levels are numbered from ``base_level``
-upward; the incidence matrix between level ``n`` and level ``n+1`` is read
-through ``predecessors(n+1, v)``, the multiset of level-``n`` sources of the
-edges whose range is ``v``.  Every vertex has finitely many predecessors, so
-any quantity defined by downward recursion (heights, path counts) is exactly
-computable without truncation error for the built-in families.
+upward; the incidence matrix between level ``n`` and level ``n+1`` is read through
+``_predecessors(n+1, v)``, the multiset of level-``n`` sources of the edges whose range
+is ``v``, and nowhere else: ``successors(n, w, bound)`` is its transpose inside the
+level-``n+1`` window.  Every vertex has finitely many predecessors, so any quantity defined
+by downward recursion (heights, path counts) is computed exactly for the built-in families.
 
 Vertex keys are either plain integers (index-labelled levels) or "support
 keys": tuples of ``(coordinate, multiplicity)`` pairs with strictly
@@ -193,11 +193,14 @@ class Diagram:
         raise NotImplementedError
 
     def successors(self, level: int, w, bound: int | None = None) -> dict:
-        """Targets (with multiplicities) at ``level+1`` of edges with source ``w``.
+        """Targets (with multiplicities) at ``level+1`` of the edges with source ``w``; checked.
 
-        Families with infinitely many successors require ``bound``.
+        The transpose of ``_predecessors`` over ``level_vertices(level + 1, bound)``:
+        only targets inside that window are listed, so infinite levels need ``bound``.
         """
-        raise NotImplementedError
+        self.check_vertex(level, w)
+        column = ((v, self._predecessors(level + 1, v).get(w, 0)) for v in self.level_vertices(level + 1, bound))
+        return {v: m for v, m in column if m}
 
     def level_contains(self, level: int, v) -> bool:
         raise NotImplementedError
@@ -278,16 +281,6 @@ class PascalDiagram(Diagram):
         return {v[:i] + ((c, m - 1),) + v[i + 1:] if m > 1 else v[:i] + v[i + 1:]: 1
                 for i, (c, m) in enumerate(v)}
 
-    def successors(self, level: int, w, bound: int | None = None) -> dict:
-        self.check_vertex(level, w)
-        if isinstance(self.coords, int):
-            domain = range(1, self.coords + 1)
-        else:
-            if bound is None:
-                raise DiagramError("successor set is infinite; pass a coordinate bound")
-            domain = self._coord_domain(bound)
-        return {key_add(w, c): 1 for c in domain}
-
     def level_contains(self, level: int, v) -> bool:
         if not isinstance(v, tuple):
             return False
@@ -334,12 +327,6 @@ class BinftyDiagram(Diagram):
     def _predecessors(self, level: int, v) -> dict:
         return {w: 1 for w in range(1, v + 1)}
 
-    def successors(self, level: int, w, bound: int | None = None) -> dict:
-        self.check_vertex(level, w)
-        if bound is None:
-            raise DiagramError("successor set is infinite; pass an index bound")
-        return {v: 1 for v in range(w, bound + 1)}
-
     def level_contains(self, level: int, v) -> bool:
         return isinstance(v, int) and v >= 1
 
@@ -379,10 +366,6 @@ class BoundedDiagram(Diagram):
             cap = (level - 1) * self.k
             lo, hi = max(lo, -cap), min(hi, cap)
         return {w: 1 for w in range(lo, hi + 1)}
-
-    def successors(self, level: int, w, bound: int | None = None) -> dict:
-        self.check_vertex(level, w)
-        return {v: 1 for v in range(w - self.k, w + self.k + 1)}
 
     def level_contains(self, level: int, v) -> bool:
         if not isinstance(v, int):
@@ -472,13 +455,6 @@ class OdometerChainDiagram(Diagram):
 
     def _predecessors(self, level: int, v) -> dict:
         return {v: self.entry(level - 1, v), v + 1: 1}
-
-    def successors(self, level: int, w, bound: int | None = None) -> dict:
-        self.check_vertex(level, w)
-        out = {w: self.entry(level, w)}
-        if w > 1:
-            out[w - 1] = 1
-        return out
 
     def level_contains(self, level: int, v) -> bool:
         return isinstance(v, int) and v >= 1
@@ -570,20 +546,6 @@ class CustomDiagram(Diagram):
                 missing=[(level, v)],
             )
         return dict(row)
-
-    def successors(self, level: int, w, bound: int | None = None) -> dict:
-        self.check_level(level)
-        rows = self._rows.get(level + 1)
-        if rows is None:
-            raise TruncationIncompleteError(
-                "no incidence rows declared between levels %d and %d" % (level, level + 1),
-                missing=[(level + 1, None)],
-            )
-        out = {}
-        for v, preds in rows.items():
-            if w in preds:
-                out[v] = preds[w]
-        return out
 
     def level_contains(self, level: int, v) -> bool:
         return v in self.level_vertices(level)
@@ -727,15 +689,6 @@ class Subdiagram(Diagram):
             amb = self.ambient._predecessors(level, v)
             return {w: m for w, m in amb.items() if w in kept}
         return {w: m for w, m in self._retained(level, v).items() if w in kept}
-
-    def successors(self, level: int, w, bound: int | None = None) -> dict:
-        self.check_vertex(level, w)
-        out = {}
-        for v in self._level_set(level + 1):
-            mult = self.predecessors(level + 1, v).get(w, 0)
-            if mult:
-                out[v] = mult
-        return out
 
     def level_contains(self, level: int, v) -> bool:
         return v in self._level_set(level)

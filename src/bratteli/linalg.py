@@ -79,10 +79,15 @@ def _pascal_window_heights(diagram: PascalDiagram, level: int, bound: int | None
     the level, so two keys of one level never share a code, and an edge adds
     one coordinate's weight.  From the base vertex's code 0, each level pushes
     every count to u + B^i for every coordinate i, and each window key reads
-    its height at its code.  Only the top level is stored in the height memo.
+    its height at its code.  Only the top level is stored in the height memo,
+    and a window the memo already holds is read from it, pushing nothing.
     """
+    bound = diagram.truncation_bound if bound is None else bound  # ``vertex_window``'s rule
     keys = vertex_window(diagram, level, bound)
-    domain = diagram._coord_domain(diagram.truncation_bound if bound is None else bound)
+    held = diagram._height_memo.get(level)
+    if held and all(map(held.__contains__, keys)):
+        return {v: held[v] for v in keys}
+    domain = diagram._coord_domain(bound)
     weights = [(level + 1) ** i for i in range(len(domain))]
     counts = {0: 1}
     for _ in range(level):

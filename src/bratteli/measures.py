@@ -70,8 +70,8 @@ class TailInvariantMeasure:
         return self._successor_mass(n, w)
 
     def _successor_mass(self, n: int, w) -> Fraction:
-        """Unchecked; the default walks the (finite) successor list, and families
-        with infinitely many successors override it with an exact closed form."""
+        """Unchecked; the default sums over ``diagram.successors``, the transposed rows of a finite
+        next level, and measures on infinite levels override it with an exact closed form."""
         return self.mass_sum(n + 1, self.diagram.successors(n, w))
 
     def level_support(self, n: int, bound: int | None = None) -> tuple:
@@ -247,10 +247,6 @@ class StaircaseMeasure(TailInvariantMeasure):
         self.diagram.check_vertex(n, j)
         a, k = self.a, self.k
         return a ** (j - k) / (1 + a) ** (n + j - k) * self._t(n + k - j + 1)
-
-    def _successor_mass(self, n: int, w) -> Fraction:
-        top = self.k + n  # largest vertex of level n+1
-        return self.mass_sum(n + 1, dict.fromkeys(range(w, top + 1), 1))
 
     def determining_value(self, n: int) -> Fraction:
         """p_n at the top vertex k+n-1: a^(n-1)/(1+a)^(2n-2)."""

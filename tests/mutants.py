@@ -179,6 +179,14 @@ MUTANTS = [
     ("stochastic-row-total-is-the-row-sum", "linalg.py",
      "yield v, weights, sum(weights.values()) if hv is None else hv", "yield v, weights, sum(weights.values())",
      TEST_CLI + "::test_row_sums_one_reads_false_under_a_wrong_closed_form_height"),
+    # invariance sums over the transposed incidence rows, and probability over the tower masses of a level
+    ("successors-drop-the-multiplicity", CORE, "{v: m for v, m in column if m}", "{v: 1 for v, m in column if m}",
+     TEST_CLI + "::test_an_odometer_column_is_invariant_with_its_edge_multiplicities"),
+    ("successors-read-the-rows-of-the-source-level", CORE,
+     "self._predecessors(level + 1, v).get(w, 0)", "self._predecessors(level, v).get(w, 0)",
+     "test_core.py::test_successors_are_the_family_formula_for_every_vertex_in_a_window"),
+    ("binfty-level-mass-one-explicit-term-short", "measures.py", "range(1, 41)", "range(1, 40)",
+     TEST_CLI + "::test_all_one_reads_false_under_a_wrong_closed_form_height"),
     # the coded Pascal window heights, each killed by the cone-walk referee
     ("coded-heights-count-in-edges-not-paths", "linalg.py",
      "pushed[u] = get(u, 0) + h", "pushed[u] = get(u, 0) + 1", CODED_REFEREE),

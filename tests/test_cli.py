@@ -21,6 +21,7 @@ import oracles
 from bratteli.cli import _by_key_repr, _fr, _vkey, cli, main
 from bratteli.core import BinftyDiagram, build_diagram, vertex_from_text, vertex_window
 from bratteli.linalg import stochastic_rows
+from bratteli.measures import BinomialEdgeMeasure
 
 
 def run(*args):
@@ -699,6 +700,40 @@ def test_row_sums_one_reads_false_under_a_wrong_closed_form_height(broken, monke
     if broken == (3, 2):
         # H_3 at level 4 is 10 = 1 + 3 + 6, but the wrong H_2 = 4 makes the middle weight 4/10
         assert data["rows"]["3"] == {"1": "1/10", "2": "2/5", "3": "3/5"}
+
+
+def test_invariant_reads_false_under_a_wrong_cylinder_mass(monkeypatch):
+    right = BinomialEdgeMeasure.p
+
+    def wrong(self, n, i):
+        return right(self, n, i) + ((n, i) == (2, 3))
+
+    monkeypatch.setattr(BinomialEdgeMeasure, "p", wrong)
+    data = run_json("invariance", "--measure", "edge-binomial", "--p", "1/3", "--k", "2", "--levels", "4")
+    assert data["invariant"] is False
+    # the successor mass reads the masses one level up, so it still gives the true p_2(3) = 2/3
+    assert data["failures"] == [{"level": 2, "vertex": "3", "cylinder_mass": "5/3", "successor_mass": "2/3"}]
+
+
+def test_all_one_reads_false_under_a_wrong_closed_form_height(monkeypatch):
+    args = ("probability", "--measure", "binfty-mu", "--a", "1/2", "--levels", "3")
+    assert run_json(*args)["all_one"] is True
+    right = BinftyDiagram.closed_form_height
+
+    def wrong(self, level, v):
+        return right(self, level, v) + ((level, v) == (2, 3))
+
+    monkeypatch.setattr(BinftyDiagram, "closed_form_height", wrong)
+    data = run_json(*args)
+    assert data["all_one"] is False
+    assert data["level_masses"]["1"] == data["level_masses"]["3"] == "1"
+
+
+def test_an_odometer_column_is_invariant_with_its_edge_multiplicities():
+    # p_n(v) = a * p_(n+1)(v): the column's one successor carries the a parallel edges
+    data = run_json("invariance", "--measure", "odometer-column", "--a", "2", "--levels", "4")
+    assert data["invariant"] is True
+    assert data["checks"] == 4
 
 
 @pytest.mark.parametrize("spec, args", [c for c in PATH_COUNT_CASES if "--vertex" not in c.values[1]])

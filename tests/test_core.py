@@ -82,16 +82,6 @@ def test_pascal_rows_are_the_oracle_rows_in_removal_order(data):
     assert list(row.items()) == list(oracles.pascal_row(key).items())
 
 
-@pytest.mark.parametrize("coords", ["n", "z", 3])
-def test_pascal_successor_predecessor_duality(coords):
-    d = PascalDiagram(coords)
-    bound = 2
-    for w in d.level_vertices(2, bound):
-        succs = d.successors(2, w, bound)
-        for v, mult in succs.items():
-            assert d.predecessors(3, v)[w] == mult
-
-
 def test_pascal_window_count_and_ranks():
     from math import comb
 
@@ -146,8 +136,8 @@ def test_bounded_generalized_is_unclipped():
 def test_odometer_entries_and_edges():
     d = OdometerChainDiagram(3)
     assert d.predecessors(1, 2) == {2: 3, 3: 1}
-    assert d.successors(0, 2) == {1: 1, 2: 3}
-    assert d.successors(0, 1) == {1: 3}
+    assert d.successors(0, 2, bound=5) == {1: 1, 2: 3}
+    assert d.successors(0, 1, bound=5) == {1: 3}
 
     p = OdometerChainDiagram("pow2")
     assert [p.entry(j, 1) for j in range(4)] == [2, 4, 8, 16]
@@ -175,6 +165,73 @@ def test_custom_diagram_missing_rows_are_flagged():
     with pytest.raises(TruncationIncompleteError) as exc:
         d.predecessors(2, "anything")
     assert exc.value.missing == [(2, "anything")]
+
+
+def test_custom_successors_refuse_a_target_with_no_declared_row():
+    d = CustomDiagram(levels={0: ["a"], 1: ["b", "c"]}, rows={1: {"b": {"a": 2}}})
+    with pytest.raises(TruncationIncompleteError,
+                       match="no incidence row declared for vertex 'c' at level 1") as exc:
+        d.successors(0, "a")  # not {"b": 2}: the edges into c are unknown, not absent
+    assert exc.value.missing == [(1, "c")]
+
+
+EDGE_SUB_RETAINED = {2: {1: {1: 1}, 2: {1: 1}}, 3: {1: {1: 1}, 2: {1: 1, 2: 1}, 3: {2: 1}},
+                     4: {2: {2: 1}, 3: {2: 1, 3: 1}, 4: {3: 1}}}
+CUSTOM_ROWS = {1: {1: {0: 2}, 2: {0: 1}}, 2: {3: {1: 1, 2: 3}, 4: {2: 2}}, 3: {5: {3: 1, 4: 2}}}
+
+
+def _transposed(rows, w):
+    """The targets of ``w`` read off declared rows {target: {source: multiplicity}}."""
+    return {v: srcs[w] for v, srcs in rows.items() if w in srcs}
+
+
+def _successor_cases():
+    """(diagram, levels, bound, formula) per family; ``formula(n, w)`` is the successors of w at level n
+    written out from the family's own edges."""
+    for coords, domain in (("n", range(1, 4)), ("z", range(-2, 3)), (4, range(1, 5)), (4, range(1, 3))):
+        bound = max(domain)
+        yield pytest.param(PascalDiagram(coords), range(4), bound,
+                           lambda n, w, domain=domain: {key_add(w, c): 1 for c in domain},
+                           id="pascal-%s/%d" % (coords, bound))
+    yield pytest.param(BinftyDiagram(), range(1, 5), 7, lambda n, w: dict.fromkeys(range(w, 8), 1), id="binfty")
+    yield pytest.param(BoundedDiagram(2, finite=True), range(4), None,
+                       lambda n, w: dict.fromkeys(range(w - 2, w + 3), 1), id="bounded-finite")
+    for a, entry in ((3, lambda n: 3), ("pow2", lambda n: 2 ** (n + 1))):
+        yield pytest.param(OdometerChainDiagram(a), range(4), 6,
+                           lambda n, w, entry=entry: {w: entry(n), **({w - 1: 1} if w > 1 else {})},
+                           id="odometer-io/%s" % a)
+    yield pytest.param(build_subdiagram(BinftyDiagram(), {"kind": "vertex", "rule": "staircase", "k": 3}),
+                       range(1, 6), None, lambda n, w: dict.fromkeys(range(w, 3 + n + 1), 1), id="staircase")
+    yield pytest.param(build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "pascal", "k": 2}),
+                       range(1, 6), None, lambda n, w: {w: 1, w + 1: 1}, id="pascal-edge")
+    yield pytest.param(build_subdiagram(BinftyDiagram(), {"kind": "edge", "rule": "explicit", "seed": [1],
+                                                          "retained": EDGE_SUB_RETAINED}),
+                       range(1, 4), None, lambda n, w: _transposed(EDGE_SUB_RETAINED[n + 1], w),
+                       id="explicit-edge")
+    custom = {"levels": {0: [0], 1: [1, 2], 2: [3, 4], 3: [5]}, "rows": CUSTOM_ROWS}
+    yield pytest.param(build_diagram({"family": "custom", "params": json.loads(json.dumps(custom))}),
+                       range(3), None, lambda n, w: _transposed(CUSTOM_ROWS[n + 1], w), id="custom")
+
+
+@pytest.mark.parametrize("d, levels, bound, formula", _successor_cases())
+def test_successors_are_the_family_formula_for_every_vertex_in_a_window(d, levels, bound, formula):
+    # the one transpose of the incidence rows against each family's edges written out forwards
+    for n in levels:
+        for w in d.level_vertices(n, bound):
+            assert d.successors(n, w, bound) == formula(n, w), (n, w)
+
+
+@pytest.mark.parametrize("d, level, w", [(OdometerChainDiagram(3), 0, 2), (BoundedDiagram(1, finite=False), 0, 0),
+                                         (BinftyDiagram(), 1, 1), (PascalDiagram("n"), 1, ((1, 1),))],
+                         ids=["odometer-io", "bounded-generalized", "binfty", "pascal-n"])
+def test_successors_on_infinite_levels_need_a_bound(d, level, w):
+    with pytest.raises(DiagramError, match="levels are infinite|needs a truncation bound"):
+        d.successors(level, w)
+
+
+def test_pascal_successors_of_a_vertex_outside_the_bound_window_are_empty():
+    # every successor keeps coordinate 3, so none lies in the window of coordinates 1..2
+    assert PascalDiagram("n").successors(2, support_key([(1, 1), (3, 1)]), 2) == {}
 
 
 def test_build_diagram_from_json():

@@ -499,6 +499,27 @@ def test_a_whole_pascal_window_of_heights_reads_no_row(row_reads):
     assert not checks
 
 
+def test_a_repeated_pascal_window_of_heights_reads_the_memo_and_pushes_nothing(row_reads):
+    reads, _ = row_reads
+    d = PascalDiagram("n")
+    domain_reads = 0
+    coord_domain = d._coord_domain
+
+    def counting_domain(bound):
+        nonlocal domain_reads
+        domain_reads += 1
+        return coord_domain(bound)
+
+    d._coord_domain = counting_domain
+    first = heights(d, 8, bound=8)
+    assert domain_reads == 2  # one to list the window, one to code it
+    second = heights(d, 8, bound=8)
+    assert domain_reads == 3  # the window is listed again, but not coded
+    assert second == first and list(second) == list(first)
+    assert not reads and list(d._height_memo) == [8]
+    assert heights(d, 8, bound=9) == heights(PascalDiagram("n"), 8, bound=9)  # a wider window is pushed
+
+
 def _coded_window_cases(top_size=6_435):
     """(coords, level, window) over levels 0..9 and windows 1..8, for pascal-n, pascal-k (k = 4)
     and pascal-z; a pascal-z window of 2w + 1 coordinates is kept while its top level holds at
