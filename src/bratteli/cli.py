@@ -7,21 +7,29 @@ JSON output is deterministic: keys are sorted and the encoder is
 byte-stable, so identical invocations produce identical bytes.
 
 Exit codes: 0 on success, 1 on domain errors (bad arguments, malformed
-specs, values outside a family's domain), 2 when an answer would require
-data beyond the supplied truncation depth or window.
+specs, values outside a family's domain) and on usage errors, 2 when an
+answer would require data beyond the supplied truncation depth or window.
 
 Every subcommand is registered through ``_command`` and follows one
 convention.  A command takes its resolved input first (a diagram builder
 or a measure, when it has one), then its own options, and returns either
 a JSON payload or ``(payload, header, rows[, approx_fields])`` when it has
-a CSV form.  ``_command`` does the rest: it attaches the input's option
-group, the command's own options and ``--out/--format/--precision`` in
-that order, resolves the input, renders the result with ``_emit``, and
-maps ``TruncationIncompleteError`` to exit 2 and ``DiagramError`` to 1.
+a CSV form.  ``_command`` adds its argparse subparser at import, with the
+input's option group, the command's own options and
+``--out/--format/--precision`` in that order.  ``main`` does the rest: it
+parses, resolves the input, calls the command, renders the result with
+``_emit``, and maps ``TruncationIncompleteError`` to exit 2 and
+``DiagramError`` to 1.
+
+The argparse parser keeps one usage contract: a usage error exits 1
+(argparse's 2 would read as truncation-incomplete), no arguments print the
+help to stderr and exit 1, no option is abbreviated, there is no ``-h``, and
+a value option takes the next token whatever it starts with (``--coords -1,1``).
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import functools
 import inspect
@@ -34,8 +42,6 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 from typing import NamedTuple
-
-import click
 
 from . import __version__
 from .core import (
@@ -89,12 +95,6 @@ from .vershik import (
     vershik_inverse,
     vershik_step,
 )
-
-# Usage mistakes (unknown flags, missing required options) are domain
-# errors under this tool's exit-code contract; code 2 is reserved for
-# truncation-incomplete answers.
-click.UsageError.exit_code = 1
-
 
 # ---------------------------------------------------------------------------
 # parsing helpers (all failures raise DiagramError so they map to exit 1)
@@ -257,7 +257,7 @@ def _emit(out, fmt, precision, payload, header=None, rows=None,
         except OSError as exc:
             raise DiagramError("cannot write --out %s: %s" % (out, exc.strerror or exc)) from None
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -361,77 +361,95 @@ def _measure(measure_name, d_text, coords_text, a_text, k_param, p_text,
     raise DiagramError("unknown measure %r" % measure_name)
 
 
+def _opt(flag, dest=None, **kwargs):
+    """One option as ``(flag, add_argument keywords)``, its value shown as INTEGER, TEXT or [a|b]."""
+    if "action" not in kwargs:
+        choices = kwargs.get("choices")
+        kwargs.setdefault("metavar", "[%s]" % "|".join(choices) if choices else
+                          "INTEGER" if kwargs.get("type") is int else "TEXT")
+        if kwargs.get("required"):
+            kwargs["help"] += " [required]"
+    return flag, dict(kwargs, dest=dest or flag[2:].replace("-", "_"))
+
+
 # inputs name -> (its option group, the resolver its option values are passed to)
 _INPUTS = {
     None: ((), None),
     "diagram": ((
-        click.option("--family", type=click.Choice([f for f in FAMILIES if f != "custom"]),
-                     default=None, help="Diagram family (or use --spec FILE)."),
-        click.option("--spec", "spec_file", default=None, metavar="FILE",
-                     help="JSON file with {family, params, ...} and an optional "
-                          "'sub' block."),
-        click.option("--k", "k_param", type=int, default=None,
-                     help="Width parameter for pascal-k / bounded families."),
-        click.option("--a", "a_rule", default=None,
-                     help="Odometer entry rule: an integer, a comma list, or 'pow2'."),
-        click.option("--sub", "sub_text", default=None,
-                     help="Subdiagram shorthand: staircase:K, pascal-edge:K, or "
-                          "constant:V."),
+        _opt("--family", choices=[f for f in FAMILIES if f != "custom"],
+             help="Diagram family (or use --spec FILE)."),
+        _opt("--spec", "spec_file", metavar="FILE",
+             help="JSON file with {family, params, ...} and an optional 'sub' block."),
+        _opt("--k", "k_param", type=int, help="Width parameter for pascal-k / bounded families."),
+        _opt("--a", "a_rule", help="Odometer entry rule: an integer, a comma list, or 'pow2'."),
+        _opt("--sub", "sub_text", help="Subdiagram shorthand: staircase:K, pascal-edge:K, or constant:V."),
     ), _DiagramArgs),
     "measure": ((
-        click.option("--measure", "measure_name",
-                     type=click.Choice(["pascal-mu", "binfty-mu", "staircase-nu",
-                                        "edge-binomial", "odometer-column"]),
-                     required=True,
-                     help="Measure family."),
-        click.option("--d", "d_text", default=None,
-                     help="Comma list of direction masses for pascal-mu."),
-        click.option("--coords", "coords_text", default=None,
-                     help="Comma list of coordinates matching --d (default 1..n)."),
-        click.option("--a", "a_text", default=None,
-                     help="Slope (binfty-mu, staircase-nu) or odometer entry rule."),
-        click.option("--k", "k_param", type=int, default=None,
-                     help="Subdiagram width for staircase-nu / edge-binomial."),
-        click.option("--p", "p_text", default=None,
-                     help="Edge weight for edge-binomial."),
-        click.option("--column", type=int, default=1,
-                     help="Column for odometer-column (default 1)."),
+        _opt("--measure", "measure_name",
+             choices=["pascal-mu", "binfty-mu", "staircase-nu", "edge-binomial", "odometer-column"],
+             required=True, help="Measure family."),
+        _opt("--d", "d_text", help="Comma list of direction masses for pascal-mu."),
+        _opt("--coords", "coords_text", help="Comma list of coordinates matching --d (default 1..n)."),
+        _opt("--a", "a_text", help="Slope (binfty-mu, staircase-nu) or odometer entry rule."),
+        _opt("--k", "k_param", type=int, help="Subdiagram width for staircase-nu / edge-binomial."),
+        _opt("--p", "p_text", help="Edge weight for edge-binomial."),
+        _opt("--column", type=int, default=1, help="Column for odometer-column (default 1)."),
     ), _measure),
     "pascal-mu": ((
-        click.option("--d", "d_text", required=True,
-                     help="Comma list of direction masses."),
-        click.option("--coords", "coords_text", default=None,
-                     help="Comma list of coordinates matching --d."),
+        _opt("--d", "d_text", required=True, help="Comma list of direction masses."),
+        _opt("--coords", "coords_text", help="Comma list of coordinates matching --d."),
     ), _pascal_measure),
     "staircase-nu": ((
-        click.option("--a", "a_text", required=True, help="Staircase slope."),
-        click.option("--k", "k_param", type=int, default=2,
-                     help="Staircase width (default 2)."),
+        _opt("--a", "a_text", required=True, help="Staircase slope."),
+        _opt("--k", "k_param", type=int, default=2, help="Staircase width (default 2)."),
     ), _staircase_measure),
 }
 
 _OUTPUT_OPTS = (
-    click.option("--out", default=None, metavar="FILE",
-                 help="Write output to FILE instead of stdout."),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                 default="json", help="Output format."),
-    click.option("--precision", type=int, default=None, metavar="BITS",
-                 help="Append decimal approximations at this bit precision."),
+    _opt("--out", metavar="FILE", help="Write output to FILE instead of stdout."),
+    _opt("--format", "fmt", choices=["json", "csv"], default="json", help="Output format."),
+    _opt("--precision", type=int, metavar="BITS", help="Append decimal approximations at this bit precision."),
 )
+_HELP = _opt("--help", action="help", help="Show this message and exit.")
 
 
 # ---------------------------------------------------------------------------
-# the command group and its one registration wrapper
+# the parser and its one registration wrapper
 # ---------------------------------------------------------------------------
 
-@click.group()
-@click.version_option(__version__, prog_name="bratteli")
-def cli():
-    """Exact computations on generalized Bratteli diagrams."""
+class _HelpFormatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that knows no ``-h`` and no abbreviated option, and whose usage errors exit 1."""
+
+    def __init__(self, options=(), **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_HelpFormatter, **kwargs)
+        group = self.add_argument_group("Options")
+        for flag, option in options:
+            group.add_argument(flag, **option)
+
+    def error(self, message):
+        self.exit(1, "%sTry '%s --help' for help.\n\nError: %s\n" % (self.format_usage(), self.prog, message))
+
+
+_PARSER = _Parser(
+    prog="bratteli", usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+    description="Exact computations on generalized Bratteli diagrams.",
+    options=(_opt("--version", action="version", version="bratteli, version " + __version__,
+                  help="Show the version and exit."), _HELP))
+_SUBPARSERS = _PARSER.add_subparsers(title="Commands", metavar="COMMAND", dest="command", required=True,
+                                     prog="bratteli")
+
+# command name -> (its function, its input's resolver, the option names the resolver reads)
+COMMANDS = {}
+_VALUE_FLAGS = set()  # every option that takes a value, in any command
 
 
 def _command(*opts, name=None, inputs=None):
-    """Register the decorated function as a subcommand of ``cli``.
+    """Register the decorated function as the subcommand ``name`` (by default its own name).
 
     ``inputs`` names an entry of ``_INPUTS``.  Its resolver's result is the
     command's first argument: a ``_DiagramArgs``, which the command calls
@@ -439,32 +457,20 @@ def _command(*opts, name=None, inputs=None):
     and errors come in the command's order), or a built measure.
     """
     group, resolve = _INPUTS[inputs]
-    fields = tuple(inspect.signature(resolve).parameters) if resolve else ()
 
     def deco(fn):
-        @functools.wraps(fn)
-        def run(out, fmt, precision, **kwargs):
-            try:
-                given = [resolve(*(kwargs.pop(f) for f in fields))] if resolve else []
-                result = fn(*given, **kwargs)
-                _emit(out, fmt, precision, *(result if isinstance(result, tuple) else (result,)))
-            except TruncationIncompleteError as exc:
-                missing = " (missing: %s)" % json.dumps(exc.missing) if exc.missing else ""
-                click.echo("truncation-incomplete: %s%s" % (exc, missing), err=True)
-                sys.exit(2)
-            except DiagramError as exc:
-                click.echo("error: %s" % exc, err=True)
-                sys.exit(1)
-
-        for opt in reversed(group + opts + _OUTPUT_OPTS):
-            run = opt(run)
-        return cli.command(name=name)(run)
+        command, options = name or fn.__name__, group + opts + _OUTPUT_OPTS + (_HELP,)
+        summary = inspect.getdoc(fn).partition("\f")[0].strip()
+        _SUBPARSERS.add_parser(command, help=summary, description=summary, usage="%(prog)s [OPTIONS]",
+                               options=options)
+        _VALUE_FLAGS.update(flag for flag, option in options if "action" not in option)
+        COMMANDS[command] = (fn, resolve, tuple(inspect.signature(resolve).parameters) if resolve else ())
+        return fn
     return deco
 
 
-_ORDER_OPT = click.option(
-    "--order", "order_name", default="left-to-right",
-    help="Edge order: left-to-right, alternating, natural or cyclic.")
+_ORDER_OPT = _opt("--order", "order_name", default="left-to-right",
+                  help="Edge order: left-to-right, alternating, natural or cyclic.")
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +478,9 @@ _ORDER_OPT = click.option(
 # ---------------------------------------------------------------------------
 
 @_command(
-    click.option("--level", type=int, required=True, help="Level to evaluate."),
-    click.option("--window", type=int, default=None,
-                 help="Index bound cutting infinite levels to a finite window."),
-    click.option("--vertex", "vertex_text", default=None,
-                 help="Single vertex instead of the whole window."),
+    _opt("--level", type=int, required=True, help="Level to evaluate."),
+    _opt("--window", type=int, help="Index bound cutting infinite levels to a finite window."),
+    _opt("--vertex", "vertex_text", help="Single vertex instead of the whole window."),
     name="heights", inputs="diagram")
 def heights_cmd(source, level, window, vertex_text):
     """Path-count heights at a level, with closed forms when available."""
@@ -500,12 +504,9 @@ def heights_cmd(source, level, window, vertex_text):
 
 
 @_command(
-    click.option("--level", type=int, required=True,
-                 help="Target level (sources live one level down)."),
-    click.option("--window", type=int, default=None,
-                 help="Index bound for infinite levels."),
-    click.option("--vertex", "vertex_text", default=None,
-                 help="Single target vertex instead of the whole window."),
+    _opt("--level", type=int, required=True, help="Target level (sources live one level down)."),
+    _opt("--window", type=int, help="Index bound for infinite levels."),
+    _opt("--vertex", "vertex_text", help="Single target vertex instead of the whole window."),
     inputs="diagram")
 def stochastic(source, level, window, vertex_text):
     """Height-normalized incidence rows; each row sums to exactly 1."""
@@ -531,13 +532,12 @@ def stochastic(source, level, window, vertex_text):
 
 
 @_command(
-    click.option("--level", type=int, required=True, help="Lower level n."),
-    click.option("--m", "m_steps", type=int, required=True,
-                 help="Number of levels in the product (top level is n + m)."),
-    click.option("--vertex", "vertex_text", required=True,
-                 help="Top vertex at level n + m."),
-    click.option("--method", type=click.Choice(["auto", "closed", "recursion"]),
-                 default="auto", help="How to compute the normalized row."),
+    _opt("--level", type=int, required=True, help="Lower level n."),
+    _opt("--m", "m_steps", type=int, required=True,
+         help="Number of levels in the product (top level is n + m)."),
+    _opt("--vertex", "vertex_text", required=True, help="Top vertex at level n + m."),
+    _opt("--method", choices=["auto", "closed", "recursion"],
+         default="auto", help="How to compute the normalized row."),
     inputs="diagram")
 def product(source, level, m_steps, vertex_text, method):
     """Normalized m-step incidence row from a top vertex down to level n."""
@@ -556,28 +556,17 @@ def product(source, level, m_steps, vertex_text, method):
 
 
 @_command(
-    click.option("--level", type=int, default=None,
-                 help="Level the limit vector lives at (defaults to the base)."),
-    click.option("--rule", type=click.Choice(["constant", "ray", "pascal-ray"]),
-                 default=None, help="How the tops march upward."),
-    click.option("--vertex", "vertex_text", default=None,
-                 help="Fixed top vertex for --rule constant."),
-    click.option("--slope", default=None,
-                 help="Rational slope for --rule ray."),
-    click.option("--d", "d_text", default=None,
-                 help="Direction masses for --rule pascal-ray."),
-    click.option("--closed-form", "closed_form",
-                 type=click.Choice(["binfty", "pascal"]), default=None,
-                 help="Emit a known limit vector instead of iterating "
-                      "(binfty reads its slope from --a)."),
-    click.option("--window", type=int, default=20,
-                 help="Entries reported for infinite-support vectors."),
-    click.option("--tol", default="1/1000000",
-                 help="Stopping tolerance for the iteration (exact rational)."),
-    click.option("--m-max", type=int, default=200,
-                 help="Iteration budget before reporting non-convergence."),
-    click.option("--method", type=click.Choice(["auto", "closed", "recursion"]),
-                 default="auto", help="Row computation method."),
+    _opt("--level", type=int, help="Level the limit vector lives at (defaults to the base)."),
+    _opt("--rule", choices=["constant", "ray", "pascal-ray"], help="How the tops march upward."),
+    _opt("--vertex", "vertex_text", help="Fixed top vertex for --rule constant."),
+    _opt("--slope", help="Rational slope for --rule ray."),
+    _opt("--d", "d_text", help="Direction masses for --rule pascal-ray."),
+    _opt("--closed-form", choices=["binfty", "pascal"],
+         help="Emit a known limit vector instead of iterating (binfty reads its slope from --a)."),
+    _opt("--window", type=int, default=20, help="Entries reported for infinite-support vectors."),
+    _opt("--tol", default="1/1000000", help="Stopping tolerance for the iteration (exact rational)."),
+    _opt("--m-max", type=int, default=200, help="Iteration budget before reporting non-convergence."),
+    _opt("--method", choices=["auto", "closed", "recursion"], default="auto", help="Row computation method."),
     inputs="diagram")
 def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
            window, tol, m_max, method):
@@ -645,11 +634,9 @@ def limits(source, level, rule, vertex_text, slope, d_text, closed_form,
 
 
 @_command(
-    click.option("--level", type=int, required=True, help="Level to report."),
-    click.option("--window", type=int, default=None,
-                 help="Support cut for infinite levels."),
-    click.option("--vertex", "vertex_text", default=None,
-                 help="Single vertex instead of the level's support."),
+    _opt("--level", type=int, required=True, help="Level to report."),
+    _opt("--window", type=int, help="Support cut for infinite levels."),
+    _opt("--vertex", "vertex_text", help="Single vertex instead of the level's support."),
     inputs="measure")
 def measure(mu, level, window, vertex_text):
     """Cylinder and tower masses of a tail-invariant measure at a level."""
@@ -674,10 +661,8 @@ def measure(mu, level, window, vertex_text):
 
 
 @_command(
-    click.option("--levels", type=int, required=True,
-                 help="Number of levels checked, starting at the base."),
-    click.option("--window", type=int, default=None,
-                 help="Support cut for infinite levels."),
+    _opt("--levels", type=int, required=True, help="Number of levels checked, starting at the base."),
+    _opt("--window", type=int, help="Support cut for infinite levels."),
     inputs="measure")
 def invariance(mu, levels, window):
     """Exact balance check: cylinder mass equals its successor mass."""
@@ -706,8 +691,7 @@ def invariance(mu, levels, window):
 
 
 @_command(
-    click.option("--levels", type=int, required=True,
-                 help="Number of levels summed, starting at the base."),
+    _opt("--levels", type=int, required=True, help="Number of levels summed, starting at the base."),
     inputs="measure")
 def probability(mu, levels):
     """Total tower mass per level; a probability measure reports exactly 1."""
@@ -738,19 +722,13 @@ _EXTENSION_ARGS = {
 
 
 @_command(
-    click.option("--case", "case_name",
-                 type=click.Choice(sorted(EXTENSION_CASES)), required=True,
-                 help="Which extension boundary to test."),
-    click.option("--a", "a_text", default=None,
-                 help="Slope (rational) or odometer entry rule."),
-    click.option("--p", "p_text", default=None,
-                 help="Edge weight for nu-p-pascal-edge."),
-    click.option("--k", "k_param", type=int, default=2,
-                 help="Subdiagram width (default 2)."),
-    click.option("--column", type=int, default=1,
-                 help="Column for odometer-column (default 1)."),
-    click.option("--n-max", "n_max", type=int, default=None,
-                 help="Series depth before declaring a partial-sum verdict."))
+    _opt("--case", "case_name", choices=sorted(EXTENSION_CASES), required=True,
+         help="Which extension boundary to test."),
+    _opt("--a", "a_text", help="Slope (rational) or odometer entry rule."),
+    _opt("--p", "p_text", help="Edge weight for nu-p-pascal-edge."),
+    _opt("--k", "k_param", type=int, default=2, help="Subdiagram width (default 2)."),
+    _opt("--column", type=int, default=1, help="Column for odometer-column (default 1)."),
+    _opt("--n-max", "n_max", type=int, help="Series depth before declaring a partial-sum verdict."))
 def extension(case_name, a_text, p_text, k_param, column, n_max):
     """Decide whether a subdiagram measure extends to a finite measure."""
     option, name, read, width, depth = _EXTENSION_ARGS[case_name]
@@ -766,10 +744,8 @@ def extension(case_name, a_text, p_text, k_param, column, n_max):
 
 
 @_command(
-    click.option("--orders", type=int, default=5,
-                 help="Highest finite-difference order checked."),
-    click.option("--terms", type=int, default=12,
-                 help="Length of the determining sequence."),
+    _opt("--orders", type=int, default=5, help="Highest finite-difference order checked."),
+    _opt("--terms", type=int, default=12, help="Length of the determining sequence."),
     inputs="staircase-nu")
 def monotone(nu, orders, terms):
     """Complete monotonicity of the staircase determining sequence."""
@@ -799,9 +775,9 @@ def monotone(nu, orders, terms):
 
 
 @_command(
-    click.option("--depth", type=int, required=True, help="Path length."),
-    click.option("--count", type=int, required=True, help="Number of paths."),
-    click.option("--seed", type=int, required=True, help="Generator seed."),
+    _opt("--depth", type=int, required=True, help="Path length."),
+    _opt("--count", type=int, required=True, help="Number of paths."),
+    _opt("--seed", type=int, required=True, help="Generator seed."),
     inputs="pascal-mu")
 def sample(mu, depth, count, seed):
     """Sample random paths from a product measure; report coordinate means."""
@@ -825,10 +801,8 @@ def sample(mu, depth, count, seed):
 
 @_command(
     _ORDER_OPT,
-    click.option("--path", "path_text", required=True,
-                 help="Path as JSON: {start, edges, tail}."),
-    click.option("--inverse", is_flag=True, default=False,
-                 help="Apply the inverse step instead."),
+    _opt("--path", "path_text", required=True, help="Path as JSON: {start, edges, tail}."),
+    _opt("--inverse", action="store_true", help="Apply the inverse step instead."),
     inputs="diagram")
 def vershik(source, order_name, path_text, inverse):
     """One step of the adic transformation on an explicit path."""
@@ -844,12 +818,9 @@ def vershik(source, order_name, path_text, inverse):
 
 @_command(
     _ORDER_OPT,
-    click.option("--path", "path_text", default=None,
-                 help="Path as JSON: {start, edges, tail}."),
-    click.option("--descriptor", "descriptor_text", default=None,
-                 help="Extremal-path descriptor as JSON."),
-    click.option("--domain", type=click.Choice(["z", "n"]), default="z",
-                 help="Coordinate domain for descriptors."),
+    _opt("--path", "path_text", help="Path as JSON: {start, edges, tail}."),
+    _opt("--descriptor", "descriptor_text", help="Extremal-path descriptor as JSON."),
+    _opt("--domain", choices=["z", "n"], default="z", help="Coordinate domain for descriptors."),
     inputs="diagram")
 def classify(source, order_name, path_text, descriptor_text, domain):
     """Extremality class of a path or descriptor, with step candidates."""
@@ -895,12 +866,9 @@ def classify(source, order_name, path_text, descriptor_text, domain):
 
 @_command(
     _ORDER_OPT,
-    click.option("--path", "path_text", required=True,
-                 help="Starting path as JSON."),
-    click.option("--steps", type=int, required=True,
-                 help="Forward steps to take."),
-    click.option("--visit-level", type=int, default=None,
-                 help="Count vertex visits at this level along the orbit."),
+    _opt("--path", "path_text", required=True, help="Starting path as JSON."),
+    _opt("--steps", type=int, required=True, help="Forward steps to take."),
+    _opt("--visit-level", type=int, help="Count vertex visits at this level along the orbit."),
     name="orbit", inputs="diagram")
 def orbit_cmd(source, order_name, path_text, steps, visit_level):
     """Iterate the adic transformation and tally vertex visits.
@@ -923,10 +891,8 @@ def orbit_cmd(source, order_name, path_text, steps, visit_level):
 
 
 @_command(
-    click.option("--level", type=int, required=True,
-                 help="Target level (sources ranked one level down)."),
-    click.option("--window", type=int, default=None,
-                 help="Index bound for infinite levels."),
+    _opt("--level", type=int, required=True, help="Target level (sources ranked one level down)."),
+    _opt("--window", type=int, help="Index bound for infinite levels."),
     inputs="diagram")
 def continuity(source, level, window):
     """Rank-weighted row norms tracking continuity of the transpose action."""
@@ -943,10 +909,8 @@ def continuity(source, level, window):
 
 
 @_command(
-    click.option("--k", "k_param", type=int, required=True,
-                 help="Band half-width of the bounded diagram."),
-    click.option("--m-max", "m_max", type=int, required=True,
-                 help="Largest power examined."),
+    _opt("--k", "k_param", type=int, required=True, help="Band half-width of the bounded diagram."),
+    _opt("--m-max", "m_max", type=int, required=True, help="Largest power examined."),
     name="bk-decay")
 def bk_decay(k_param, m_max):
     """Central-coefficient decay ratios K_0^(m) / (2k+1)^m for powers m."""
@@ -969,9 +933,40 @@ def bk_decay(k_param, m_max):
             ("ratios",))
 
 
+def _glued(argv):
+    """``argv`` with each option that takes a value joined to the next token: ``--coords=-1,1``.
+
+    argparse reads a token that starts with a dash as an option, so ``--coords -1,1`` would
+    lose its value; joined, a value option takes the next token whatever it starts with.
+    """
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        out.append(token if value is None else token + "=" + value)
+    return out
+
+
 def main(argv=None):
-    """Console entry point with the documented exit-code mapping."""
-    return cli.main(args=argv, prog_name="bratteli")
+    """Console entry point: parse ``argv``, run its command, and exit 0, 1 or 2 (it never returns)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        _PARSER.print_help(sys.stderr)
+        sys.exit(1)
+    args = vars(_PARSER.parse_args(_glued(argv)))
+    fn, resolve, fields = COMMANDS[args.pop("command")]
+    out, fmt, precision = args.pop("out"), args.pop("fmt"), args.pop("precision")
+    try:
+        given = [resolve(*(args.pop(f) for f in fields))] if resolve else []
+        result = fn(*given, **args)
+        _emit(out, fmt, precision, *(result if isinstance(result, tuple) else (result,)))
+    except TruncationIncompleteError as exc:
+        missing = " (missing: %s)" % json.dumps(exc.missing) if exc.missing else ""
+        print("truncation-incomplete: %s%s" % (exc, missing), file=sys.stderr)
+        sys.exit(2)
+    except DiagramError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

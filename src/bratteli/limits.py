@@ -227,8 +227,10 @@ def constant_top(v) -> Callable[[int, int], object]:
 
 
 def index_ray(slope) -> Callable[[int, int], int]:
-    """Integer-index tops growing like slope * m (at least 1)."""
+    """Integer-index tops growing like slope * m (at least 1); a slope below 0 is refused."""
     slope = Fraction(slope)
+    if slope < 0:
+        raise DiagramError("the ray slope must be >= 0, got %s" % slope)
     return lambda m, level: max(1, floor(slope * m + Fraction(1, 2)))
 
 

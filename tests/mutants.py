@@ -221,6 +221,12 @@ MUTANTS = [
     ("csv-accepts-precision", "cli.py",
      'if fmt == "csv":\n            raise DiagramError("--precision has no CSV form',
      'if False:\n            raise DiagramError("--precision has no CSV form', TEST_CLI),
+    # the parser's usage contract: no abbreviated option, and a value option takes a dash-led value
+    ("parser-allows-abbreviations", "cli.py", "allow_abbrev=False", "allow_abbrev=True",
+     TEST_CLI + "::test_a_usage_error_exits_one_with_nothing_on_stdout"),
+    ("dash-led-value-read-as-an-option", "cli.py",
+     "value = next(tokens, None) if token in _VALUE_FLAGS else None", "value = None",
+     TEST_CLI + "::test_a_value_option_takes_the_next_token_whatever_it_starts_with"),
     # a renamed traced function would crash traced benchmark runs, and a renamed method would trace nothing
     ("traced-callable-renamed", "linalg.py", "def simplex_distance(", "def _simplex_distance(",
      "test_hygiene.py::test_every_traced_callable_exists"),

@@ -12,20 +12,20 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from clirun import invoke
 
-from bratteli.cli import _by_key_repr, _fr, _vkey, cli, main
+from bratteli.cli import _by_key_repr, _fr, _vkey, main
 from bratteli.core import BinftyDiagram, build_diagram, vertex_from_text, vertex_window
 from bratteli.linalg import stochastic_rows
 from bratteli.measures import BinomialEdgeMeasure
 
 
 def run(*args):
-    return CliRunner().invoke(cli, list(args))
+    return invoke(args)
 
 
 def run_json(*args):
@@ -582,6 +582,62 @@ def test_version_is_read_from_the_package_not_installed_metadata():
     result = run("--version")
     assert result.exit_code == 0, result.output
     assert result.output == "bratteli, version 0.1.0\n"
+
+
+# ---------------------------------------------------------------------------
+# the usage contract: a mistyped command line exits 1 (2 means truncation-incomplete)
+# ---------------------------------------------------------------------------
+
+def test_no_arguments_print_the_help_on_stderr_and_exit_one():
+    result = run()
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "Exact computations on generalized Bratteli diagrams." in result.stderr
+    assert "--version" in result.stderr and "bk-decay" in result.stderr
+
+
+_HEIGHTS = ["heights", "--family", "binfty", "--level", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nosuch"],
+    _HEIGHTS + ["--bogus", "1"],
+    ["heights", "--family", "binfty"],
+    ["heights", "--family", "binfty", "--level", "x"],
+    ["heights", "--family", "nope", "--level", "3"],
+    _HEIGHTS + ["--format", "xml"],
+    _HEIGHTS + ["extra"],
+    _HEIGHTS + ["-h"],
+    ["-h"],
+    ["heights", "--family", "binfty", "--lev", "3", "--window", "2"],
+], ids=["unknown-command", "unknown-option", "missing-level", "level-not-an-integer", "unknown-family",
+        "unknown-format", "extra-argument", "short-help", "short-help-of-the-group", "abbreviated-option"])
+def test_a_usage_error_exits_one_with_nothing_on_stdout(argv):
+    result = run(*argv)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr and "Traceback" not in result.stderr
+
+
+def test_a_value_option_takes_the_next_token_whatever_it_starts_with():
+    result = run("measure", "--measure", "pascal-mu", "--d", "1/2,1/2", "--coords", "-1,1", "--level", "1")
+    assert result.exit_code == 0, result.output
+    assert result.output == (
+        '{\n  "cylinder_masses": {\n    "[[-1,1]]": "1/2",\n    "[[1,1]]": "1/2"\n  },\n  "level": 1,\n'
+        '  "level_mass": "1",\n  "measure": "pascal-mu",\n  "tower_masses": {\n    "[[-1,1]]": "1/2",\n'
+        '    "[[1,1]]": "1/2"\n  }\n}\n')
+    # a dash-led value reaches the program's own check, not the parser's
+    result = run("measure", "--measure", "binfty-mu", "--a", "-1/2", "--level", "1")
+    assert result.exit_code == 1
+    assert result.output == "error: the slope parameter must be >= 0\n"
+
+
+def test_a_negative_ray_slope_is_refused_by_name():
+    # every top was clamped to 1, so a negative slope marched nowhere and reported "converged": true
+    result = run("limits", "--family", "binfty", "--rule", "ray", "--slope", "-3", "--level", "1")
+    assert result.exit_code == 1
+    assert result.output == "error: the ray slope must be >= 0, got -3\n"
+    assert run_json("limits", "--family", "binfty", "--rule", "ray", "--slope", "0", "--level", "1")["converged"]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ otherwise trace nothing without a word.  ``KNOWN_STALE`` lists the entries
 that already trace nothing.  The test reads ``TRACED`` from the shim's source
 without importing it.
 
+The CLI needs nothing beyond the standard library: a fresh interpreter that
+imports ``bratteli.cli`` loads no top-level module that is neither
+``bratteli`` nor in ``sys.stdlib_module_names``.  The check diffs
+``sys.modules`` around the import, because ``site`` may already have loaded
+third-party modules of its own before it.
+
 Every entry of the mutation check (``tests/mutants.py``) must still apply:
 its old text occurs exactly once in its module.  The check itself runs for
 minutes, outside the suite; this part of it takes milliseconds.
@@ -31,6 +37,9 @@ minutes, outside the suite; this part of it takes milliseconds.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,3 +181,16 @@ def test_every_traced_callable_exists(module, attr, span):
 
 def test_every_mutation_check_entry_still_applies():
     assert mutants.stale_entries() == []
+
+
+_NEW_MODULES = ("import sys; before = set(sys.modules); import bratteli.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+
+
+def test_the_cli_imports_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=env, capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "bratteli.cli" in loaded
+    foreign = sorted({name.partition(".")[0] for name in loaded} - set(sys.stdlib_module_names) - {"bratteli"})
+    assert foreign == [], "importing bratteli.cli loads %s" % foreign

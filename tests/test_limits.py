@@ -100,6 +100,13 @@ def test_binfty_ray_limit_is_the_same_by_closed_form_and_by_recursion():
     assert closed == recursion
 
 
+def test_a_ray_slope_below_zero_is_refused():
+    with pytest.raises(DiagramError, match="the ray slope must be >= 0, got -1/2"):
+        index_ray(Fraction(-1, 2))
+    assert [index_ray(0)(m, 1) for m in (1, 5, 50)] == [1, 1, 1]
+    assert [index_ray(Fraction(1, 3))(m, 1) for m in (1, 5, 50)] == [1, 2, 17]
+
+
 def test_binfty_transition_row_sums():
     binfty = BinftyDiagram()
     for m in (1, 2, 5):

@@ -7,12 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratteli import vershik
-from bratteli.cli import _vkey, cli
+from bratteli.cli import _vkey
 from bratteli.core import (
     BinftyDiagram,
     BoundedDiagram,
@@ -62,6 +61,7 @@ from bratteli.vershik import (
 )
 
 import oracles
+from clirun import invoke
 
 
 def staircase(k=2):
@@ -972,7 +972,7 @@ def test_the_orbit_command_folds_the_same_orbit(case):
     od, start = _minimal_start(*ORBIT_CASES[case])
     visit_level = (od.diagram.base_level + level) // 2
     result = orbit(od, start, 1000, visit_level=visit_level)
-    out = CliRunner().invoke(cli, [
+    out = invoke([
         "orbit", *ORBIT_CLI_ARGS[case], "--order", order, "--steps", "1000",
         "--path", json.dumps(path_to_json(start)), "--visit-level", str(visit_level)])
     assert out.exit_code == 0, out.output
@@ -986,10 +986,10 @@ def test_the_orbit_command_folds_the_same_orbit(case):
 def test_the_binfty_benchmark_cli_orbit_holds_no_visited_paths():
     path = json.dumps({"start": 1, "edges": [[1, 1, 1]] * 14 + [[1, 7, 1]]})
     argv = ["orbit", "--family", "binfty", "--order", "left-to-right", "--path", path, "--visit-level", "8"]
-    assert CliRunner().invoke(cli, [*argv, "--steps", "1"]).exit_code == 0  # warm the CLI's own caches
+    assert invoke([*argv, "--steps", "1"]).exit_code == 0  # warm the CLI's own caches
     tracemalloc.start()
     try:
-        out = CliRunner().invoke(cli, [*argv, "--steps", "8000"])
+        out = invoke([*argv, "--steps", "8000"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1176,7 +1176,7 @@ def test_a_step_reads_no_order_above_the_edge_it_rewrites(case):
     assert _outcome(orbit_end, OrderedDiagram(make(), order), path, 2, visit_level) == walked
     args = ["orbit", "--family", "bounded-finite", "--k", "1", "--order", order, "--steps", "2",
             "--path", json.dumps(path_to_json(path))]
-    out = CliRunner().invoke(cli, args + ([] if visit_level is None else ["--visit-level", str(visit_level)]))
+    out = invoke(args + ([] if visit_level is None else ["--visit-level", str(visit_level)]))
     assert out.exit_code == 0, out.output
     assert json.loads(out.output)["last"] == path_to_json(PathRep(path.start, walked[1], walked[2]))
 
@@ -1231,8 +1231,8 @@ def test_the_binfty_benchmark_cli_orbit_jumps_without_a_step(monkeypatch):
     for v in (6, 7, 8):  # the benchmark's 8000-step orbits, each inside one tower of 15,504+ paths
         fills.clear()
         path = json.dumps({"start": 1, "edges": [[1, 1, 1]] * 14 + [[1, v, 1]]})
-        out = CliRunner().invoke(cli, ["orbit", "--family", "binfty", "--order", "left-to-right",
-                                       "--steps", "8000", "--path", path, "--visit-level", "8"])
+        out = invoke(["orbit", "--family", "binfty", "--order", "left-to-right",
+                      "--steps", "8000", "--path", path, "--visit-level", "8"])
         assert out.exit_code == 0 and json.loads(out.output)["paths_seen"] == 8001
         cone = {(16, v)} | {(level, u) for level in range(2, 16) for u in range(1, v + 1)}
         assert set(fills) <= cone and max(fills.values()) == 1
