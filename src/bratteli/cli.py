@@ -21,10 +21,10 @@ parses, resolves the input, calls the command, renders the result with
 ``_emit``, and maps ``TruncationIncompleteError`` to exit 2 and
 ``DiagramError`` to 1.
 
-The argparse parser keeps one usage contract: a usage error exits 1
-(argparse's 2 would read as truncation-incomplete), no arguments print the
-help to stderr and exit 1, no option is abbreviated, there is no ``-h``, and
-a value option takes the next token whatever it starts with (``--coords -1,1``).
+The argparse parser keeps one usage contract: a usage error exits 1 (argparse's 2 would
+read as truncation-incomplete) under the usage of the parser that met it, no arguments
+print the help to stderr and exit 1, no option is abbreviated, there is no ``-h``, and a
+value option takes the next token whatever it starts with (``--coords -1,1``).
 """
 
 from __future__ import annotations
@@ -433,6 +433,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, "%sTry '%s --help' for help.\n\nError: %s\n" % (self.format_usage(), self.prog, message))
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Refuse a token this parser does not know, so a command's own usage names it, not the group's."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
 
 
 _PARSER = _Parser(

@@ -13,11 +13,11 @@ keys": tuples of ``(coordinate, multiplicity)`` pairs with strictly
 increasing coordinates and positive multiplicities, encoding a finitely
 supported multiplicity vector whose total is the level number.
 
-Public methods (``predecessors``, ``successors``, ``rank``) validate their
-level and vertex.  ``_predecessors`` reads rows unchecked, for callers that
-validated a vertex once and descend from it (``linalg.heights``,
-``limits.product_row``, a subdiagram reading its ambient rows): a
-predecessor of a vertex is a vertex.
+Public methods (``predecessors``, ``successors``, ``rank``, ``level_vertices``)
+check their level and vertex, then call the unchecked rule each family supplies
+(``_predecessors``, ``_rank``, ``_level_vertices``).  Callers that checked a vertex
+once and descend from it read ``_predecessors`` (``linalg.heights``, ``limits.product_row``,
+a subdiagram reading its ambient rows): a predecessor of a vertex is a vertex.
 
 A spec is read through ``_FAMILY_TABLE`` (family -> its ``params`` keys and
 builder) and ``_SUB_RULES`` (subdiagram kind -> rule -> fields), refusing
@@ -206,12 +206,22 @@ class Diagram:
         raise NotImplementedError
 
     def level_vertices(self, level: int, bound: int | None = None) -> tuple:
-        """The level's vertices within the truncation bound, in rank order."""
+        """The level's vertices within the truncation bound, in rank order; checked."""
+        self.check_level(level)
+        return self._level_vertices(level, bound)
+
+    def _level_vertices(self, level: int, bound: int | None) -> tuple:
+        """``level_vertices`` unchecked: ``level`` must be a level of the diagram."""
         raise NotImplementedError
 
     def rank(self, level: int, v) -> int:
-        """The enumeration a(v) of the level: distinct positive integers."""
-        raise NotImplementedError
+        """The enumeration a(v) of the level, distinct positive integers; checked."""
+        self.check_vertex(level, v)
+        return self._rank(level, v)
+
+    def _rank(self, level: int, v) -> int:
+        """``rank`` unchecked: ``v`` must be a vertex at ``level``; by default its place in the level's list."""
+        return self._level_vertices(level, None).index(v) + 1
 
     # -- conveniences -------------------------------------------------------
 
@@ -292,12 +302,10 @@ class PascalDiagram(Diagram):
             return False
         return key_level(canon) == level and all(self.coord_in_domain(c) for c, _ in canon)
 
-    def level_vertices(self, level: int, bound: int | None = None) -> tuple:
-        self.check_level(level)
+    def _level_vertices(self, level: int, bound: int | None) -> tuple:
         return tuple(_pascal_keys(level, len(self._coord_domain(bound)), self.signed))
 
-    def rank(self, level: int, v) -> int:
-        self.check_vertex(level, v)
+    def _rank(self, level: int, v) -> int:
         return _pascal_rank(v, level, self.signed)
 
     def closed_form_height(self, level: int, v):
@@ -315,7 +323,22 @@ class PascalDiagram(Diagram):
 _FACTORIALS = [1]
 
 
-class BinftyDiagram(Diagram):
+class _IndexLevels(Diagram):
+    """Families whose every level is 1, 2, 3, ..., each vertex its own rank."""
+
+    def level_contains(self, level: int, v) -> bool:
+        return isinstance(v, int) and v >= 1
+
+    def _level_vertices(self, level: int, bound: int | None) -> tuple:
+        if bound is None:
+            raise DiagramError("%s levels are infinite; pass an index bound" % self.family)
+        return tuple(range(1, bound + 1))
+
+    def _rank(self, level: int, v) -> int:
+        return v
+
+
+class BinftyDiagram(_IndexLevels):
     """The triangular diagram: every level is 1, 2, 3, ...; an edge i -> j
     exists for every pair j <= i of consecutive-level vertices.  Levels start
     at 1, where all heights are 1.
@@ -326,19 +349,6 @@ class BinftyDiagram(Diagram):
 
     def _predecessors(self, level: int, v) -> dict:
         return {w: 1 for w in range(1, v + 1)}
-
-    def level_contains(self, level: int, v) -> bool:
-        return isinstance(v, int) and v >= 1
-
-    def level_vertices(self, level: int, bound: int | None = None) -> tuple:
-        self.check_level(level)
-        if bound is None:
-            raise DiagramError("binfty levels are infinite; pass an index bound")
-        return tuple(range(1, bound + 1))
-
-    def rank(self, level: int, v) -> int:
-        self.check_vertex(level, v)
-        return v
 
     def closed_form_height(self, level: int, v):
         return comb(v + level - 2, level - 1)
@@ -374,18 +384,14 @@ class BoundedDiagram(Diagram):
             return abs(v) <= level * self.k
         return True
 
-    def level_vertices(self, level: int, bound: int | None = None) -> tuple:
-        self.check_level(level)
+    def _level_vertices(self, level: int, bound: int | None) -> tuple:
         if self.finite:
-            cap = level * self.k if bound is None else min(level * self.k, bound)
-        else:
-            if bound is None:
-                raise DiagramError("levels are infinite; pass a bound")
-            cap = bound
-        return tuple(sorted(range(-cap, cap + 1), key=zigzag))
+            bound = level * self.k if bound is None else min(level * self.k, bound)
+        elif bound is None:
+            raise DiagramError("levels are infinite; pass a bound")
+        return tuple(sorted(range(-bound, bound + 1), key=zigzag))
 
-    def rank(self, level: int, v) -> int:
-        self.check_vertex(level, v)
+    def _rank(self, level: int, v) -> int:
         return zigzag(v)
 
     def closed_form_height(self, level: int, v):
@@ -427,7 +433,7 @@ def _step_convolve(coeffs: dict[int, int], k: int) -> dict[int, int]:
     return dict(zip(range(lo - k, lo + len(coeffs) + k), map(sub, sums[2 * k + 1:], sums)))
 
 
-class OdometerChainDiagram(Diagram):
+class OdometerChainDiagram(_IndexLevels):
     """Countably many odometer columns, each linked to the next by one edge.
 
     Every level is 1, 2, 3, ...; the vertex i at level n+1 receives a_n(i)
@@ -455,19 +461,6 @@ class OdometerChainDiagram(Diagram):
 
     def _predecessors(self, level: int, v) -> dict:
         return {v: self.entry(level - 1, v), v + 1: 1}
-
-    def level_contains(self, level: int, v) -> bool:
-        return isinstance(v, int) and v >= 1
-
-    def level_vertices(self, level: int, bound: int | None = None) -> tuple:
-        self.check_level(level)
-        if bound is None:
-            raise DiagramError("levels are infinite; pass an index bound")
-        return tuple(range(1, bound + 1))
-
-    def rank(self, level: int, v) -> int:
-        self.check_vertex(level, v)
-        return v
 
     def closed_form_height(self, level: int, v):
         if self._column_rules:
@@ -550,18 +543,13 @@ class CustomDiagram(Diagram):
     def level_contains(self, level: int, v) -> bool:
         return v in self.level_vertices(level)
 
-    def level_vertices(self, level: int, bound: int | None = None) -> tuple:
-        self.check_level(level)
+    def _level_vertices(self, level: int, bound: int | None) -> tuple:
         if level not in self._levels:
             raise TruncationIncompleteError(
                 "custom diagram declares no level %d" % level, missing=[(level, None)]
             )
         vs = self._levels[level]
         return vs if bound is None else vs[:bound]
-
-    def rank(self, level: int, v) -> int:
-        self.check_vertex(level, v)
-        return self._levels[level].index(v) + 1
 
 
 #: subdiagram kind -> rule -> the fields its spec holds besides ``kind`` and ``rule``
@@ -693,14 +681,12 @@ class Subdiagram(Diagram):
     def level_contains(self, level: int, v) -> bool:
         return v in self._level_set(level)
 
-    def level_vertices(self, level: int, bound: int | None = None) -> tuple:
-        self.check_level(level)
+    def _level_vertices(self, level: int, bound: int | None) -> tuple:
         vs = self._level_set(level)
         return vs if bound is None else vs[:bound]
 
-    def rank(self, level: int, v) -> int:
-        self.check_vertex(level, v)
-        return self.ambient.rank(level, v)
+    def _rank(self, level: int, v) -> int:
+        return self.ambient._rank(level, v)
 
     def closed_form_height(self, level: int, v):
         if self.rule == "staircase":
@@ -901,7 +887,6 @@ def vertex_from_text(v):
 
 def vertex_window(diagram: Diagram, level: int, bound: int | None = None) -> tuple:
     """The level's vertices in rank order, cut by ``bound`` or else by the spec's truncation bound."""
-    diagram.check_level(level)
     return diagram.level_vertices(level, diagram.truncation_bound if bound is None else bound)
 
 

@@ -36,17 +36,22 @@ from .linalg import _cone_walk, _heights, count_distance
 from .measures import BinftyMeasure, PascalMeasure
 
 
+def _check_row(diagram: Diagram, n: int, m: int, v) -> None:
+    """Refuse a transition row unless level ``n`` exists, m >= 0 and ``v`` is a vertex at level ``n + m``."""
+    diagram.check_level(n)
+    if m < 0:
+        raise DiagramError("m must be >= 0")
+    diagram.check_vertex(n + m, v)
+
+
 def product_row(diagram: Diagram, n: int, m: int, v) -> dict:
     """Path counts from each level-``n`` vertex to ``v`` at level ``n + m``.
 
     Computed by descending through the predecessor lists, so it is exact for
-    every family and subdiagram.  Only ``v`` is validated; the one-shot descent
-    reads each cone row once, unchecked, into its own dict, not ``_cone_walk``.
+    every family and subdiagram.  Only the row is checked (``_check_row``); the one-shot
+    descent reads each cone row once, unchecked, into its own dict, not ``_cone_walk``.
     """
-    if m < 0:
-        raise DiagramError("m must be >= 0")
-    diagram.check_vertex(n + m, v)
-    diagram.check_level(n)
+    _check_row(diagram, n, m, v)
     cur = {v: 1}
     for lvl in range(n + m, n, -1):
         nxt: dict = {}
@@ -59,9 +64,7 @@ def product_row(diagram: Diagram, n: int, m: int, v) -> dict:
 
 def closed_form_product_row(diagram: Diagram, n: int, m: int, v) -> dict:
     """Closed-form transition counts for the families that admit one."""
-    if m < 0:
-        raise DiagramError("m must be >= 0")
-    diagram.check_vertex(n + m, v)
+    _check_row(diagram, n, m, v)
     if m == 0:
         return {v: 1}
     if isinstance(diagram, BinftyDiagram):
@@ -90,12 +93,11 @@ def closed_form_product_row(diagram: Diagram, n: int, m: int, v) -> dict:
 def _memo_product_row(diagram: Diagram, n: int, m: int, v, memo: dict) -> dict:
     """``product_row`` (m >= 1) through ``memo``: level -> {vertex: its row down to level ``n``}.
 
-    ``v`` and ``n`` are checked as ``product_row`` checks them.  ``_cone_walk``
+    The row is checked as ``product_row`` checks it.  ``_cone_walk``
     then reads only the rows of cone vertices the memo lacks, and their rows
     are summed upward from their sources' and kept; do not change them.
     """
-    diagram.check_vertex(n + m, v)
-    diagram.check_level(n)
+    _check_row(diagram, n, m, v)
     lvl = n + m
     steps, bottom = _cone_walk(diagram, lvl, [] if v in memo.get(lvl, ()) else [v], memo, n)
     lvl -= len(steps)
@@ -284,5 +286,4 @@ def pascal_limit_vector(d: Mapping[int, Fraction], n: int) -> dict:
     where every height is 1, at levels 0 and 1.
     """
     mu = PascalMeasure(d)
-    mu.diagram.check_level(n)
     return {key: mu.q(n, key) for key in mu.level_support(n)}

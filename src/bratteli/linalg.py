@@ -252,7 +252,6 @@ def _weighted_rows(diagram: Diagram, level: int, targets: Iterable | None,
     when the closed forms of both levels satisfy the height identity; where
     there is none, H_v is the row's total.
     """
-    diagram.check_level(level)
     read = diagram.predecessors
     if targets is None:
         targets = vertex_window(diagram, level, bound)

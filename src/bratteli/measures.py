@@ -11,9 +11,10 @@ Every number here is a ``fractions.Fraction``; invariance and probability
 checks are exact identities, with geometric or binomial-tail closed forms
 standing in for the infinite parts of the sums.
 
-``mass_sum`` is the one exact weighted sum of cylinder masses, behind every
-successor, level and restricted mass; closed-form measures add integer
-numerators over one denominator and build a single ``Fraction``.
+``p`` checks the vertex and ``_p`` is each measure's formula.  ``mass_sum``
+is the one exact weighted sum of cylinder masses, behind every successor,
+level and restricted mass; closed-form measures add integer numerators over
+one denominator and build a single ``Fraction``.
 
 Heights are read through ``linalg.height``, the one closed-form-else-recursion
 route; ``linalg.heights`` is the one recursion behind it.
@@ -52,13 +53,17 @@ class TailInvariantMeasure:
         self.diagram = diagram
 
     def p(self, n: int, v) -> Fraction:
-        """Mass of one cylinder through vertex ``v`` at level ``n``."""
+        """Mass of one cylinder through vertex ``v`` at level ``n``; checked."""
+        self.diagram.check_vertex(n, v)
+        return self._p(n, v)
+
+    def _p(self, n: int, v) -> Fraction:
+        """``p`` unchecked, the measure's formula: ``v`` must be a vertex at level ``n``."""
         raise NotImplementedError
 
     def q(self, n: int, v) -> Fraction:
         """Tower mass H_v * p_n(v); ``p`` validates the vertex first."""
-        pv = self.p(n, v)
-        return height(self.diagram, n, v) * pv
+        return self.p(n, v) * height(self.diagram, n, v)
 
     def mass_sum(self, n: int, weights: Mapping) -> Fraction:
         """Exact sum of weights[v] * p_n(v) over a {vertex: int} map, each vertex checked as ``p`` checks it."""
@@ -132,8 +137,7 @@ class PascalMeasure(TailInvariantMeasure):
                 raise DiagramError("coordinate %d is outside %s" % (c, diagram.family))
         super().__init__(diagram)
 
-    def p(self, n: int, v) -> Fraction:
-        self.diagram.check_vertex(n, v)
+    def _p(self, n: int, v) -> Fraction:
         mass = Fraction(1)
         for c, mult in v:
             if c not in self.d:
@@ -146,6 +150,7 @@ class PascalMeasure(TailInvariantMeasure):
         return self.mass_sum(n + 1, {key_add(w, c): 1 for c in coords})
 
     def level_support(self, n: int, bound: int | None = None) -> tuple:
+        self.diagram.check_level(n)
         return tuple(_compositions(n, sorted(self.d)))
 
 
@@ -167,8 +172,7 @@ class BinftyMeasure(TailInvariantMeasure):
             raise DiagramError("the slope parameter must be >= 0")
         super().__init__(BinftyDiagram())
 
-    def p(self, n: int, j) -> Fraction:
-        self.diagram.check_vertex(n, j)
+    def _p(self, n: int, j) -> Fraction:
         a = self.a
         return a ** (j - 1) / (a + 1) ** (n + j - 1)
 
@@ -243,8 +247,7 @@ class StaircaseMeasure(TailInvariantMeasure):
             return Fraction(s)
         return (1 - a**s) / (1 - a)
 
-    def p(self, n: int, j) -> Fraction:
-        self.diagram.check_vertex(n, j)
+    def _p(self, n: int, j) -> Fraction:
         a, k = self.a, self.k
         return a ** (j - k) / (1 + a) ** (n + j - k) * self._t(n + k - j + 1)
 
@@ -271,8 +274,7 @@ class BinomialEdgeMeasure(TailInvariantMeasure):
         if not 0 < self.prob < 1:
             raise DiagramError("the edge weight must lie strictly between 0 and 1")
 
-    def p(self, n: int, i) -> Fraction:
-        self.diagram.check_vertex(n, i)
+    def _p(self, n: int, i) -> Fraction:
         pr, k = self.prob, self.k
         return pr ** (k + n - 1 - i) * (1 - pr) ** (i - k)
 
@@ -303,8 +305,7 @@ class OdometerColumnMeasure(TailInvariantMeasure):
         super().__init__(build_subdiagram(ambient, {"kind": "vertex", "rule": "constant", "vertex": column}))
         self.column = column
 
-    def p(self, n: int, v) -> Fraction:
-        self.diagram.check_vertex(n, v)
+    def _p(self, n: int, v) -> Fraction:
         denom = 1
         for j in range(self.diagram.base_level, n):
             denom *= self.diagram.ambient.entry(j, self.column)

@@ -312,7 +312,7 @@ def _slots_ascending(items: Iterable) -> list:
 def _rank_sorted_slots(diagram: Diagram, level: int, v) -> list:
     """The edges into ``v``, sources in rank order, parallel slots ascending."""
     preds = diagram.predecessors(level, v)
-    return _slots_ascending(sorted(preds.items(), key=lambda wm: diagram.rank(level - 1, wm[0])))
+    return _slots_ascending(sorted(preds.items(), key=lambda wm: diagram._rank(level - 1, wm[0])))
 
 
 class LeftToRightOrder(EdgeOrder):
@@ -376,10 +376,7 @@ class NaturalPascalOrder(EdgeOrder):
             raise DiagramError("the natural order is defined on multinomial diagrams")
 
     def edges_into(self, diagram, level, v):
-        diagram.check_vertex(level, v)
-        if level == diagram.base_level:
-            raise DiagramError("base level vertices have no incoming edges")
-        return tuple(diagram._predecessors(level, v).items())
+        return tuple(diagram.predecessors(level, v).items())
 
     def tail_cap(self, diagram, kind, tail, level, anchor, side):
         # a concentrating tail is maximal (minimal) exactly when no support coordinate lies above (below) it

@@ -232,6 +232,16 @@ MUTANTS = [
      "test_hygiene.py::test_every_traced_callable_exists"),
     ("traced-method-renamed", CORE, "def outside_predecessors(", "def _outside_predecessors(",
      "test_hygiene.py::test_every_traced_callable_exists"),
+    # each query is checked once, in its base class, and no family or measure keeps a copy it can skip
+    ("a-family-defines-its-own-rank", CORE, "def _rank(self, level: int, v) -> int:\n        return zigzag(v)",
+     "def rank(self, level: int, v) -> int:\n        return zigzag(v)",
+     "test_hygiene.py::test_a_checked_query_is_defined_only_by_its_base_class"),
+    ("transition-row-without-its-level-check", "limits.py", "    diagram.check_level(n)\n    if m < 0:",
+     "    if m < 0:", TEST_CLI + "::test_a_level_below_the_base_is_refused_by_the_level_asked_for"),
+    ("pascal-support-without-its-level-check", "measures.py",
+     "        self.diagram.check_level(n)\n        return tuple(_compositions(n, sorted(self.d)))",
+     "        return tuple(_compositions(n, sorted(self.d)))",
+     TEST_CLI + "::test_a_level_below_the_base_is_refused_by_the_level_asked_for"),
 ]
 
 # (name, module, old text, new text, why no test can tell the mutant apart)

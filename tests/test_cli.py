@@ -520,6 +520,83 @@ def test_a_diagram_option_the_family_needs_is_asked_for_by_name(argv, option, ca
     assert capsys.readouterr().err == "error: --family %s needs %s\n" % (argv[2], option)
 
 
+_MEASURE = ["measure", "--level", "1", "--measure"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (_MEASURE + ["pascal-mu", "--d", "1/2,1/2", "--coords", "1,x"],
+     "bad coordinates '1,x': invalid literal for int() with base 10: 'x'"),
+    (_MEASURE + ["pascal-mu", "--d", "1/2,1/2", "--coords", "1,2,3"], "--coords and --d must have equal length"),
+    (_MEASURE + ["pascal-mu"], "pascal-mu needs --d (comma list of masses)"),
+    (_MEASURE + ["binfty-mu"], "binfty-mu needs --a (slope)"),
+    (_MEASURE + ["staircase-nu", "--a", "1/2"], "staircase-nu needs --a and --k"),
+    (_MEASURE + ["edge-binomial", "--k", "2"], "edge-binomial needs --p and --k"),
+    (_MEASURE + ["odometer-column"], "odometer-column needs --a (entry rule)"),
+    (["heights", "--family", "binfty", "--level", "2", "--window", "2", "--precision", "0"],
+     "--precision must be a positive bit count"),
+    (["heights", "--spec", "{tmp}/missing.json", "--level", "2"], "cannot read spec file {tmp}/missing.json: "),
+    (["heights", "--level", "2"], "pass --family or --spec FILE"),
+    (["limits", "--closed-form", "binfty"], "--closed-form binfty needs --a"),
+    (["limits", "--closed-form", "pascal", "--d", "1/2,1/2"], "--closed-form pascal needs --d and --level"),
+    (["limits", "--family", "binfty"], "pass --rule (or --closed-form)"),
+    (["limits", "--family", "binfty", "--rule", "constant"], "--rule constant needs --vertex"),
+    (["limits", "--family", "binfty", "--rule", "ray"], "--rule ray needs --slope"),
+    (["limits", "--family", "pascal-n", "--rule", "pascal-ray"], "--rule pascal-ray needs --d"),
+    (["classify", "--family", "binfty"], "pass exactly one of --path or --descriptor"),
+    (["bk-decay", "--k", "0", "--m-max", "3"], "--k and --m-max must be positive"),
+    (["heights", "--family", "pascal-n", "--sub", "staircase:2", "--level", "2"],
+     "staircase subdiagrams live inside binfty"),
+    (["heights", "--family", "odometer-io", "--a", "2", "--sub", "pascal-edge:2", "--level", "2"],
+     "the pascal edge subdiagram lives inside binfty"),
+    (["heights", "--family", "odometer-io", "--a", "2,1", "--level", "2", "--window", "2"],
+     "odometer entries must be >= 2: [2, 1]"),
+], ids=["coords-not-integers", "coords-and-d-lengths", "pascal-mu-needs-d", "binfty-mu-needs-a",
+        "staircase-nu-needs-a-and-k", "edge-binomial-needs-p-and-k", "odometer-column-needs-a", "precision-0",
+        "unreadable-spec", "no-family-or-spec", "binfty-closed-form-needs-a", "pascal-closed-form-needs-level",
+        "limits-needs-a-rule", "constant-rule-needs-vertex", "ray-rule-needs-slope", "pascal-ray-needs-d",
+        "classify-needs-path-or-descriptor", "bk-decay-k-0", "staircase-off-binfty", "pascal-edge-off-binfty",
+        "odometer-entry-below-2"])
+def test_each_refusal_prints_its_one_error_line(argv, line, tmp_path):
+    result = run(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (result.exit_code, result.stdout) == (1, "")
+    line = "error: " + line.replace("{tmp}", str(tmp_path))
+    if line.endswith(": "):  # the OS words the reason a file cannot be read
+        assert result.stderr.startswith(line) and result.stderr.count("\n") == 1
+    else:
+        assert result.stderr == line + "\n"
+
+
+_PRODUCT = ["product", "--vertex", "2", "--family"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    *((_PRODUCT + ["binfty", "--level", str(n), "--m", str(m), "--method", method],
+      "binfty has no level %d (base level is 1)" % n)
+      for n, m in ((0, 3), (-4, 6)) for method in ("auto", "closed", "recursion")),
+    (["measure", "--measure", "pascal-mu", "--d", "1/2,1/2", "--level", "-1"],
+     "pascal-n has no level -1 (base level is 0)"),
+    (["product", "--family", "bounded-finite", "--k", "1", "--level", "-1", "--m", "2", "--vertex", "0",
+      "--method", "closed"], "bounded-finite has no level -1 (base level is 0)"),
+    (["limits", "--family", "binfty", "--level", "-3", "--rule", "constant", "--vertex", "2"],
+     "binfty has no level -3 (base level is 1)"),
+], ids=["binfty-0-auto", "binfty-0-closed", "binfty-0-recursion", "binfty-minus-4-auto", "binfty-minus-4-closed",
+        "binfty-minus-4-recursion", "pascal-mu", "bounded-finite-closed", "binfty-limit"])
+def test_a_level_below_the_base_is_refused_by_the_level_asked_for(argv, line):
+    # the closed-form rows and the pascal-mu support once answered here with exit 0
+    result = run(*argv)
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "error: %s\n" % line)
+
+
+@pytest.mark.parametrize("argv, field, note", [
+    (["classify", "--domain", "n", "--descriptor", '{"side": "max", "positions": [1, 3], "values": [2, null]}'],
+     "mirror_note", "reflection sends 1 positions below 1; only a single clamped position is defined"),
+    (["classify", "--family", "binfty", "--order", "left-to-right", "--path", '{"start": 1, "edges": [[1,2,1]]}'],
+     "candidates_note", "the path is not provably extremal; it has an ordinary adic image"),
+], ids=["mirror", "candidates"])
+def test_classify_reports_what_it_cannot_list_as_a_note(argv, field, note):
+    assert run_json(*argv)[field] == note
+
+
 def test_the_binfty_closed_form_reads_its_slope_from_a_without_a_diagram():
     # --a is the slope here, and --family is not given, so no diagram is built to refuse it
     assert run("limits", "--closed-form", "binfty", "--a", "1").exit_code == 0
@@ -617,6 +694,17 @@ def test_a_usage_error_exits_one_with_nothing_on_stdout(argv):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv, usage, prog, tokens", [
+    (_HEIGHTS + ["--bogus", "1"], "bratteli heights [OPTIONS]", "bratteli heights", "--bogus 1"),
+    (["--bogus"] + _HEIGHTS, "bratteli [OPTIONS] COMMAND [ARGS]...", "bratteli", "--bogus"),
+], ids=["after-the-command", "before-the-command"])
+def test_an_unknown_option_is_a_usage_error_of_the_parser_it_was_given_to(argv, usage, prog, tokens):
+    result = run(*argv)
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == "Usage: %s\nTry '%s --help' for help.\n\nError: unrecognized arguments: %s\n" % (
+        usage, prog, tokens)
 
 
 def test_a_value_option_takes_the_next_token_whatever_it_starts_with():

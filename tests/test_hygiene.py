@@ -29,6 +29,11 @@ imports ``bratteli.cli`` loads no top-level module that is neither
 ``sys.modules`` around the import, because ``site`` may already have loaded
 third-party modules of its own before it.
 
+A checked query is written once, in its base class: no class below
+``Diagram`` defines ``rank`` or ``level_vertices`` and no class below
+``TailInvariantMeasure`` defines ``p``.  Each states only its unchecked rule
+(``_rank``, ``_level_vertices``, ``_p``), so no family or measure can skip the check.
+
 Every entry of the mutation check (``tests/mutants.py``) must still apply:
 its old text occurs exactly once in its module.  The check itself runs for
 minutes, outside the suite; this part of it takes milliseconds.
@@ -177,6 +182,20 @@ def test_every_traced_callable_exists(module, attr, span):
             assert defined, "no class at or below %s.%s defines %s" % (module, owner, method)
     else:
         assert callable(getattr(mod, attr, None)), "bratteli.%s has no function %s" % (module, attr)
+
+
+# (module, base class, the checked queries only that class defines)
+CHECKED_QUERIES = [("core", "Diagram", ("rank", "level_vertices")), ("measures", "TailInvariantMeasure", ("p",))]
+
+
+@pytest.mark.parametrize("module, base, queries", CHECKED_QUERIES, ids=[base for _, base, _ in CHECKED_QUERIES])
+def test_a_checked_query_is_defined_only_by_its_base_class(module, base, queries):
+    importlib.import_module("bratteli.cli")  # every module, so every subclass is defined
+    below = _hierarchy(getattr(importlib.import_module("bratteli." + module), base))[1:]
+    assert below, "no class below %s" % base
+    overrides = sorted("%s.%s" % (c.__name__, q) for c in below for q in queries if q in c.__dict__)
+    assert overrides == [], "%s skip the check %s makes; define the unchecked %s instead" % (
+        overrides, base, ", ".join("_" + q for q in queries))
 
 
 def test_every_mutation_check_entry_still_applies():
